@@ -317,23 +317,88 @@ pub enum LinkEffect {
     Degraded(f64),
 }
 
+/// Most boundaries a link timeline can have: each link episode contributes
+/// its start and its end.
+const MAX_BOUNDARIES: usize = 2 * MAX_FAULT_EVENTS;
+
 /// A read-only view of a [`FaultSchedule`] indexed by virtual time.
 ///
-/// The clock is pure (`&self` lookups over at most [`MAX_FAULT_EVENTS`]
-/// entries, early-out when the schedule is empty), so consulting it on every
-/// transmit costs nothing measurable and — crucially — nothing that depends
-/// on execution order, preserving the determinism contract.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// [`FaultClock::new`] turns the schedule's link episodes into a
+/// piecewise-constant timeline once: the sorted episode starts and ends cut
+/// time into segments, and each segment stores the [`LinkEffect`] the
+/// schedule gives at its left end.  [`FaultClock::link_effect`] is then a
+/// binary search over at most [`MAX_BOUNDARIES`] boundaries instead of a scan
+/// of every event slot.  Channels and `NodeSim` call it on every message, so
+/// the lookup is on the hot path of faulted runs.  Lookups are pure
+/// (`&self`), so they cannot depend on execution order, preserving the
+/// determinism contract.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultClock {
     schedule: FaultSchedule,
+    /// Number of live entries in `boundaries`.
+    len: usize,
+    /// Distinct episode starts and ends, ascending.
+    boundaries: [f64; MAX_BOUNDARIES],
+    /// `effects[i]` holds on `[boundaries[i - 1], boundaries[i])`;
+    /// `effects[0]` before the first boundary and `effects[len]` after the
+    /// last.
+    effects: [LinkEffect; MAX_BOUNDARIES + 1],
+}
+
+impl Default for FaultClock {
+    fn default() -> Self {
+        Self::new(FaultSchedule::none())
+    }
 }
 
 impl FaultClock {
-    /// Wraps a schedule.  The schedule should already be validated; an
-    /// invalid one does not panic here, but overlapping episodes resolve in
-    /// insertion order (blackout checked before degradation).
+    /// Wraps a schedule and builds its link timeline.  The schedule should
+    /// already be validated; an invalid one does not panic here, but
+    /// overlapping episodes resolve in insertion order (blackout checked
+    /// before degradation).
     pub fn new(schedule: FaultSchedule) -> Self {
-        Self { schedule }
+        let mut boundaries = [0.0; MAX_BOUNDARIES];
+        let mut len = 0;
+        for (start, end) in schedule.events().filter_map(|e| e.link_window()) {
+            boundaries[len] = start;
+            boundaries[len + 1] = end;
+            len += 2;
+        }
+        boundaries[..len].sort_by(f64::total_cmp);
+        let mut distinct = 0;
+        for i in 0..len {
+            if distinct == 0 || boundaries[i] != boundaries[distinct - 1] {
+                boundaries[distinct] = boundaries[i];
+                distinct += 1;
+            }
+        }
+        // Each segment takes the schedule's rule at its left end: blackout
+        // if an outage covers it, else the first covering degradation in
+        // insertion order, else up.  Episodes are applied last to first so
+        // that earlier degradations overwrite later ones, and nothing
+        // overwrites a blackout.  Every episode starts at or after the first
+        // boundary, so `effects[0]` stays up.
+        let mut effects = [LinkEffect::Up; MAX_BOUNDARIES + 1];
+        for &event in schedule.events.iter().rev().flatten() {
+            let Some((start, end)) = event.link_window() else {
+                continue;
+            };
+            let effect = match event {
+                FaultEvent::Degrade { loss, .. } => LinkEffect::Degraded(loss),
+                _ => LinkEffect::Blackout,
+            };
+            for (i, &left) in boundaries[..distinct].iter().enumerate() {
+                if left >= start && left < end && effects[i + 1] != LinkEffect::Blackout {
+                    effects[i + 1] = effect;
+                }
+            }
+        }
+        Self {
+            schedule,
+            len: distinct,
+            boundaries,
+            effects,
+        }
     }
 
     /// The wrapped schedule.
@@ -344,33 +409,8 @@ impl FaultClock {
     /// The link state at absolute time `now`.  Episode windows are half-open
     /// `[start, start + duration)`.
     pub fn link_effect(&self, now: f64) -> LinkEffect {
-        if self.schedule.is_empty() {
-            return LinkEffect::Up;
-        }
-        let mut degraded: Option<f64> = None;
-        for event in self.schedule.events() {
-            match event {
-                FaultEvent::Outage { start, duration } => {
-                    if now >= start && now < start + duration {
-                        return LinkEffect::Blackout;
-                    }
-                }
-                FaultEvent::Degrade {
-                    start,
-                    duration,
-                    loss,
-                } => {
-                    if now >= start && now < start + duration && degraded.is_none() {
-                        degraded = Some(loss);
-                    }
-                }
-                FaultEvent::CrashRestart { .. } => {}
-            }
-        }
-        match degraded {
-            Some(loss) => LinkEffect::Degraded(loss),
-            None => LinkEffect::Up,
-        }
+        let segment = self.boundaries[..self.len].partition_point(|&b| b <= now);
+        self.effects[segment]
     }
 
     /// The scheduled crash–restart events `(at, state_policy)`, in insertion
@@ -384,9 +424,137 @@ impl FaultClock {
     }
 }
 
+/// The link state at `now` by a scan of every event: the schedule's rule
+/// stated directly, kept as the oracle for the timeline.
+#[cfg(test)]
+fn scan_link_effect(schedule: &FaultSchedule, now: f64) -> LinkEffect {
+    let mut degraded: Option<f64> = None;
+    for event in schedule.events() {
+        match event {
+            FaultEvent::Outage { start, duration } => {
+                if now >= start && now < start + duration {
+                    return LinkEffect::Blackout;
+                }
+            }
+            FaultEvent::Degrade {
+                start,
+                duration,
+                loss,
+            } => {
+                if now >= start && now < start + duration && degraded.is_none() {
+                    degraded = Some(loss);
+                }
+            }
+            FaultEvent::CrashRestart { .. } => {}
+        }
+    }
+    match degraded {
+        Some(loss) => LinkEffect::Degraded(loss),
+        None => LinkEffect::Up,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A schedule built without validation, so that episodes may overlap.
+    fn unchecked(events: &[FaultEvent]) -> FaultSchedule {
+        let mut schedule = FaultSchedule::none();
+        for (slot, &event) in schedule.events.iter_mut().zip(events) {
+            *slot = Some(event);
+        }
+        schedule
+    }
+
+    /// Times at, just before and just after every boundary, plus extremes.
+    fn probe_times(schedule: &FaultSchedule, extra: &[f64]) -> Vec<f64> {
+        let mut times = vec![-1.0, 0.0, 1e9, f64::INFINITY, f64::NAN];
+        times.extend_from_slice(extra);
+        for (start, end) in schedule.events().filter_map(|e| e.link_window()) {
+            for b in [start, end] {
+                times.extend([b - 1e-9, b, b + 1e-9]);
+            }
+        }
+        times
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        // The timeline answers exactly as a scan of the schedule, also for
+        // overlapping (invalid) episodes and at every boundary.  Times are
+        // multiples of 0.25 so that starts and ends often coincide.
+        #[test]
+        fn prop_timeline_matches_scan(
+            raw in proptest::collection::vec(
+                (0u8..3, 0u32..400, 1u32..120, 0.0f64..1.0),
+                0..MAX_FAULT_EVENTS + 1,
+            ),
+            extra in proptest::collection::vec(0.0f64..150.0, 0..64),
+        ) {
+            let events: Vec<FaultEvent> = raw
+                .iter()
+                .map(|&(kind, start, duration, loss)| {
+                    let start = f64::from(start) * 0.25;
+                    let duration = f64::from(duration) * 0.25;
+                    match kind {
+                        0 => FaultEvent::Outage { start, duration },
+                        1 => FaultEvent::Degrade { start, duration, loss },
+                        _ => FaultEvent::CrashRestart {
+                            at: start,
+                            state_policy: CrashStatePolicy::Wipe,
+                        },
+                    }
+                })
+                .collect();
+            let schedule = unchecked(&events);
+            let clock = FaultClock::new(schedule);
+            for t in probe_times(&schedule, &extra) {
+                prop_assert_eq!(clock.link_effect(t), scan_link_effect(&schedule, t), "t = {}", t);
+            }
+        }
+    }
+
+    #[test]
+    fn overlapping_episodes_resolve_in_insertion_order() {
+        let schedule = unchecked(&[
+            FaultEvent::Degrade {
+                start: 0.0,
+                duration: 10.0,
+                loss: 0.1,
+            },
+            FaultEvent::Degrade {
+                start: 5.0,
+                duration: 10.0,
+                loss: 0.9,
+            },
+            FaultEvent::Outage {
+                start: 8.0,
+                duration: 1.0,
+            },
+        ]);
+        let clock = FaultClock::new(schedule);
+        assert_eq!(clock.link_effect(6.0), LinkEffect::Degraded(0.1));
+        assert_eq!(clock.link_effect(8.5), LinkEffect::Blackout);
+        assert_eq!(clock.link_effect(9.0), LinkEffect::Degraded(0.1));
+        assert_eq!(clock.link_effect(12.0), LinkEffect::Degraded(0.9));
+        assert_eq!(clock.link_effect(15.0), LinkEffect::Up);
+    }
+
+    #[test]
+    fn full_schedule_of_episodes_fits_the_timeline() {
+        let events: Vec<FaultEvent> = (0..MAX_FAULT_EVENTS)
+            .map(|i| FaultEvent::Outage {
+                start: 10.0 * i as f64,
+                duration: 5.0,
+            })
+            .collect();
+        let clock = FaultClock::new(FaultSchedule::from_events(&events).unwrap());
+        assert_eq!(clock.len, MAX_BOUNDARIES);
+        assert_eq!(clock.link_effect(312.0), LinkEffect::Blackout);
+        assert_eq!(clock.link_effect(317.0), LinkEffect::Up);
+    }
 
     #[test]
     fn empty_schedule_is_always_up() {

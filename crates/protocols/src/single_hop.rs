@@ -241,16 +241,14 @@ impl<'a> SingleHopSession<'a> {
         self.counts.record(kind);
         let now = self.now();
         let msg = SignalMessage::new(kind, value, seq);
-        self.trace
-            .record(SimTime::from_secs(now), "send", format!("{msg}"));
+        self.trace.record(SimTime::from_secs(now), "send", msg);
         match self.forward.transmit(self.rng, now, kind) {
             signet::TransmitOutcome::Delivered { arrival } => {
                 self.queue
                     .schedule_at(SimTime::from_secs(arrival), Event::ArriveAtReceiver(msg));
             }
             signet::TransmitOutcome::Lost => {
-                self.trace
-                    .record(SimTime::from_secs(now), "drop", format!("{msg}"));
+                self.trace.record(SimTime::from_secs(now), "drop", msg);
             }
         }
     }
@@ -259,16 +257,14 @@ impl<'a> SingleHopSession<'a> {
         self.counts.record(kind);
         let now = self.now();
         let msg = SignalMessage::new(kind, value, seq);
-        self.trace
-            .record(SimTime::from_secs(now), "send", format!("{msg}"));
+        self.trace.record(SimTime::from_secs(now), "send", msg);
         match self.backward.transmit(self.rng, now, kind) {
             signet::TransmitOutcome::Delivered { arrival } => {
                 self.queue
                     .schedule_at(SimTime::from_secs(arrival), Event::ArriveAtSender(msg));
             }
             signet::TransmitOutcome::Lost => {
-                self.trace
-                    .record(SimTime::from_secs(now), "drop", format!("{msg}"));
+                self.trace.record(SimTime::from_secs(now), "drop", msg);
             }
         }
     }
@@ -548,7 +544,7 @@ impl<'a> SingleHopSession<'a> {
     }
 
     fn on_receiver_message(&mut self, msg: SignalMessage, time: SimTime) {
-        self.trace.record(time, "recv", format!("{msg}"));
+        self.trace.record(time, "recv", msg);
         match msg.kind {
             MsgKind::Trigger | MsgKind::Refresh => {
                 self.receiver_value = Some(msg.value);

@@ -2,7 +2,10 @@
 //!
 //! Traces are used by the examples (to show a message-by-message narrative of
 //! a signaling session) and by tests that assert on the exact sequence of
-//! protocol actions.  Tracing is off by default and costs a branch per call.
+//! protocol actions.  Tracing is off by default and costs a branch per call:
+//! [`Trace::record`] takes its detail as `impl Display` and renders it only
+//! when the trace is enabled, so a disabled trace never formats or allocates,
+//! whether or not the optimiser inlines the call.
 
 use crate::time::SimTime;
 use std::fmt;
@@ -60,8 +63,9 @@ impl Trace {
         self.enabled
     }
 
-    /// Records an entry (no-op when disabled).
-    pub fn record(&mut self, time: SimTime, tag: &'static str, detail: impl Into<String>) {
+    /// Records an entry (no-op when disabled).  The detail is rendered with
+    /// its `Display` impl, and only when the entry is kept.
+    pub fn record(&mut self, time: SimTime, tag: &'static str, detail: impl fmt::Display) {
         if !self.enabled {
             return;
         }
@@ -72,7 +76,7 @@ impl Trace {
         self.entries.push(TraceEntry {
             time,
             tag,
-            detail: detail.into(),
+            detail: detail.to_string(),
         });
     }
 
