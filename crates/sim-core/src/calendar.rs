@@ -156,7 +156,7 @@ impl CalendarCore {
         let bucket = self.bucket_of(day);
         let b = &mut self.buckets[bucket];
         // Descending (time, seq): find the first entry the key precedes...
-        let pos = b.partition_point(|k| (key.time, key.seq) < (k.time, k.seq));
+        let pos = b.partition_point(|k| key.precedes(k));
         // ...and insert it there, keeping the minimum at the back.
         b.insert(pos, key);
         self.items += 1;
@@ -186,7 +186,7 @@ impl CalendarCore {
         let mut min: Option<HeapKey> = None;
         for bucket in &self.buckets {
             if let Some(key) = bucket.last() {
-                if min.is_none_or(|m| (key.time, key.seq) < (m.time, m.seq)) {
+                if min.is_none_or(|m| key.precedes(&m)) {
                     min = Some(*key);
                 }
             }
@@ -229,7 +229,7 @@ impl CalendarCore {
             self.buckets[bucket].push(key);
         }
         for bucket in &mut self.buckets {
-            bucket.sort_unstable_by_key(|k| std::cmp::Reverse((k.time, k.seq)));
+            bucket.sort_unstable_by_key(|k| std::cmp::Reverse(k.rank()));
         }
         // The old cursor day is meaningless under the new width; restart at
         // the earliest pending key's day (or zero when empty).  The rewind
@@ -279,8 +279,7 @@ fn calibrate_width(keys: &mut [HeapKey]) -> Option<f64> {
         return None;
     }
     let k = ((keys.len() - 1) / CALIBRATION_FRACTION).max(1);
-    let (earlier, kth, _) =
-        keys.select_nth_unstable_by(k, |a, b| (a.time, a.seq).cmp(&(b.time, b.seq)));
+    let (earlier, kth, _) = keys.select_nth_unstable_by_key(k, HeapKey::rank);
     let kth_time = kth.time.as_secs();
     let min_time = earlier
         .iter()

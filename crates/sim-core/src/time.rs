@@ -9,7 +9,10 @@ use std::ops::{Add, AddAssign, Sub};
 ///
 /// `SimTime` wraps an `f64` but provides a *total* order (the engine never
 /// produces NaN times; constructing one panics in debug builds), so it can be
-/// used as a binary-heap key.
+/// used as a binary-heap key.  Every constructed time is non-negative,
+/// non-NaN and never −0.0, and for such values the IEEE-754 bit pattern read
+/// as an unsigned integer sorts in value order: [`Ord`] compares those bits,
+/// and the event queue orders its keys by them with one integer comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimTime(f64);
 
@@ -21,7 +24,8 @@ impl SimTime {
     ///
     /// # Panics
     /// Panics if `seconds` is NaN or negative (debug builds assert; release
-    /// builds clamp negative values to zero and map NaN to zero).
+    /// builds clamp negative values to zero and map NaN to zero).  −0.0 is
+    /// stored as +0.0, so equal times always have equal bits.
     pub fn from_secs(seconds: f64) -> Self {
         debug_assert!(
             seconds.is_finite() && seconds >= 0.0,
@@ -30,12 +34,21 @@ impl SimTime {
         if seconds.is_nan() {
             return SimTime(0.0);
         }
-        SimTime(seconds.max(0.0))
+        // `max` may return −0.0 (for −0.0 or a negative input); adding +0.0
+        // rounds it to +0.0, whose bits sort before every positive time.
+        SimTime(seconds.max(0.0) + 0.0)
     }
 
     /// The time as seconds.
     pub fn as_secs(self) -> f64 {
         self.0
+    }
+
+    /// The IEEE-754 bit pattern of the time: for the non-negative, non-NaN,
+    /// canonical-zero values `SimTime` holds, it sorts in time order.
+    #[inline]
+    pub(crate) fn to_bits(self) -> u64 {
+        self.0.to_bits()
     }
 
     /// Adds a (non-negative) duration in seconds.
@@ -50,6 +63,14 @@ impl SimTime {
     }
 }
 
+#[cfg(test)]
+impl SimTime {
+    /// A time after every finite one.  Release builds reach it through
+    /// `from_secs(f64::INFINITY)`; debug builds reject that, so tests of the
+    /// order's far end use this constant.
+    pub(crate) const INFINITY: SimTime = SimTime(f64::INFINITY);
+}
+
 impl Eq for SimTime {}
 
 impl PartialOrd for SimTime {
@@ -60,8 +81,9 @@ impl PartialOrd for SimTime {
 
 impl Ord for SimTime {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Safe: construction forbids NaN.
-        self.0.partial_cmp(&other.0).unwrap_or(Ordering::Equal)
+        // Construction forbids NaN, negative values and −0.0, so the bit
+        // order is the value order.
+        self.to_bits().cmp(&other.to_bits())
     }
 }
 
@@ -133,6 +155,15 @@ mod tests {
     fn negative_durations_are_clamped() {
         let t = SimTime::from_secs(10.0);
         assert_eq!(t.after(-5.0).as_secs(), 10.0);
+    }
+
+    #[test]
+    fn negative_zero_is_canonical() {
+        let t = SimTime::from_secs(-0.0);
+        assert_eq!(t.to_bits(), 0, "stored as +0.0");
+        assert_eq!(t, SimTime::ZERO);
+        assert_eq!(t.cmp(&SimTime::ZERO), Ordering::Equal);
+        assert!(t < SimTime::from_secs(f64::from_bits(1)));
     }
 
     #[test]
