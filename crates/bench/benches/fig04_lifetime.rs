@@ -5,15 +5,19 @@
 //! with Criterion.
 
 use criterion::{black_box, Criterion};
-use signaling::experiment::ExperimentId;
+use signaling::experiment::ExperimentOptions;
+use signaling::registry::Registry;
 use signaling::{Protocol, SingleHopModel, SingleHopParams};
 
 fn main() {
     // Reproduction: print the regenerated series.
-    sigbench::print_experiments(&[ExperimentId::Fig4a, ExperimentId::Fig4b]);
+    sigbench::print_experiments(&["fig4a", "fig4b"]);
 
     // Benchmark: time the computation behind the figure.
     let mut c = Criterion::default().configure_from_args();
+    let paper = Registry::with_builtins();
+    let options = ExperimentOptions::default();
+    let fig4a = paper.get("fig4a").expect("fig4a is a built-in experiment");
 
     c.bench_function("fig04/solve_all_protocols_one_lifetime", |b| {
         let params = SingleHopParams::kazaa_defaults().with_mean_lifetime(300.0);
@@ -28,7 +32,7 @@ fn main() {
         })
     });
     c.bench_function("fig04/full_lifetime_sweep", |b| {
-        b.iter(|| black_box(ExperimentId::Fig4a.run()))
+        b.iter(|| black_box(fig4a.run(&options)))
     });
     c.final_summary();
 }

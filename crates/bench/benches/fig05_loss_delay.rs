@@ -5,12 +5,11 @@
 //! with Criterion.
 
 use criterion::{black_box, Criterion};
-use signaling::experiment::ExperimentId;
 use signaling::{Protocol, SingleHopModel, SingleHopParams};
 
 fn main() {
     // Reproduction: print the regenerated series.
-    sigbench::print_experiments(&[ExperimentId::Fig5a, ExperimentId::Fig5b]);
+    sigbench::print_experiments(&["fig5a", "fig5b"]);
 
     // Benchmark: time the computation behind the figure.
     let mut c = Criterion::default().configure_from_args();

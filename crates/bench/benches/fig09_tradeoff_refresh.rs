@@ -5,17 +5,21 @@
 //! with Criterion.
 
 use criterion::{black_box, Criterion};
-use signaling::experiment::ExperimentId;
+use signaling::experiment::ExperimentOptions;
+use signaling::registry::Registry;
 
 fn main() {
     // Reproduction: print the regenerated series.
-    sigbench::print_experiments(&[ExperimentId::Fig9]);
+    sigbench::print_experiments(&["fig9"]);
 
     // Benchmark: time the computation behind the figure.
     let mut c = Criterion::default().configure_from_args();
+    let paper = Registry::with_builtins();
+    let options = ExperimentOptions::default();
+    let fig9 = paper.get("fig9").expect("fig9 is a built-in experiment");
 
     c.bench_function("fig09/tradeoff_sweep", |b| {
-        b.iter(|| black_box(ExperimentId::Fig9.run()))
+        b.iter(|| black_box(fig9.run(&options)))
     });
     c.final_summary();
 }

@@ -5,12 +5,11 @@
 //! with Criterion.
 
 use criterion::{black_box, Criterion};
-use signaling::experiment::ExperimentId;
 use signaling::{Protocol, SessionConfig, SimRng, SingleHopParams, SingleHopSession};
 
 fn main() {
     // Reproduction: print the regenerated series.
-    sigbench::print_experiments(&[ExperimentId::Fig11a, ExperimentId::Fig11b]);
+    sigbench::print_experiments(&["fig11a", "fig11b"]);
 
     // Benchmark: time the computation behind the figure.
     let mut c = Criterion::default().configure_from_args();

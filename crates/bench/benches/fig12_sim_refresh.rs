@@ -5,12 +5,11 @@
 //! with Criterion.
 
 use criterion::{black_box, Criterion};
-use signaling::experiment::ExperimentId;
 use signaling::{Campaign, Protocol, SessionConfig, SingleHopParams};
 
 fn main() {
     // Reproduction: print the regenerated series.
-    sigbench::print_experiments(&[ExperimentId::Fig12a, ExperimentId::Fig12b]);
+    sigbench::print_experiments(&["fig12a", "fig12b"]);
 
     // Benchmark: time the computation behind the figure.
     let mut c = Criterion::default().configure_from_args();

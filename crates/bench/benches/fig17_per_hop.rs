@@ -5,12 +5,11 @@
 //! with Criterion.
 
 use criterion::{black_box, Criterion};
-use signaling::experiment::ExperimentId;
 use signaling::{MultiHopModel, MultiHopParams, Protocol};
 
 fn main() {
     // Reproduction: print the regenerated series.
-    sigbench::print_experiments(&[ExperimentId::Fig17]);
+    sigbench::print_experiments(&["fig17"]);
 
     // Benchmark: time the computation behind the figure.
     let mut c = Criterion::default().configure_from_args();

@@ -316,18 +316,16 @@ fn main() {
         return;
     }
 
-    if args.list || args.list_md {
-        if args.list_md {
-            println!("| name | tags | description |");
-            println!("| --- | --- | --- |");
+    if args.list_md {
+        for line in sigbench::list_md_lines(&registry) {
+            println!("{line}");
         }
+        return;
+    }
+    if args.list {
         for exp in registry.iter() {
             let tags = exp.tags().join(", ");
-            if args.list_md {
-                println!("| `{}` | {} | {} |", exp.name(), tags, exp.description());
-            } else {
-                println!("{:<20} [{}] {}", exp.name(), tags, exp.description());
-            }
+            println!("{:<20} [{}] {}", exp.name(), tags, exp.description());
         }
         return;
     }

@@ -2,7 +2,8 @@
 //! rates of the unified single-hop Markov model), both symbolically and
 //! evaluated at the paper's default parameters.
 
-use signaling::experiment::ExperimentId;
+use signaling::experiment::ExperimentOptions;
+use signaling::registry::Registry;
 use signaling::{Protocol, SingleHopParams};
 
 fn main() {
@@ -71,7 +72,10 @@ fn main() {
     );
 
     // Numeric form from the model itself.
-    println!("{}", ExperimentId::Table1.run().to_text());
+    let table1 = Registry::with_builtins()
+        .run("table1", &ExperimentOptions::default())
+        .expect("table1 is a built-in experiment");
+    println!("{}", table1.to_text());
 
     // A small sanity print of the resulting metrics at the defaults.
     println!("Metrics at the Kazaa defaults:");

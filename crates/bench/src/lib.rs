@@ -13,7 +13,7 @@
 //! are composed entirely out of `signaling`'s public API, without touching
 //! any core source.
 
-use signaling::experiment::{ExperimentId, ExperimentOptions};
+use signaling::experiment::ExperimentOptions;
 use signaling::registry::{
     Experiment, ExperimentSpec, ProtocolRegistry, Registry, RegistryError, SpecKind, SweepTarget,
 };
@@ -85,15 +85,19 @@ pub fn bench_options() -> ExperimentOptions {
     ExperimentOptions::quick()
 }
 
-/// Prints one experiment's regenerated data to stdout (the bench log).
-pub fn print_experiment(id: ExperimentId) {
-    print!("{}", run_and_render(&id, &bench_options()));
-}
-
-/// Prints several experiments.
-pub fn print_experiments(ids: &[ExperimentId]) {
-    for id in ids {
-        print_experiment(*id);
+/// Prints the named experiments' regenerated data to stdout (the bench
+/// log).
+///
+/// # Panics
+/// Panics if a name is not registered in [`extended_registry`].
+pub fn print_experiments(names: &[&str]) {
+    let registry = extended_registry();
+    for name in names {
+        let experiment = registry
+            .get(name)
+            // sigtidy: allow(no-unwrap) — bench names are literals; a typo must fail loudly
+            .unwrap_or_else(|| panic!("no experiment named '{name}' is registered"));
+        print!("{}", run_and_render(experiment, &bench_options()));
     }
 }
 
@@ -104,6 +108,23 @@ pub fn extended_registry() -> Registry {
     // sigtidy: allow(no-unwrap) — name uniqueness is pinned by the registry tests
     register_extras(&mut registry).expect("extra experiment names are unique");
     registry
+}
+
+/// The markdown catalog of `registry`, one line per table row: the header,
+/// then a `| name | tags | description |` row per experiment.  `repro
+/// --list-md` prints it and `EXPERIMENTS.md` embeds it; sigtidy checks that
+/// the embedded table has every line, verbatim and in order.
+pub fn list_md_lines(registry: &Registry) -> Vec<String> {
+    let header = ["| name | tags | description |", "| --- | --- | --- |"];
+    let rows = registry.iter().map(|exp| {
+        format!(
+            "| `{}` | {} | {} |",
+            exp.name(),
+            exp.tags().join(", "),
+            exp.description()
+        )
+    });
+    header.into_iter().map(String::from).chain(rows).collect()
 }
 
 /// The protocol registry the `repro` binary resolves `--protocols` against:
@@ -297,7 +318,7 @@ mod tests {
     #[test]
     fn printing_an_experiment_does_not_panic() {
         // Smoke-test the cheap analytic path used by most benches.
-        print_experiment(ExperimentId::Fig5a);
+        print_experiments(&["fig5a"]);
     }
 
     #[test]

@@ -1,14 +1,17 @@
-//! The experiment registry: one entry per table / figure of the paper's
-//! evaluation section.
+//! The paper catalog and the machinery every experiment runs on.
 //!
-//! Each [`ExperimentId`] names one sub-figure (or Table I) and
-//! [`ExperimentId::run`] regenerates its data: the same parameter sweeps, the
-//! same protocols, the same metrics.  Analytic experiments are exact and
-//! fast; the simulation experiments (Figures 11 and 12) run replicated
-//! discrete-event campaigns whose size is controlled by
-//! [`ExperimentOptions`].
+//! The paper's 22 tables and figures are static catalog rows
+//! (`PAPER_EXPERIMENTS`), registered by
+//! [`Registry::with_builtins`](crate::registry::Registry::with_builtins).
+//! Twenty of them sweep one parameter and run as an [`ExperimentSpec`] built
+//! from the row; Table I and Fig 17 keep small hand-written bodies.
+//! [`ExperimentId`] is a `Copy` handle that looks a built-in up by name and
+//! gives its description.  Analytic experiments are exact and fast; the
+//! simulation experiments (Figures 11 and 12) run replicated discrete-event
+//! campaigns whose size is controlled by [`ExperimentOptions`].
 
 use crate::compare::compare_session;
+use crate::registry::{Experiment, ExperimentSpec, SpecKind, SweepTarget};
 use siganalytic::single_hop::protocol_transitions;
 use siganalytic::{
     MultiHopParams, MultiHopSolution, MultiHopSweepSession, ProtocolSpec, SingleHopParams,
@@ -16,7 +19,7 @@ use siganalytic::{
 };
 use sigproto::{LossModel, SessionConfig};
 use sigstats::{Point, Series, SeriesSet};
-use sigworkload::Sweep;
+use sigworkload::{Scenario, Sweep};
 use simcore::{Assignment, ExecutionPolicy, ReplicationEngine, TimerMode};
 use std::cell::RefCell;
 
@@ -203,7 +206,7 @@ impl ExperimentOptions {
     /// [`ProtocolSetError`](crate::registry::ProtocolSetError) message if
     /// the override contains an incoherent spec or duplicate labels
     /// (mirroring how running an invalid
-    /// [`ExperimentSpec`](crate::registry::ExperimentSpec) panics with its
+    /// [`ExperimentSpec`] panics with its
     /// [`SpecError`](crate::registry::SpecError)); check override sets up
     /// front with [`check_protocol_set`](crate::registry::check_protocol_set)
     /// — or resolve them through a
@@ -250,173 +253,401 @@ impl ExperimentOutput {
     }
 }
 
-/// Identifier of one paper table or (sub-)figure.
+/// A `Copy` handle to one built-in paper experiment (a catalog row),
+/// resolved by its short name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum ExperimentId {
-    Table1,
-    Fig4a,
-    Fig4b,
-    Fig5a,
-    Fig5b,
-    Fig6a,
-    Fig6b,
-    Fig7,
-    Fig8a,
-    Fig8b,
-    Fig9,
-    Fig10a,
-    Fig10b,
-    Fig11a,
-    Fig11b,
-    Fig12a,
-    Fig12b,
-    Fig17,
-    Fig18a,
-    Fig18b,
-    Fig19a,
-    Fig19b,
-}
+pub struct ExperimentId(usize);
 
 impl ExperimentId {
-    /// Every experiment, in paper order.
-    pub const ALL: [ExperimentId; 22] = [
-        ExperimentId::Table1,
-        ExperimentId::Fig4a,
-        ExperimentId::Fig4b,
-        ExperimentId::Fig5a,
-        ExperimentId::Fig5b,
-        ExperimentId::Fig6a,
-        ExperimentId::Fig6b,
-        ExperimentId::Fig7,
-        ExperimentId::Fig8a,
-        ExperimentId::Fig8b,
-        ExperimentId::Fig9,
-        ExperimentId::Fig10a,
-        ExperimentId::Fig10b,
-        ExperimentId::Fig11a,
-        ExperimentId::Fig11b,
-        ExperimentId::Fig12a,
-        ExperimentId::Fig12b,
-        ExperimentId::Fig17,
-        ExperimentId::Fig18a,
-        ExperimentId::Fig18b,
-        ExperimentId::Fig19a,
-        ExperimentId::Fig19b,
-    ];
-
-    /// The experiments that require discrete-event simulation (slower).
-    pub fn uses_simulation(self) -> bool {
-        matches!(
-            self,
-            ExperimentId::Fig11a
-                | ExperimentId::Fig11b
-                | ExperimentId::Fig12a
-                | ExperimentId::Fig12b
-        )
-    }
-
-    /// Stable short name, e.g. `"fig4a"`, usable as a CLI argument or a file
-    /// stem.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExperimentId::Table1 => "table1",
-            ExperimentId::Fig4a => "fig4a",
-            ExperimentId::Fig4b => "fig4b",
-            ExperimentId::Fig5a => "fig5a",
-            ExperimentId::Fig5b => "fig5b",
-            ExperimentId::Fig6a => "fig6a",
-            ExperimentId::Fig6b => "fig6b",
-            ExperimentId::Fig7 => "fig7",
-            ExperimentId::Fig8a => "fig8a",
-            ExperimentId::Fig8b => "fig8b",
-            ExperimentId::Fig9 => "fig9",
-            ExperimentId::Fig10a => "fig10a",
-            ExperimentId::Fig10b => "fig10b",
-            ExperimentId::Fig11a => "fig11a",
-            ExperimentId::Fig11b => "fig11b",
-            ExperimentId::Fig12a => "fig12a",
-            ExperimentId::Fig12b => "fig12b",
-            ExperimentId::Fig17 => "fig17",
-            ExperimentId::Fig18a => "fig18a",
-            ExperimentId::Fig18b => "fig18b",
-            ExperimentId::Fig19a => "fig19a",
-            ExperimentId::Fig19b => "fig19b",
-        }
-    }
-
-    /// Parses a short name produced by [`ExperimentId::name`].
+    /// Resolves a built-in's short name, e.g. `"fig4a"` (case-insensitive).
     pub fn parse(name: &str) -> Option<ExperimentId> {
-        ExperimentId::ALL
+        PAPER_EXPERIMENTS
             .iter()
-            .copied()
-            .find(|id| id.name() == name.to_ascii_lowercase())
+            .position(|e| e.name.eq_ignore_ascii_case(name))
+            .map(ExperimentId)
     }
 
     /// One-line description of what the experiment reproduces.
     pub fn description(self) -> &'static str {
-        match self {
-            ExperimentId::Table1 => "Table I: protocol-specific CTMC transition rates",
-            ExperimentId::Fig4a => "Fig 4(a): inconsistency vs mean state lifetime",
-            ExperimentId::Fig4b => "Fig 4(b): normalized message rate vs mean state lifetime",
-            ExperimentId::Fig5a => "Fig 5(a): inconsistency vs channel loss rate",
-            ExperimentId::Fig5b => "Fig 5(b): inconsistency vs channel delay",
-            ExperimentId::Fig6a => "Fig 6(a): inconsistency vs refresh timer",
-            ExperimentId::Fig6b => "Fig 6(b): message rate vs refresh timer",
-            ExperimentId::Fig7 => "Fig 7: integrated cost vs refresh timer",
-            ExperimentId::Fig8a => "Fig 8(a): inconsistency vs state-timeout timer",
-            ExperimentId::Fig8b => "Fig 8(b): inconsistency vs retransmission timer",
-            ExperimentId::Fig9 => "Fig 9: overhead/inconsistency tradeoff varying refresh timer",
-            ExperimentId::Fig10a => "Fig 10(a): tradeoff varying update rate",
-            ExperimentId::Fig10b => "Fig 10(b): tradeoff varying channel delay",
-            ExperimentId::Fig11a => "Fig 11(a): analytic vs simulation, inconsistency vs lifetime",
-            ExperimentId::Fig11b => "Fig 11(b): analytic vs simulation, message rate vs lifetime",
-            ExperimentId::Fig12a => {
-                "Fig 12(a): analytic vs simulation, inconsistency vs refresh timer"
-            }
-            ExperimentId::Fig12b => {
-                "Fig 12(b): analytic vs simulation, message rate vs refresh timer"
-            }
-            ExperimentId::Fig17 => "Fig 17: per-hop inconsistency along a 20-hop path",
-            ExperimentId::Fig18a => "Fig 18(a): inconsistency vs number of hops",
-            ExperimentId::Fig18b => "Fig 18(b): message rate vs number of hops",
-            ExperimentId::Fig19a => "Fig 19(a): multi-hop inconsistency vs refresh timer",
-            ExperimentId::Fig19b => "Fig 19(b): multi-hop message rate vs refresh timer",
+        PAPER_EXPERIMENTS[self.0].description
+    }
+}
+
+/// One built-in table or figure of the paper, as static catalog data.
+///
+/// Rows are plain data, so registering them builds nothing; a sweep row
+/// composes its [`ExperimentSpec`] only when it runs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PaperExperiment {
+    name: &'static str,
+    description: &'static str,
+    tags: &'static [&'static str],
+    body: Body,
+}
+
+/// What a catalog row runs.
+#[derive(Debug, Clone, Copy)]
+enum Body {
+    /// A hand-written table or figure (Table I, Fig 17).
+    Custom(fn(&ExperimentOptions) -> ExperimentOutput),
+    /// A one-parameter sweep, run through [`ExperimentSpec`].
+    Sweep(SweepFigure),
+}
+
+/// Everything a sweep row's [`ExperimentSpec`] is built from.
+#[derive(Debug, Clone, Copy)]
+struct SweepFigure {
+    title: &'static str,
+    scenario: fn() -> Scenario,
+    sweep: fn() -> Sweep,
+    target: SweepTarget,
+    kind: SpecKind,
+    metric: Metric,
+    sim_range: Option<(f64, f64)>,
+}
+
+const TABLE: &[&str] = &["paper", "table", "analytic", "single-hop"];
+const SINGLE_HOP: &[&str] = &["paper", "figure", "analytic", "single-hop"];
+const MULTI_HOP: &[&str] = &["paper", "figure", "analytic", "multi-hop"];
+const SIMULATION: &[&str] = &["paper", "figure", "simulation", "single-hop"];
+
+impl PaperExperiment {
+    /// A sweep figure over the Kazaa scenario; its tags follow from `kind`.
+    const fn sweep(
+        name: &'static str,
+        description: &'static str,
+        title: &'static str,
+        sweep: fn() -> Sweep,
+        target: SweepTarget,
+        kind: SpecKind,
+        metric: Metric,
+    ) -> Self {
+        let tags = match kind {
+            SpecKind::AnalyticMultiHop => MULTI_HOP,
+            SpecKind::AnalyticVsSim => SIMULATION,
+            _ => SINGLE_HOP,
+        };
+        let figure = SweepFigure {
+            title,
+            scenario: Scenario::kazaa_peer,
+            sweep,
+            target,
+            kind,
+            metric,
+            sim_range: None,
+        };
+        Self {
+            name,
+            description,
+            tags,
+            body: Body::Sweep(figure),
         }
     }
 
-    /// Runs the experiment with default options.
-    pub fn run(self) -> ExperimentOutput {
-        self.run_with(&ExperimentOptions::default())
+    /// Simulates a [`SpecKind::AnalyticVsSim`] row over `scenario`, at sweep
+    /// values inside `[lo, hi]`.
+    const fn simulated(mut self, scenario: fn() -> Scenario, lo: f64, hi: f64) -> Self {
+        if let Body::Sweep(figure) = &mut self.body {
+            figure.scenario = scenario;
+            figure.sim_range = Some((lo, hi));
+        }
+        self
     }
+}
 
-    /// Runs the experiment with explicit options.
-    pub fn run_with(self, options: &ExperimentOptions) -> ExperimentOutput {
-        match self {
-            ExperimentId::Table1 => ExperimentOutput::Text(table1(options)),
-            ExperimentId::Fig4a => ExperimentOutput::Figure(fig4(Metric::Inconsistency, options)),
-            ExperimentId::Fig4b => ExperimentOutput::Figure(fig4(Metric::MessageRate, options)),
-            ExperimentId::Fig5a => ExperimentOutput::Figure(fig5a(options)),
-            ExperimentId::Fig5b => ExperimentOutput::Figure(fig5b(options)),
-            ExperimentId::Fig6a => ExperimentOutput::Figure(fig6(Metric::Inconsistency, options)),
-            ExperimentId::Fig6b => ExperimentOutput::Figure(fig6(Metric::MessageRate, options)),
-            ExperimentId::Fig7 => ExperimentOutput::Figure(fig7(options)),
-            ExperimentId::Fig8a => ExperimentOutput::Figure(fig8a(options)),
-            ExperimentId::Fig8b => ExperimentOutput::Figure(fig8b(options)),
-            ExperimentId::Fig9 => ExperimentOutput::Figure(fig9(options)),
-            ExperimentId::Fig10a => ExperimentOutput::Figure(fig10a(options)),
-            ExperimentId::Fig10b => ExperimentOutput::Figure(fig10b(options)),
-            ExperimentId::Fig11a => ExperimentOutput::Figure(fig11(Metric::Inconsistency, options)),
-            ExperimentId::Fig11b => ExperimentOutput::Figure(fig11(Metric::MessageRate, options)),
-            ExperimentId::Fig12a => ExperimentOutput::Figure(fig12(Metric::Inconsistency, options)),
-            ExperimentId::Fig12b => ExperimentOutput::Figure(fig12(Metric::MessageRate, options)),
-            ExperimentId::Fig17 => ExperimentOutput::Figure(fig17(options)),
-            ExperimentId::Fig18a => ExperimentOutput::Figure(fig18(Metric::Inconsistency, options)),
-            ExperimentId::Fig18b => ExperimentOutput::Figure(fig18(Metric::MessageRate, options)),
-            ExperimentId::Fig19a => ExperimentOutput::Figure(fig19(Metric::Inconsistency, options)),
-            ExperimentId::Fig19b => ExperimentOutput::Figure(fig19(Metric::MessageRate, options)),
+impl SweepFigure {
+    /// The row's [`ExperimentSpec`], under the row's name and description.
+    fn spec(&self, name: &str, description: &str) -> ExperimentSpec {
+        let spec = ExperimentSpec::new(name, description)
+            .title(self.title)
+            .scenario((self.scenario)())
+            .sweep((self.sweep)(), self.target)
+            .kind(self.kind)
+            .metric(self.metric);
+        match self.sim_range {
+            Some((lo, hi)) => spec.sim_range(lo, hi),
+            None => spec,
         }
     }
+}
+
+impl Experiment for PaperExperiment {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn description(&self) -> &str {
+        self.description
+    }
+
+    fn tags(&self) -> Vec<String> {
+        self.tags.iter().map(|t| t.to_string()).collect()
+    }
+
+    fn run(&self, options: &ExperimentOptions) -> ExperimentOutput {
+        match self.body {
+            Body::Custom(run) => run(options),
+            Body::Sweep(figure) => figure.spec(self.name, self.description).run(options),
+        }
+    }
+}
+
+/// The paper's 22 tables and figures, in paper order.
+pub(crate) static PAPER_EXPERIMENTS: [PaperExperiment; 22] = {
+    use Metric::{Inconsistency as I, MessageRate as M};
+    use SpecKind::{
+        AnalyticMultiHop as Multi, AnalyticSingleHop as Single, AnalyticVsSim as Sim,
+        IntegratedCost, Tradeoff,
+    };
+    use SweepTarget as T;
+    let fig = PaperExperiment::sweep;
+    [
+        PaperExperiment {
+            name: "table1",
+            description: "Table I: protocol-specific CTMC transition rates",
+            tags: TABLE,
+            body: Body::Custom(table1),
+        },
+        fig(
+            "fig4a",
+            "Fig 4(a): inconsistency vs mean state lifetime",
+            "Fig 4(a): inconsistency vs mean state lifetime",
+            Sweep::session_length,
+            T::MeanLifetime,
+            Single,
+            I,
+        ),
+        fig(
+            "fig4b",
+            "Fig 4(b): normalized message rate vs mean state lifetime",
+            "Fig 4(b): message rate vs mean state lifetime",
+            Sweep::session_length,
+            T::MeanLifetime,
+            Single,
+            M,
+        ),
+        fig(
+            "fig5a",
+            "Fig 5(a): inconsistency vs channel loss rate",
+            "Fig 5(a): inconsistency vs channel loss rate",
+            Sweep::loss_rate,
+            T::LossRate,
+            Single,
+            I,
+        ),
+        fig(
+            "fig5b",
+            "Fig 5(b): inconsistency vs channel delay",
+            "Fig 5(b): inconsistency vs channel delay",
+            Sweep::channel_delay,
+            T::ChannelDelay,
+            Single,
+            I,
+        ),
+        fig(
+            "fig6a",
+            "Fig 6(a): inconsistency vs refresh timer",
+            "Fig 6(a): inconsistency vs refresh timer",
+            Sweep::refresh_timer,
+            T::RefreshTimer,
+            Single,
+            I,
+        ),
+        fig(
+            "fig6b",
+            "Fig 6(b): message rate vs refresh timer",
+            "Fig 6(b): message rate vs refresh timer",
+            Sweep::refresh_timer,
+            T::RefreshTimer,
+            Single,
+            M,
+        ),
+        fig(
+            "fig7",
+            "Fig 7: integrated cost vs refresh timer",
+            "Fig 7: integrated cost C = 10*I + M vs refresh timer",
+            Sweep::refresh_timer,
+            T::RefreshTimer,
+            IntegratedCost,
+            I,
+        ),
+        fig(
+            "fig8a",
+            "Fig 8(a): inconsistency vs state-timeout timer",
+            "Fig 8(a): inconsistency vs state-timeout timer (T = 5 s)",
+            Sweep::timeout_timer,
+            T::TimeoutTimer,
+            Single,
+            I,
+        ),
+        fig(
+            "fig8b",
+            "Fig 8(b): inconsistency vs retransmission timer",
+            "Fig 8(b): inconsistency vs retransmission timer",
+            Sweep::retrans_timer,
+            T::RetransTimer,
+            Single,
+            I,
+        ),
+        fig(
+            "fig9",
+            "Fig 9: overhead/inconsistency tradeoff varying refresh timer",
+            "Fig 9: overhead vs inconsistency, varying refresh timer",
+            Sweep::refresh_timer,
+            T::RefreshTimer,
+            Tradeoff,
+            I,
+        ),
+        fig(
+            "fig10a",
+            "Fig 10(a): tradeoff varying update rate",
+            "Fig 10(a): overhead vs inconsistency, varying update rate",
+            Sweep::update_interval,
+            T::UpdateInterval,
+            Tradeoff,
+            I,
+        ),
+        fig(
+            "fig10b",
+            "Fig 10(b): tradeoff varying channel delay",
+            "Fig 10(b): overhead vs inconsistency, varying channel delay",
+            Sweep::channel_delay,
+            T::ChannelDelay,
+            Tradeoff,
+            I,
+        ),
+        fig(
+            "fig11a",
+            "Fig 11(a): analytic vs simulation, inconsistency vs lifetime",
+            "Fig 11(a): analytic (exp. timers) vs simulation (det. timers), inconsistency vs lifetime",
+            Sweep::session_length,
+            T::MeanLifetime,
+            Sim,
+            I,
+        )
+        .simulated(Scenario::kazaa_peer, 30.0, 3000.0),
+        fig(
+            "fig11b",
+            "Fig 11(b): analytic vs simulation, message rate vs lifetime",
+            "Fig 11(b): analytic (exp. timers) vs simulation (det. timers), message rate vs lifetime",
+            Sweep::session_length,
+            T::MeanLifetime,
+            Sim,
+            M,
+        )
+        .simulated(Scenario::kazaa_peer, 30.0, 3000.0),
+        fig(
+            "fig12a",
+            "Fig 12(a): analytic vs simulation, inconsistency vs refresh timer",
+            "Fig 12(a): analytic vs simulation, inconsistency vs refresh timer",
+            Sweep::refresh_timer,
+            T::RefreshTimer,
+            Sim,
+            I,
+        )
+        .simulated(kazaa_600s_lifetime, 0.5, 50.0),
+        fig(
+            "fig12b",
+            "Fig 12(b): analytic vs simulation, message rate vs refresh timer",
+            "Fig 12(b): analytic vs simulation, message rate vs refresh timer",
+            Sweep::refresh_timer,
+            T::RefreshTimer,
+            Sim,
+            M,
+        )
+        .simulated(kazaa_600s_lifetime, 0.5, 50.0),
+        PaperExperiment {
+            name: "fig17",
+            description: "Fig 17: per-hop inconsistency along a 20-hop path",
+            tags: MULTI_HOP,
+            body: Body::Custom(fig17),
+        },
+        fig(
+            "fig18a",
+            "Fig 18(a): inconsistency vs number of hops",
+            "Fig 18(a): inconsistency vs total number of hops",
+            Sweep::hop_count,
+            T::HopCount,
+            Multi,
+            I,
+        ),
+        fig(
+            "fig18b",
+            "Fig 18(b): message rate vs number of hops",
+            "Fig 18(b): signaling message rate vs total number of hops",
+            Sweep::hop_count,
+            T::HopCount,
+            Multi,
+            M,
+        ),
+        fig(
+            "fig19a",
+            "Fig 19(a): multi-hop inconsistency vs refresh timer",
+            "Fig 19(a): multi-hop inconsistency vs refresh timer",
+            Sweep::refresh_timer,
+            T::RefreshTimer,
+            Multi,
+            I,
+        ),
+        fig(
+            "fig19b",
+            "Fig 19(b): multi-hop message rate vs refresh timer",
+            "Fig 19(b): multi-hop message rate vs refresh timer",
+            Sweep::refresh_timer,
+            T::RefreshTimer,
+            Multi,
+            M,
+        ),
+    ]
+};
+
+/// Fig 12's base scenario: the Kazaa defaults with a 600 s mean state
+/// lifetime.
+fn kazaa_600s_lifetime() -> Scenario {
+    let mut scenario = Scenario::kazaa_peer();
+    scenario.params = scenario.params.with_mean_lifetime(600.0);
+    scenario
+}
+
+/// Table I: the transition rates of every protocol at the Kazaa defaults.
+fn table1(options: &ExperimentOptions) -> ExperimentOutput {
+    let params = SingleHopParams::kazaa_defaults();
+    let mut out = String::new();
+    out.push_str("Table I — protocol-specific transition rates of the unified single-hop CTMC\n");
+    out.push_str(&format!(
+        "(evaluated at the Kazaa defaults: p_l={}, Delta={}s, 1/lambda_u={}s, 1/lambda_r={}s, T={}s, tau={}s, R={}s)\n\n",
+        params.loss,
+        params.delay,
+        1.0 / params.update_rate,
+        params.mean_lifetime(),
+        params.refresh_timer,
+        params.timeout_timer,
+        params.retrans_timer,
+    ));
+    for protocol in options.protocol_set(&ProtocolSpec::PAPER) {
+        out.push_str(&protocol_transitions(protocol, &params).render());
+        out.push('\n');
+    }
+    ExperimentOutput::Text(out)
+}
+
+/// Fig 17: the per-hop inconsistency along the 20-hop reservation path.
+fn fig17(options: &ExperimentOptions) -> ExperimentOutput {
+    let params = MultiHopParams::reservation_defaults();
+    let mut set = SeriesSet::new(
+        "Fig 17: fraction of time the i-th hop is inconsistent (K = 20)",
+        "hop index i",
+        "fraction of time inconsistent",
+    );
+    for protocol in options.protocol_set(&ProtocolSpec::PAPER_MULTI_HOP) {
+        let solution = solve_multi(protocol, params);
+        let mut series = Series::new(protocol.label());
+        for (i, v) in solution.per_hop_inconsistency.iter().enumerate() {
+            series.push(Point::new((i + 1) as f64, *v));
+        }
+        set.push(series);
+    }
+    ExperimentOutput::Figure(set)
 }
 
 /// Which y-axis metric a figure plots.
@@ -480,391 +711,65 @@ pub(crate) fn solve_multi(protocol: ProtocolSpec, params: MultiHopParams) -> Mul
 }
 
 /// Solves the whole `(protocol × sweep value)` grid through the
-/// [`ReplicationEngine`] and returns the solutions protocol-major, in grid
-/// order.
+/// [`ReplicationEngine`] and returns one series per protocol, each solution
+/// mapped to a point by `point`.
 ///
 /// Work stealing by default, like the fig11/fig12 simulation fan-out: per-
 /// point costs vary with the chain structure, and the dynamic assignment
 /// writes into index slots, so the grid is bit-identical to a serial loop
-/// under every policy.  Each worker thread reuses its own
-/// [`SingleHopSweepSession`], so the sweep is allocation-free past the first
-/// point per structure.
-pub(crate) fn solve_single_grid(
+/// under every policy.  Each worker thread reuses its own sweep sessions
+/// (see [`solve_single`] and [`solve_multi`]), so the sweep is
+/// allocation-free past the first point per structure.
+pub(crate) fn sweep_series<P, S: Send>(
     execution: ExecutionPolicy,
-    protocols: &[ProtocolSpec],
-    xs: &[f64],
-    make_params: &(impl Fn(f64) -> SingleHopParams + Sync),
-) -> Vec<SingleHopSolution> {
-    let jobs: Vec<(ProtocolSpec, f64)> = protocols
-        .iter()
-        .flat_map(|&p| xs.iter().map(move |&x| (p, x)))
-        .collect();
-    ReplicationEngine::new(execution)
-        .with_assignment(Assignment::WorkStealing)
-        .run(jobs.len(), &|i: u64| {
-            let (protocol, x) = jobs[i as usize];
-            solve_single(protocol, make_params(x))
-        })
-}
-
-/// The multi-hop analogue of [`solve_single_grid`].
-pub(crate) fn solve_multi_grid(
-    execution: ExecutionPolicy,
-    protocols: &[ProtocolSpec],
-    xs: &[f64],
-    make_params: &(impl Fn(f64) -> MultiHopParams + Sync),
-) -> Vec<MultiHopSolution> {
-    let jobs: Vec<(ProtocolSpec, f64)> = protocols
-        .iter()
-        .flat_map(|&p| xs.iter().map(move |&x| (p, x)))
-        .collect();
-    ReplicationEngine::new(execution)
-        .with_assignment(Assignment::WorkStealing)
-        .run(jobs.len(), &|i: u64| {
-            let (protocol, x) = jobs[i as usize];
-            solve_multi(protocol, make_params(x))
-        })
-}
-
-/// Generic single-hop sweep: one series per protocol, analytic solutions,
-/// fanned out through the engine at the sweep level.
-pub(crate) fn single_hop_sweep_over(
-    title: &str,
     protocols: &[ProtocolSpec],
     sweep: &Sweep,
-    metric: Metric,
-    execution: ExecutionPolicy,
-    make_params: impl Fn(f64) -> SingleHopParams + Sync,
-) -> SeriesSet {
-    let solutions = solve_single_grid(execution, protocols, &sweep.values, &make_params);
-    let mut set = SeriesSet::new(title, sweep.parameter.clone(), metric.label());
+    make_params: impl Fn(f64) -> P + Sync,
+    solve: fn(ProtocolSpec, P) -> S,
+    point: impl Fn(f64, &S) -> Point,
+) -> Vec<Series> {
+    let jobs: Vec<(ProtocolSpec, f64)> = protocols
+        .iter()
+        .flat_map(|&p| sweep.values.iter().map(move |&x| (p, x)))
+        .collect();
+    let solutions = ReplicationEngine::new(execution)
+        .with_assignment(Assignment::WorkStealing)
+        .run(jobs.len(), &|i: u64| {
+            let (protocol, x) = jobs[i as usize];
+            solve(protocol, make_params(x))
+        });
     // Indexed slicing (not `chunks`), so a degenerate empty sweep still
     // yields one (empty) series per protocol like the historical loops.
     let per = sweep.values.len();
-    for (i, &protocol) in protocols.iter().enumerate() {
-        let rows = &solutions[i * per..(i + 1) * per];
+    let mut all = Vec::with_capacity(protocols.len());
+    for (i, protocol) in protocols.iter().enumerate() {
         let mut series = Series::new(protocol.label());
-        for (solution, &x) in rows.iter().zip(&sweep.values) {
-            series.push(Point::new(x, metric.of_single_hop(solution)));
+        for (solution, &x) in solutions[i * per..(i + 1) * per].iter().zip(&sweep.values) {
+            series.push(point(x, solution));
         }
-        set.push(series);
+        all.push(series);
     }
-    set
+    all
 }
 
-/// [`single_hop_sweep_over`] with the paper's full protocol set (or the
-/// options' override).
-fn single_hop_sweep(
-    title: &str,
-    options: &ExperimentOptions,
-    sweep: &Sweep,
-    metric: Metric,
-    make_params: impl Fn(f64) -> SingleHopParams + Sync,
-) -> SeriesSet {
-    single_hop_sweep_over(
-        title,
-        &options.protocol_set(&ProtocolSpec::PAPER),
-        sweep,
-        metric,
-        options.execution,
-        make_params,
-    )
-}
-
-/// Generic multi-hop sweep: one series per protocol, analytic solutions,
-/// fanned out through the engine at the sweep level.
-pub(crate) fn multi_hop_sweep_over(
-    title: &str,
-    protocols: &[ProtocolSpec],
-    sweep: &Sweep,
-    metric: Metric,
-    execution: ExecutionPolicy,
-    make_params: impl Fn(f64) -> MultiHopParams + Sync,
-) -> SeriesSet {
-    let solutions = solve_multi_grid(execution, protocols, &sweep.values, &make_params);
-    let mut set = SeriesSet::new(title, sweep.parameter.clone(), metric.label());
-    // Indexed slicing (not `chunks`): see `single_hop_sweep_over`.
-    let per = sweep.values.len();
-    for (i, &protocol) in protocols.iter().enumerate() {
-        let rows = &solutions[i * per..(i + 1) * per];
-        let mut series = Series::new(protocol.label());
-        for (solution, &x) in rows.iter().zip(&sweep.values) {
-            series.push(Point::new(x, metric.of_multi_hop(solution)));
-        }
-        set.push(series);
-    }
-    set
-}
-
-/// [`multi_hop_sweep_over`] with the paper's multi-hop protocol set (or the
-/// options' override).
-fn multi_hop_sweep(
-    title: &str,
-    options: &ExperimentOptions,
-    sweep: &Sweep,
-    metric: Metric,
-    make_params: impl Fn(f64) -> MultiHopParams + Sync,
-) -> SeriesSet {
-    multi_hop_sweep_over(
-        title,
-        &options.protocol_set(&ProtocolSpec::PAPER_MULTI_HOP),
-        sweep,
-        metric,
-        options.execution,
-        make_params,
-    )
-}
-
-// ----------------------------------------------------------------------
-// Table I.
-// ----------------------------------------------------------------------
-
-fn table1(options: &ExperimentOptions) -> String {
-    let params = SingleHopParams::kazaa_defaults();
-    let mut out = String::new();
-    out.push_str("Table I — protocol-specific transition rates of the unified single-hop CTMC\n");
-    out.push_str(&format!(
-        "(evaluated at the Kazaa defaults: p_l={}, Delta={}s, 1/lambda_u={}s, 1/lambda_r={}s, T={}s, tau={}s, R={}s)\n\n",
-        params.loss,
-        params.delay,
-        1.0 / params.update_rate,
-        params.mean_lifetime(),
-        params.refresh_timer,
-        params.timeout_timer,
-        params.retrans_timer,
-    ));
-    for protocol in options.protocol_set(&ProtocolSpec::PAPER) {
-        out.push_str(&protocol_transitions(protocol, &params).render());
-        out.push('\n');
-    }
-    out
-}
-
-// ----------------------------------------------------------------------
-// Single-hop analytic figures.
-// ----------------------------------------------------------------------
-
-fn fig4(metric: Metric, options: &ExperimentOptions) -> SeriesSet {
-    let title = match metric {
-        Metric::Inconsistency => "Fig 4(a): inconsistency vs mean state lifetime",
-        Metric::MessageRate => "Fig 4(b): message rate vs mean state lifetime",
-    };
-    single_hop_sweep(
-        title,
-        options,
-        &Sweep::session_length(),
-        metric,
-        |lifetime| SingleHopParams::kazaa_defaults().with_mean_lifetime(lifetime),
-    )
-}
-
-fn fig5a(options: &ExperimentOptions) -> SeriesSet {
-    single_hop_sweep(
-        "Fig 5(a): inconsistency vs channel loss rate",
-        options,
-        &Sweep::loss_rate(),
-        Metric::Inconsistency,
-        |loss| {
-            let mut p = SingleHopParams::kazaa_defaults();
-            p.loss = loss;
-            p
-        },
-    )
-}
-
-fn fig5b(options: &ExperimentOptions) -> SeriesSet {
-    single_hop_sweep(
-        "Fig 5(b): inconsistency vs channel delay",
-        options,
-        &Sweep::channel_delay(),
-        Metric::Inconsistency,
-        |delay| SingleHopParams::kazaa_defaults().with_delay_scaled_retrans(delay),
-    )
-}
-
-fn fig6(metric: Metric, options: &ExperimentOptions) -> SeriesSet {
-    let title = match metric {
-        Metric::Inconsistency => "Fig 6(a): inconsistency vs refresh timer",
-        Metric::MessageRate => "Fig 6(b): message rate vs refresh timer",
-    };
-    single_hop_sweep(title, options, &Sweep::refresh_timer(), metric, |t| {
-        SingleHopParams::kazaa_defaults().with_refresh_timer_scaled_timeout(t)
-    })
-}
-
-fn fig7(options: &ExperimentOptions) -> SeriesSet {
-    integrated_cost_over(
-        "Fig 7: integrated cost C = 10*I + M vs refresh timer",
-        &options.protocol_set(&ProtocolSpec::PAPER),
-        &Sweep::refresh_timer(),
-        10.0,
-        options.execution,
-        |t| SingleHopParams::kazaa_defaults().with_refresh_timer_scaled_timeout(t),
-    )
-}
-
-/// Integrated-cost sweep `C = w·I + M`: one series per protocol, engine-
-/// fanned like every analytic sweep (shared by Figure 7 and the
-/// `IntegratedCost` spec kind).
-pub(crate) fn integrated_cost_over(
-    title: &str,
-    protocols: &[ProtocolSpec],
-    sweep: &Sweep,
-    weight: f64,
-    execution: ExecutionPolicy,
-    make_params: impl Fn(f64) -> SingleHopParams + Sync,
-) -> SeriesSet {
-    let solutions = solve_single_grid(execution, protocols, &sweep.values, &make_params);
-    let mut set = SeriesSet::new(title, sweep.parameter.clone(), "integrated cost");
-    // Indexed slicing (not `chunks`): see `single_hop_sweep_over`.
-    let per = sweep.values.len();
-    for (i, &protocol) in protocols.iter().enumerate() {
-        let rows = &solutions[i * per..(i + 1) * per];
-        let mut series = Series::new(protocol.label());
-        for (s, &x) in rows.iter().zip(&sweep.values) {
-            series.push(Point::new(x, s.integrated_cost(weight)));
-        }
-        set.push(series);
-    }
-    set
-}
-
-fn fig8a(options: &ExperimentOptions) -> SeriesSet {
-    single_hop_sweep(
-        "Fig 8(a): inconsistency vs state-timeout timer (T = 5 s)",
-        options,
-        &Sweep::timeout_timer(),
-        Metric::Inconsistency,
-        |tau| {
-            let mut p = SingleHopParams::kazaa_defaults();
-            p.timeout_timer = tau;
-            p
-        },
-    )
-}
-
-fn fig8b(options: &ExperimentOptions) -> SeriesSet {
-    single_hop_sweep(
-        "Fig 8(b): inconsistency vs retransmission timer",
-        options,
-        &Sweep::retrans_timer(),
-        Metric::Inconsistency,
-        |r| {
-            let mut p = SingleHopParams::kazaa_defaults();
-            p.retrans_timer = r;
-            p
-        },
-    )
-}
-
-/// Tradeoff figures: x = inconsistency, y = normalized message overhead, one
-/// point per swept parameter value, engine-fanned like every analytic sweep.
-pub(crate) fn tradeoff_over(
-    title: &str,
-    protocols: &[ProtocolSpec],
-    sweep: &Sweep,
-    execution: ExecutionPolicy,
-    make_params: impl Fn(f64) -> SingleHopParams + Sync,
-) -> SeriesSet {
-    let solutions = solve_single_grid(execution, protocols, &sweep.values, &make_params);
-    let mut set = SeriesSet::new(title, "inconsistency ratio", "message overhead");
-    // Indexed slicing (not `chunks`): see `single_hop_sweep_over`.
-    let per = sweep.values.len();
-    for (i, &protocol) in protocols.iter().enumerate() {
-        let rows = &solutions[i * per..(i + 1) * per];
-        let mut series = Series::new(protocol.label());
-        for s in rows {
-            series.push(Point::new(s.inconsistency, s.normalized_message_rate));
-        }
-        set.push(series);
-    }
-    set
-}
-
-/// [`tradeoff_over`] with the paper's full protocol set (or the options'
-/// override).
-fn tradeoff(
-    title: &str,
-    options: &ExperimentOptions,
-    sweep: &Sweep,
-    make_params: impl Fn(f64) -> SingleHopParams + Sync,
-) -> SeriesSet {
-    tradeoff_over(
-        title,
-        &options.protocol_set(&ProtocolSpec::PAPER),
-        sweep,
-        options.execution,
-        make_params,
-    )
-}
-
-fn fig9(options: &ExperimentOptions) -> SeriesSet {
-    tradeoff(
-        "Fig 9: overhead vs inconsistency, varying refresh timer",
-        options,
-        &Sweep::refresh_timer(),
-        |t| SingleHopParams::kazaa_defaults().with_refresh_timer_scaled_timeout(t),
-    )
-}
-
-fn fig10a(options: &ExperimentOptions) -> SeriesSet {
-    tradeoff(
-        "Fig 10(a): overhead vs inconsistency, varying update rate",
-        options,
-        &Sweep::update_interval(),
-        |interval| SingleHopParams::kazaa_defaults().with_mean_update_interval(interval),
-    )
-}
-
-fn fig10b(options: &ExperimentOptions) -> SeriesSet {
-    tradeoff(
-        "Fig 10(b): overhead vs inconsistency, varying channel delay",
-        options,
-        &Sweep::channel_delay(),
-        |delay| SingleHopParams::kazaa_defaults().with_delay_scaled_retrans(delay),
-    )
-}
-
-// ----------------------------------------------------------------------
-// Analytic vs. simulation (Figures 11 and 12).
-// ----------------------------------------------------------------------
-
-/// Builds a figure containing the analytic curves plus simulated points with
-/// deterministic timers and 95% confidence error bars.
+/// The simulated half of an analytic-vs-simulation figure: one `"<label>
+/// sim"` series per protocol, with 95% confidence error bars, at the
+/// `xs_sim` sweep points.
 ///
 /// The simulation grid is the expensive part, so the whole sweep — one
 /// campaign per (protocol × sweep point) — is fanned out through the
 /// [`ReplicationEngine`] under `options.execution`; each campaign then runs
 /// its replications serially on its worker.  Outputs come back in sweep
 /// order, so the figure is identical under every policy.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn analytic_vs_sim_over(
-    title: &str,
-    x_label: &str,
+pub(crate) fn simulated_series(
     metric: Metric,
     protocols: &[ProtocolSpec],
-    xs_analytic: &[f64],
     xs_sim: &[f64],
     timer_mode: TimerMode,
     loss_model: Option<LossModel>,
     options: &ExperimentOptions,
     make_params: impl Fn(f64) -> SingleHopParams + Sync,
-) -> SeriesSet {
-    let mut set = SeriesSet::new(title, x_label, metric.label());
-    // The analytic curves are a sweep like any other: engine-fanned through
-    // the per-thread sweep sessions.
-    let analytic = solve_single_grid(options.execution, protocols, xs_analytic, &make_params);
-    // Indexed slicing (not `chunks`): see `single_hop_sweep_over`.
-    let per = xs_analytic.len();
-    for (i, &protocol) in protocols.iter().enumerate() {
-        let rows = &analytic[i * per..(i + 1) * per];
-        let mut series = Series::new(protocol.label());
-        for (s, &x) in rows.iter().zip(xs_analytic) {
-            series.push(Point::new(x, metric.of_single_hop(s)));
-        }
-        set.push(series);
-    }
-
+) -> Vec<Series> {
     // The sweep-point × replication fan-out: flatten (protocol, x) pairs
     // into one job list for the engine.
     let jobs: Vec<(ProtocolSpec, f64)> = protocols
@@ -891,67 +796,36 @@ pub(crate) fn analytic_vs_sim_over(
             )
         });
 
+    let mut all = Vec::with_capacity(protocols.len());
     for (protocol_rows, &protocol) in rows.chunks(xs_sim.len().max(1)).zip(protocols) {
         let mut series = Series::new(format!("{} sim", protocol.label()));
         for (row, &x) in protocol_rows.iter().zip(xs_sim) {
-            let point = match metric {
-                Metric::Inconsistency => Point::with_error(
-                    x,
-                    row.simulated_inconsistency.mean,
-                    row.simulated_inconsistency.ci95_half_width,
-                ),
-                Metric::MessageRate => Point::with_error(
-                    x,
-                    row.simulated_message_rate.mean,
-                    row.simulated_message_rate.ci95_half_width,
-                ),
+            let simulated = match metric {
+                Metric::Inconsistency => &row.simulated_inconsistency,
+                Metric::MessageRate => &row.simulated_message_rate,
             };
-            series.push(point);
+            series.push(Point::with_error(
+                x,
+                simulated.mean,
+                simulated.ci95_half_width,
+            ));
         }
-        set.push(series);
+        all.push(series);
     }
-    set
-}
-
-/// [`analytic_vs_sim_over`] as the paper's Figures 11–12 use it: every
-/// protocol (or the options' override), deterministic simulation timers,
-/// Bernoulli loss.
-#[allow(clippy::too_many_arguments)]
-fn analytic_vs_sim(
-    title: &str,
-    x_label: &str,
-    metric: Metric,
-    xs_analytic: &[f64],
-    xs_sim: &[f64],
-    options: &ExperimentOptions,
-    make_params: impl Fn(f64) -> SingleHopParams + Sync,
-) -> SeriesSet {
-    analytic_vs_sim_over(
-        title,
-        x_label,
-        metric,
-        &options.protocol_set(&ProtocolSpec::PAPER),
-        xs_analytic,
-        xs_sim,
-        TimerMode::Deterministic,
-        None,
-        options,
-        make_params,
-    )
+    all
 }
 
 /// Picks up to `count` simulation x-values from the analytic grid restricted
 /// to `[lo, hi]`, so simulated points line up with analytic rows exactly.
+/// A range that holds no grid value yields no points;
+/// [`ExperimentSpec::validate`] rejects such a range up front.
 pub(crate) fn sim_grid(analytic: &[f64], lo: f64, hi: f64, count: usize) -> Vec<f64> {
     let candidates: Vec<f64> = analytic
         .iter()
         .copied()
         .filter(|x| (lo..=hi).contains(x))
         .collect();
-    if candidates.is_empty() {
-        return analytic.iter().copied().take(count.max(1)).collect();
-    }
-    let count = count.clamp(1, candidates.len());
+    let count = count.min(candidates.len());
     let mut grid: Vec<f64> = (0..count)
         .map(|i| {
             let idx = if count == 1 {
@@ -966,122 +840,58 @@ pub(crate) fn sim_grid(analytic: &[f64], lo: f64, hi: f64, count: usize) -> Vec<
     grid
 }
 
-fn fig11(metric: Metric, options: &ExperimentOptions) -> SeriesSet {
-    let analytic = Sweep::session_length();
-    let sim = sim_grid(&analytic.values, 30.0, 3000.0, options.sim_points.max(2));
-    let title = match metric {
-        Metric::Inconsistency => {
-            "Fig 11(a): analytic (exp. timers) vs simulation (det. timers), inconsistency vs lifetime"
-        }
-        Metric::MessageRate => {
-            "Fig 11(b): analytic (exp. timers) vs simulation (det. timers), message rate vs lifetime"
-        }
-    };
-    analytic_vs_sim(
-        title,
-        &analytic.parameter,
-        metric,
-        &analytic.values,
-        &sim,
-        options,
-        |lifetime| SingleHopParams::kazaa_defaults().with_mean_lifetime(lifetime),
-    )
-}
-
-fn fig12(metric: Metric, options: &ExperimentOptions) -> SeriesSet {
-    let analytic = Sweep::refresh_timer();
-    let sim = sim_grid(&analytic.values, 0.5, 50.0, options.sim_points.max(2));
-    let title = match metric {
-        Metric::Inconsistency => {
-            "Fig 12(a): analytic vs simulation, inconsistency vs refresh timer"
-        }
-        Metric::MessageRate => "Fig 12(b): analytic vs simulation, message rate vs refresh timer",
-    };
-    analytic_vs_sim(
-        title,
-        &analytic.parameter,
-        metric,
-        &analytic.values,
-        &sim,
-        options,
-        |t| {
-            SingleHopParams::kazaa_defaults()
-                .with_mean_lifetime(600.0)
-                .with_refresh_timer_scaled_timeout(t)
-        },
-    )
-}
-
-// ----------------------------------------------------------------------
-// Multi-hop figures.
-// ----------------------------------------------------------------------
-
-fn fig17(options: &ExperimentOptions) -> SeriesSet {
-    let params = MultiHopParams::reservation_defaults();
-    let mut set = SeriesSet::new(
-        "Fig 17: fraction of time the i-th hop is inconsistent (K = 20)",
-        "hop index i",
-        "fraction of time inconsistent",
-    );
-    for protocol in options.protocol_set(&ProtocolSpec::PAPER_MULTI_HOP) {
-        let solution = solve_multi(protocol, params);
-        let mut series = Series::new(protocol.label());
-        for (i, v) in solution.per_hop_inconsistency.iter().enumerate() {
-            series.push(Point::new((i + 1) as f64, *v));
-        }
-        set.push(series);
-    }
-    set
-}
-
-fn fig18(metric: Metric, options: &ExperimentOptions) -> SeriesSet {
-    let title = match metric {
-        Metric::Inconsistency => "Fig 18(a): inconsistency vs total number of hops",
-        Metric::MessageRate => "Fig 18(b): signaling message rate vs total number of hops",
-    };
-    multi_hop_sweep(title, options, &Sweep::hop_count(), metric, |k| {
-        MultiHopParams::reservation_defaults().with_hops(k as usize)
-    })
-}
-
-fn fig19(metric: Metric, options: &ExperimentOptions) -> SeriesSet {
-    let title = match metric {
-        Metric::Inconsistency => "Fig 19(a): multi-hop inconsistency vs refresh timer",
-        Metric::MessageRate => "Fig 19(b): multi-hop message rate vs refresh timer",
-    };
-    multi_hop_sweep(title, options, &Sweep::refresh_timer(), metric, |t| {
-        MultiHopParams::reservation_defaults().with_refresh_timer_scaled_timeout(t)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Registry;
     use siganalytic::Protocol;
+
+    /// Runs a built-in by name with explicit options.
+    fn run_with(name: &str, options: &ExperimentOptions) -> ExperimentOutput {
+        Registry::with_builtins()
+            .run(name, options)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Runs a built-in by name with default options.
+    fn run(name: &str) -> ExperimentOutput {
+        run_with(name, &ExperimentOptions::default())
+    }
 
     #[test]
     fn names_roundtrip() {
-        for id in ExperimentId::ALL {
-            assert_eq!(ExperimentId::parse(id.name()), Some(id));
-            assert!(!id.description().is_empty());
+        for (i, row) in PAPER_EXPERIMENTS.iter().enumerate() {
+            assert_eq!(ExperimentId::parse(row.name), Some(ExperimentId(i)));
+            assert!(!row.description.is_empty());
         }
-        assert_eq!(ExperimentId::parse("FIG4A"), Some(ExperimentId::Fig4a));
+        assert_eq!(ExperimentId::parse("FIG4A"), ExperimentId::parse("fig4a"));
         assert_eq!(ExperimentId::parse("nope"), None);
     }
 
     #[test]
     fn only_fig11_and_12_use_simulation() {
-        let sim_ids: Vec<_> = ExperimentId::ALL
+        let sim: Vec<_> = PAPER_EXPERIMENTS
             .iter()
-            .filter(|id| id.uses_simulation())
-            .map(|id| id.name())
+            .filter(|row| row.tags.contains(&"simulation"))
+            .map(|row| row.name)
             .collect();
-        assert_eq!(sim_ids, vec!["fig11a", "fig11b", "fig12a", "fig12b"]);
+        assert_eq!(sim, vec!["fig11a", "fig11b", "fig12a", "fig12b"]);
+        // The simulation tag and the AnalyticVsSim kind are the same set.
+        for row in &PAPER_EXPERIMENTS {
+            let simulated = matches!(
+                row.body,
+                Body::Sweep(SweepFigure {
+                    kind: SpecKind::AnalyticVsSim,
+                    ..
+                })
+            );
+            assert_eq!(simulated, sim.contains(&row.name), "{}", row.name);
+        }
     }
 
     #[test]
     fn table1_lists_all_protocols() {
-        let text = ExperimentId::Table1.run().to_text();
+        let text = run("table1").to_text();
         for p in Protocol::ALL {
             assert!(text.contains(p.label()), "missing {p}");
         }
@@ -1090,7 +900,7 @@ mod tests {
 
     #[test]
     fn fig4a_reproduces_paper_orderings() {
-        let out = ExperimentId::Fig4a.run();
+        let out = run("fig4a");
         let fig = out.as_figure().unwrap();
         assert_eq!(fig.series.len(), 5);
         // Every protocol's inconsistency decreases with session length.
@@ -1115,7 +925,7 @@ mod tests {
 
     #[test]
     fn fig4b_message_rates_decrease_with_lifetime_and_hs_wins_for_long_sessions() {
-        let out = ExperimentId::Fig4b.run();
+        let out = run("fig4b");
         let fig = out.as_figure().unwrap();
         for s in &fig.series {
             assert!(s.is_non_increasing(1e-9), "{}", s.label);
@@ -1141,7 +951,7 @@ mod tests {
 
     #[test]
     fn fig5a_inconsistency_grows_with_loss() {
-        let fig = ExperimentId::Fig5a.run();
+        let fig = run("fig5a");
         let fig = fig.as_figure().unwrap();
         for s in &fig.series {
             assert!(s.is_non_decreasing(1e-9), "{}", s.label);
@@ -1155,7 +965,7 @@ mod tests {
 
     #[test]
     fn fig7_has_an_interior_optimum_for_ss() {
-        let fig = ExperimentId::Fig7.run();
+        let fig = run("fig7");
         let fig = fig.as_figure().unwrap();
         let ss = fig.get("SS").unwrap();
         let best_t = ss.argmin_y().unwrap();
@@ -1174,7 +984,7 @@ mod tests {
 
     #[test]
     fn fig17_per_hop_series_are_increasing() {
-        let fig = ExperimentId::Fig17.run();
+        let fig = run("fig17");
         let fig = fig.as_figure().unwrap();
         assert_eq!(fig.series.len(), 3);
         for s in &fig.series {
@@ -1188,9 +998,9 @@ mod tests {
 
     #[test]
     fn fig18_monotone_in_hop_count() {
-        let a = ExperimentId::Fig18a.run();
+        let a = run("fig18a");
         let a = a.as_figure().unwrap();
-        let b = ExperimentId::Fig18b.run();
+        let b = run("fig18b");
         let b = b.as_figure().unwrap();
         for s in a.series.iter().chain(b.series.iter()) {
             assert!(s.is_non_decreasing(1e-6), "{}", s.label);
@@ -1207,19 +1017,22 @@ mod tests {
         // the ReplicationEngine with the work-stealing assignment; every
         // figure must be bit-identical to the serial loop: Serial ≡
         // Threads(n) ≡ the WorkStealing default at any thread count.
-        for id in [
-            ExperimentId::Fig4a,  // single-hop sweep
-            ExperimentId::Fig7,   // integrated cost
-            ExperimentId::Fig9,   // tradeoff
-            ExperimentId::Fig18b, // multi-hop sweep
+        for name in [
+            "fig4a",  // single-hop sweep
+            "fig7",   // integrated cost
+            "fig9",   // tradeoff
+            "fig18b", // multi-hop sweep
         ] {
-            let serial =
-                id.run_with(&ExperimentOptions::quick().with_execution(ExecutionPolicy::Serial));
+            let serial = run_with(
+                name,
+                &ExperimentOptions::quick().with_execution(ExecutionPolicy::Serial),
+            );
             for n in [2, 8] {
-                let threaded = id.run_with(
+                let threaded = run_with(
+                    name,
                     &ExperimentOptions::quick().with_execution(ExecutionPolicy::threads(n)),
                 );
-                assert_eq!(serial, threaded, "{} diverged at {n} threads", id.name());
+                assert_eq!(serial, threaded, "{name} diverged at {n} threads");
             }
         }
     }
@@ -1229,10 +1042,11 @@ mod tests {
         // The whole sweep (protocol × point × replication) must be a pure
         // function of the options, no matter how it is scheduled.
         let quick = ExperimentOptions::quick();
-        let serial =
-            ExperimentId::Fig11a.run_with(&quick.clone().with_execution(ExecutionPolicy::Serial));
-        let threaded =
-            ExperimentId::Fig11a.run_with(&quick.with_execution(ExecutionPolicy::threads(4)));
+        let serial = run_with(
+            "fig11a",
+            &quick.clone().with_execution(ExecutionPolicy::Serial),
+        );
+        let threaded = run_with("fig11a", &quick.with_execution(ExecutionPolicy::threads(4)));
         assert_eq!(serial, threaded);
     }
 
@@ -1242,7 +1056,7 @@ mod tests {
         // restrict fig6a to two presets and check only those series appear.
         let options =
             ExperimentOptions::quick().with_protocols(vec![ProtocolSpec::SS, ProtocolSpec::HS]);
-        let fig = ExperimentId::Fig6a.run_with(&options);
+        let fig = run_with("fig6a", &options);
         let fig = fig.as_figure().unwrap();
         assert_eq!(
             fig.labels(),
@@ -1250,9 +1064,11 @@ mod tests {
             "override must replace the default set in order"
         );
         // And the full preset override reproduces the default set exactly.
-        let default_run = ExperimentId::Fig6a.run_with(&ExperimentOptions::quick());
-        let preset_run = ExperimentId::Fig6a
-            .run_with(&ExperimentOptions::quick().with_protocols(ProtocolSpec::PAPER.to_vec()));
+        let default_run = run_with("fig6a", &ExperimentOptions::quick());
+        let preset_run = run_with(
+            "fig6a",
+            &ExperimentOptions::quick().with_protocols(ProtocolSpec::PAPER.to_vec()),
+        );
         assert_eq!(default_run, preset_run);
     }
 
@@ -1264,7 +1080,7 @@ mod tests {
         // solver with a misleading message.
         let bad = ProtocolSpec::hard_state("bad").with_state_timeout(true);
         let options = ExperimentOptions::quick().with_protocols(vec![bad]);
-        ExperimentId::Fig6a.run_with(&options);
+        run_with("fig6a", &options);
     }
 
     #[test]
@@ -1272,12 +1088,12 @@ mod tests {
     fn duplicate_labels_in_protocol_override_panic_clearly() {
         let options = ExperimentOptions::quick()
             .with_protocols(vec![ProtocolSpec::SS, ProtocolSpec::soft_state("ss")]);
-        ExperimentId::Fig6a.run_with(&options);
+        run_with("fig6a", &options);
     }
 
     #[test]
     fn quick_simulation_experiment_runs_and_matches_roughly() {
-        let fig = ExperimentId::Fig12a.run_with(&ExperimentOptions::quick());
+        let fig = run_with("fig12a", &ExperimentOptions::quick());
         let fig = fig.as_figure().unwrap();
         // 5 analytic + 5 simulated series.
         assert_eq!(fig.series.len(), 10);

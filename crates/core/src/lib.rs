@@ -17,8 +17,9 @@
 //!     a [`Registry`] pre-loaded with every table and figure of the paper's
 //!     evaluation section, and the declarative [`ExperimentSpec`] builder for
 //!     composing new experiments out of scenarios and sweeps,
-//!   - [`experiment`] — the built-in paper experiments ([`ExperimentId`]) and
-//!     their sizing options,
+//!   - [`experiment`] — the paper catalog (static rows that the registry
+//!     runs, resolved by name through the [`ExperimentId`] handle) and the
+//!     experiment sizing options,
 //!   - [`compare`] — side-by-side analytic-vs-simulation comparisons
 //!     (the paper's Figures 11–12 methodology),
 //!   - [`report`] — plain-text / CSV / JSON rendering of experiment results.

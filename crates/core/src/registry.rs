@@ -1,9 +1,6 @@
 //! The open experiment registry.
 //!
-//! The original experiment layer was a closed enum: every runnable
-//! experiment was a variant of [`ExperimentId`] and adding one meant editing
-//! core match arms.  This module replaces that with an *open* API in three
-//! pieces:
+//! Three pieces make up the experiment API:
 //!
 //! * [`Experiment`] — the trait every runnable experiment implements: a
 //!   stable [`name`](Experiment::name), a human
@@ -12,14 +9,14 @@
 //!   [`run`](Experiment::run);
 //! * [`Registry`] — a name-indexed collection of experiments.
 //!   [`Registry::with_builtins`] pre-registers the paper's 22 tables and
-//!   figures (each [`ExperimentId`] implements [`Experiment`], so the
-//!   built-ins' output stays byte-identical to the enum path);
-//!   [`Registry::register`] accepts user-defined experiments at runtime;
+//!   figures from a static catalog; [`Registry::register`] accepts
+//!   user-defined experiments at runtime;
 //! * [`ExperimentSpec`] — a declarative builder that composes a workload
 //!   [`Scenario`], a protocol set, a [`Sweep`] over one parameter
 //!   ([`SweepTarget`]), a timer/delay/loss discipline and a [`SpecKind`]
 //!   into a runnable experiment, so a new figure is ~10 lines of
-//!   composition instead of a new match arm in three crates.
+//!   composition.  Twenty of the paper's built-ins are exactly such specs,
+//!   built from their catalog row when they run.
 //!
 //! ```
 //! use signaling::registry::{ExperimentSpec, Registry, SpecKind, SweepTarget};
@@ -40,12 +37,12 @@
 //! ```
 
 use crate::experiment::{
-    analytic_vs_sim_over, integrated_cost_over, multi_hop_sweep_over, sim_grid,
-    single_hop_sweep_over, tradeoff_over, ExperimentId, ExperimentOptions, ExperimentOutput,
-    Metric,
+    sim_grid, simulated_series, solve_multi, solve_single, sweep_series, ExperimentOptions,
+    ExperimentOutput, Metric, PAPER_EXPERIMENTS,
 };
 use siganalytic::spec::SpecError as ProtocolSpecError;
 use siganalytic::{ConfigError, MultiHopParams, ProtocolSpec, SingleHopParams};
+use sigstats::{Point, SeriesSet};
 use sigworkload::{MultiHopScenario, Scenario, Sweep};
 use simcore::TimerMode;
 use std::fmt;
@@ -76,55 +73,6 @@ pub trait Experiment: Send + Sync {
 
     /// Runs the experiment.
     fn run(&self, options: &ExperimentOptions) -> ExperimentOutput;
-}
-
-/// The tags attached to a built-in paper experiment.
-fn builtin_tags(id: ExperimentId) -> Vec<String> {
-    let mut tags = vec!["paper".to_string()];
-    tags.push(
-        if id == ExperimentId::Table1 {
-            "table"
-        } else {
-            "figure"
-        }
-        .to_string(),
-    );
-    tags.push(
-        if id.uses_simulation() {
-            "simulation"
-        } else {
-            "analytic"
-        }
-        .to_string(),
-    );
-    let multi_hop = matches!(
-        id,
-        ExperimentId::Fig17
-            | ExperimentId::Fig18a
-            | ExperimentId::Fig18b
-            | ExperimentId::Fig19a
-            | ExperimentId::Fig19b
-    );
-    tags.push(if multi_hop { "multi-hop" } else { "single-hop" }.to_string());
-    tags
-}
-
-impl Experiment for ExperimentId {
-    fn name(&self) -> &str {
-        ExperimentId::name(*self)
-    }
-
-    fn description(&self) -> &str {
-        ExperimentId::description(*self)
-    }
-
-    fn tags(&self) -> Vec<String> {
-        builtin_tags(*self)
-    }
-
-    fn run(&self, options: &ExperimentOptions) -> ExperimentOutput {
-        self.run_with(options)
-    }
 }
 
 /// Errors from [`Registry`] and [`ProtocolRegistry`] operations.
@@ -184,14 +132,14 @@ impl Registry {
     }
 
     /// A registry pre-loaded with the paper's 22 tables and figures, in
-    /// paper order.  Their output is byte-identical to running the
-    /// corresponding [`ExperimentId`] directly.
+    /// paper order.  The catalog rows are static data: registering them
+    /// builds no [`ExperimentSpec`].
     pub fn with_builtins() -> Self {
         let mut registry = Self::new();
-        for id in ExperimentId::ALL {
+        for row in &PAPER_EXPERIMENTS {
             registry
-                .register(id)
-                // sigtidy: allow(no-unwrap) — uniqueness over ExperimentId::ALL is pinned by a test
+                .register(*row)
+                // sigtidy: allow(no-unwrap) — uniqueness over the catalog is pinned by a test
                 .expect("built-in experiment names are unique");
         }
         registry
@@ -564,6 +512,14 @@ pub enum SpecError {
     DuplicateProtocolLabel(&'static str),
     /// The sweep has no values.
     EmptySweep,
+    /// The simulation range `[lo, hi]` holds no sweep value (it may be
+    /// reversed or NaN), so no point could be simulated.
+    SimRangeMissesSweep {
+        /// The range's lower end.
+        lo: f64,
+        /// The range's upper end.
+        hi: f64,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -586,6 +542,10 @@ impl fmt::Display for SpecError {
                  (series labels must be unique)"
             ),
             SpecError::EmptySweep => write!(f, "the sweep has no values"),
+            SpecError::SimRangeMissesSweep { lo, hi } => write!(
+                f,
+                "the simulation range [{lo}, {hi}] contains no sweep value"
+            ),
         }
     }
 }
@@ -719,15 +679,16 @@ impl ExperimentSpec {
     }
 
     /// Restricts the simulated points to `[lo, hi]`
-    /// ([`SpecKind::AnalyticVsSim`] only; defaults to the whole sweep).
+    /// ([`SpecKind::AnalyticVsSim`] only; defaults to the whole sweep).  The
+    /// range must hold at least one sweep value.
     pub fn sim_range(mut self, lo: f64, hi: f64) -> Self {
         self.sim_range = Some((lo, hi));
         self
     }
 
     /// Checks that the composition is runnable: valid scenario parameters,
-    /// a sweep target the kind actually responds to, and a non-empty
-    /// protocol set and sweep.
+    /// a sweep target the kind actually responds to, a non-empty protocol
+    /// set and sweep, and a simulation range that holds a sweep value.
     ///
     /// [`Experiment::run`] performs the same check and panics with the
     /// error's message, so call this before registering to handle
@@ -735,6 +696,11 @@ impl ExperimentSpec {
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.sweep.is_empty() {
             return Err(SpecError::EmptySweep);
+        }
+        if let Some((lo, hi)) = self.sim_range {
+            if !self.sweep.values.iter().any(|x| (lo..=hi).contains(x)) {
+                return Err(SpecError::SimRangeMissesSweep { lo, hi });
+            }
         }
         check_protocol_set(&self.protocols).map_err(|e| match e {
             ProtocolSetError::Incoherent { spec, error } => SpecError::Protocol {
@@ -819,67 +785,76 @@ impl Experiment for ExperimentSpec {
         }
         let base = self.scenario.params;
         let make_single = |x: f64| self.target.apply_single(base, x);
+        let execution = options.execution;
+        let metric = self.metric;
         // The options-level override replaces the spec's own set, exactly as
         // it does for the built-in figures.
         let protocols = options.protocol_set(&self.protocols);
-        let set = match self.kind {
-            SpecKind::AnalyticSingleHop => single_hop_sweep_over(
-                self.figure_title(),
+        let (x_label, y_label) = match self.kind {
+            SpecKind::Tradeoff => ("inconsistency ratio".to_string(), "message overhead"),
+            SpecKind::IntegratedCost => (self.sweep.parameter.clone(), "integrated cost"),
+            _ => (self.sweep.parameter.clone(), metric.label()),
+        };
+        let mut set = SeriesSet::new(self.figure_title(), x_label, y_label);
+        set.series = match self.kind {
+            SpecKind::AnalyticSingleHop | SpecKind::AnalyticVsSim => sweep_series(
+                execution,
                 &protocols,
                 &self.sweep,
-                self.metric,
-                options.execution,
                 make_single,
+                solve_single,
+                |x, s| Point::new(x, metric.of_single_hop(s)),
             ),
             SpecKind::AnalyticMultiHop => {
                 let multi_base = self.multi_hop_scenario.params;
                 let multi = options.protocol_set(&self.multi_hop_protocols());
-                multi_hop_sweep_over(
-                    self.figure_title(),
+                sweep_series(
+                    execution,
                     &multi,
                     &self.sweep,
-                    self.metric,
-                    options.execution,
                     |x| self.target.apply_multi(multi_base, x),
+                    solve_multi,
+                    |x, s| Point::new(x, metric.of_multi_hop(s)),
                 )
             }
-            SpecKind::Tradeoff => tradeoff_over(
-                self.figure_title(),
+            SpecKind::Tradeoff => sweep_series(
+                execution,
                 &protocols,
                 &self.sweep,
-                options.execution,
                 make_single,
+                solve_single,
+                |_, s| Point::new(s.inconsistency, s.normalized_message_rate),
             ),
-            SpecKind::IntegratedCost => integrated_cost_over(
-                self.figure_title(),
-                &protocols,
-                &self.sweep,
-                self.scenario.inconsistency_weight,
-                options.execution,
-                make_single,
-            ),
-            SpecKind::AnalyticVsSim => {
-                let (lo, hi) = self.sim_range.unwrap_or_else(|| {
-                    (
-                        self.sweep.values.first().copied().unwrap_or(0.0),
-                        self.sweep.values.last().copied().unwrap_or(0.0),
-                    )
-                });
-                let xs_sim = sim_grid(&self.sweep.values, lo, hi, options.sim_points.max(2));
-                analytic_vs_sim_over(
-                    self.figure_title(),
-                    &self.sweep.parameter,
-                    self.metric,
+            SpecKind::IntegratedCost => {
+                let weight = self.scenario.inconsistency_weight;
+                sweep_series(
+                    execution,
                     &protocols,
-                    &self.sweep.values,
-                    &xs_sim,
-                    self.timer_mode,
-                    self.scenario.loss_model,
-                    options,
+                    &self.sweep,
                     make_single,
+                    solve_single,
+                    |x, s| Point::new(x, s.integrated_cost(weight)),
                 )
             }
         };
+        if self.kind == SpecKind::AnalyticVsSim {
+            let (lo, hi) = self.sim_range.unwrap_or_else(|| {
+                (
+                    self.sweep.values.first().copied().unwrap_or(0.0),
+                    self.sweep.values.last().copied().unwrap_or(0.0),
+                )
+            });
+            let xs_sim = sim_grid(&self.sweep.values, lo, hi, options.sim_points.max(2));
+            set.series.extend(simulated_series(
+                metric,
+                &protocols,
+                &xs_sim,
+                self.timer_mode,
+                self.scenario.loss_model,
+                options,
+                make_single,
+            ));
+        }
         ExperimentOutput::Figure(set)
     }
 }
@@ -887,6 +862,7 @@ impl Experiment for ExperimentSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::ExperimentId;
     use siganalytic::{Protocol, RefreshMode};
     use simcore::ExecutionPolicy;
 
@@ -894,16 +870,21 @@ mod tests {
     fn builtins_cover_every_paper_experiment() {
         let registry = Registry::with_builtins();
         assert_eq!(registry.len(), 22);
-        for id in ExperimentId::ALL {
+        for row in &PAPER_EXPERIMENTS {
             let exp = registry
-                .get(ExperimentId::name(id))
-                .unwrap_or_else(|| panic!("{} missing", ExperimentId::name(id)));
-            assert_eq!(exp.description(), ExperimentId::description(id));
+                .get(row.name())
+                .unwrap_or_else(|| panic!("{} missing", row.name()));
+            let id = ExperimentId::parse(row.name()).expect("the handle resolves every row");
+            assert_eq!(exp.description(), id.description());
             assert!(exp.tags().contains(&"paper".to_string()));
         }
-        // Case-insensitive lookup, like the old ExperimentId::parse.
+        // Case-insensitive lookup, like ExperimentId::parse.
         assert!(registry.get("FIG4A").is_some());
         assert!(registry.get("nope").is_none());
+        assert_eq!(
+            registry.run("missing", &ExperimentOptions::quick()),
+            Err(RegistryError::UnknownExperiment("missing".into()))
+        );
     }
 
     #[test]
@@ -921,28 +902,11 @@ mod tests {
     }
 
     #[test]
-    fn registry_run_matches_enum_path() {
-        let registry = Registry::with_builtins();
-        let options = ExperimentOptions::quick();
-        for id in [
-            ExperimentId::Fig4a,
-            ExperimentId::Fig17,
-            ExperimentId::Table1,
-        ] {
-            let via_registry = registry.run(ExperimentId::name(id), &options).unwrap();
-            let via_enum = id.run_with(&options);
-            assert_eq!(via_registry, via_enum, "{}", ExperimentId::name(id));
-        }
-        assert_eq!(
-            registry.run("missing", &options),
-            Err(RegistryError::UnknownExperiment("missing".into()))
-        );
-    }
-
-    #[test]
     fn duplicate_names_are_rejected() {
         let mut registry = Registry::with_builtins();
-        let err = registry.register(ExperimentId::Fig4a).unwrap_err();
+        let err = registry
+            .register(ExperimentSpec::new("fig4a", "duplicate"))
+            .unwrap_err();
         assert_eq!(err, RegistryError::DuplicateName("fig4a".into()));
         // Case-insensitive collision.
         let spec = ExperimentSpec::new("FIG4A", "shadowing attempt");
@@ -1099,6 +1063,31 @@ mod tests {
             .scenario(Scenario::dns_cache_lease())
             .validate()
             .unwrap();
+    }
+
+    #[test]
+    fn sim_range_must_hold_a_sweep_value() {
+        let sim = |lo, hi| {
+            ExperimentSpec::new("sim", "range check")
+                .sweep(Sweep::session_length(), SweepTarget::MeanLifetime)
+                .kind(SpecKind::AnalyticVsSim)
+                .sim_range(lo, hi)
+        };
+        // Beyond the sweep, reversed or NaN: no sweep value to simulate.
+        for (lo, hi) in [(2e4, 3e4), (3000.0, 30.0), (f64::NAN, 300.0)] {
+            assert!(
+                matches!(
+                    sim(lo, hi).validate(),
+                    Err(SpecError::SimRangeMissesSweep { .. })
+                ),
+                "[{lo}, {hi}] accepted"
+            );
+        }
+        assert_eq!(
+            sim(2e4, 3e4).validate().unwrap_err().to_string(),
+            "the simulation range [20000, 30000] contains no sweep value"
+        );
+        sim(30.0, 300.0).validate().unwrap();
     }
 
     #[test]

@@ -112,11 +112,9 @@ pub fn run_and_render(experiment: &dyn Experiment, options: &ExperimentOptions) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::ExperimentId;
     use crate::registry::Registry;
     use proptest::prelude::*;
     use sigstats::{Point, Series};
-    use simcore::ExecutionPolicy;
 
     fn sample() -> SeriesSet {
         let mut set = SeriesSet::new("Fig X", "x", "y");
@@ -159,25 +157,12 @@ mod tests {
 
     #[test]
     fn run_and_render_produces_header_and_data() {
-        let text = run_and_render(&ExperimentId::Fig5a, &ExperimentOptions::quick());
+        let registry = Registry::with_builtins();
+        let fig5a = registry.get("fig5a").expect("fig5a is built in");
+        let text = run_and_render(fig5a, &ExperimentOptions::quick());
         assert!(text.contains("fig5a"));
         assert!(text.contains("SS+ER"));
         assert!(text.lines().count() > 10);
-    }
-
-    #[test]
-    fn registry_fig11a_json_is_byte_identical_to_enum_path() {
-        // The backward-compatibility guarantee of the registry redesign: a
-        // paper experiment resolved by name produces byte-for-byte the JSON
-        // the closed-enum path produced.
-        let options = ExperimentOptions::quick().with_execution(ExecutionPolicy::Serial);
-        let registry = Registry::with_builtins();
-        let via_registry = registry.run("fig11a", &options).unwrap();
-        let via_enum = ExperimentId::Fig11a.run_with(&options);
-        let a = via_registry.as_figure().expect("figure");
-        let b = via_enum.as_figure().expect("figure");
-        assert_eq!(render_json(a), render_json(b));
-        assert_eq!(render_csv(a), render_csv(b));
     }
 
     /// Decodes a JSON string literal produced by `json_string`, so the

@@ -37,27 +37,42 @@ pub fn structural_findings(root: &Path) -> Vec<Finding> {
     findings
 }
 
-/// Every registered experiment must be documented in `EXPERIMENTS.md` (as a
-/// backticked name — the generated `--list-md` table renders them that way).
+/// `EXPERIMENTS.md` must embed every line `repro --list-md` generates —
+/// header, then one row per experiment with its name, tags and description —
+/// verbatim and in registry order.
 fn check_experiments_doc(root: &Path, findings: &mut Vec<Finding>) {
     let path = "EXPERIMENTS.md";
     let Ok(doc) = std::fs::read_to_string(root.join(path)) else {
         findings.push(finding(path, 1, "EXPERIMENTS.md is missing".to_string()));
         return;
     };
-    for exp in sigbench::extended_registry().iter() {
-        let tag = format!("`{}`", exp.name());
-        if !doc.contains(&tag) {
-            findings.push(finding(
-                path,
-                1,
-                format!(
-                    "registered experiment {tag} is not documented (regenerate with \
-                     `cargo run --release --bin repro -- --list-md`)"
-                ),
-            ));
+    let rows = sigbench::list_md_lines(&sigbench::extended_registry());
+    for (line, row) in missing_rows(&doc, &rows) {
+        findings.push(finding(
+            path,
+            line,
+            format!(
+                "generated catalog line `{row}` is missing, stale or out of order \
+                 (regenerate the table with `cargo run --release --bin repro -- --list-md`)"
+            ),
+        ));
+    }
+}
+
+/// The `rows` that do not appear in `doc` as whole lines in the given
+/// order, each with the 1-indexed line after the last row found in order
+/// (where the missing row belongs).
+fn missing_rows<'r>(doc: &str, rows: &'r [String]) -> Vec<(usize, &'r str)> {
+    let lines: Vec<&str> = doc.lines().collect();
+    let mut next = 0;
+    let mut missing = Vec::new();
+    for row in rows {
+        match lines[next..].iter().position(|line| line == row) {
+            Some(i) => next += i + 1,
+            None => missing.push((next + 1, row.as_str())),
         }
     }
+    missing
 }
 
 /// The bench-target names registered in `crates/bench/Cargo.toml`.
@@ -223,6 +238,19 @@ mod tests {
                 ("x".to_string(), 3),
             ]
         );
+    }
+
+    #[test]
+    fn catalog_rows_must_appear_whole_and_in_order() {
+        let rows: Vec<String> = ["| a | x |", "| b | y |"].map(String::from).to_vec();
+        let doc = "intro\n| a | x |\ntext\n| b | y |\n";
+        assert!(missing_rows(doc, &rows).is_empty());
+        // Out of order: the second row is only found before the first.
+        let swapped = "| b | y |\n| a | x |\n";
+        assert_eq!(missing_rows(swapped, &rows), vec![(3, "| b | y |")]);
+        // A stale row (changed tags) or a partial line does not count.
+        let stale = "| a | x |\n| b | z |\n| b | y | extra\n";
+        assert_eq!(missing_rows(stale, &rows), vec![(2, "| b | y |")]);
     }
 
     #[test]

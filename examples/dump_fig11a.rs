@@ -1,12 +1,15 @@
 //! Dumps the fig11a JSON under fixed quick/serial options (golden capture).
 
-use signaling::experiment::{ExperimentId, ExperimentOptions};
+use signaling::experiment::ExperimentOptions;
+use signaling::registry::Registry;
 use signaling::report::render_json;
 use signaling::ExecutionPolicy;
 
 fn main() {
     let options = ExperimentOptions::quick().with_execution(ExecutionPolicy::Serial);
-    let out = ExperimentId::Fig11a.run_with(&options);
+    let out = Registry::with_builtins()
+        .run("fig11a", &options)
+        .expect("fig11a is a built-in experiment");
     let fig = out.as_figure().expect("fig11a is a figure");
     println!("{}", render_json(fig));
 }

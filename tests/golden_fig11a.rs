@@ -11,16 +11,22 @@
 //! cargo run --release --example dump_fig11a > tests/golden/fig11a_quick_serial.json
 //! ```
 
-use signaling::experiment::{ExperimentId, ExperimentOptions};
+use signaling::experiment::ExperimentOptions;
+use signaling::registry::Registry;
 use signaling::report::render_json;
 use signaling::{Assignment, ExecutionPolicy, Protocol, ProtocolSpec, ReplicationEngine};
 
 const GOLDEN: &str = include_str!("golden/fig11a_quick_serial.json");
 
-fn fig11a_json(execution: ExecutionPolicy) -> String {
-    let options = ExperimentOptions::quick().with_execution(execution);
-    let out = ExperimentId::Fig11a.run_with(&options);
+fn fig11a_json_with(options: &ExperimentOptions) -> String {
+    let out = Registry::with_builtins()
+        .run("fig11a", options)
+        .expect("fig11a is a built-in experiment");
     render_json(out.as_figure().expect("fig11a is a figure"))
+}
+
+fn fig11a_json(execution: ExecutionPolicy) -> String {
+    fig11a_json_with(&ExperimentOptions::quick().with_execution(execution))
 }
 
 #[test]
@@ -43,8 +49,7 @@ fn fig11a_via_protocol_spec_presets_matches_the_golden_json() {
     let options = ExperimentOptions::quick()
         .with_execution(ExecutionPolicy::Serial)
         .with_protocols(ProtocolSpec::PAPER.to_vec());
-    let out = ExperimentId::Fig11a.run_with(&options);
-    let fresh = render_json(out.as_figure().expect("fig11a is a figure")) + "\n";
+    let fresh = fig11a_json_with(&options) + "\n";
     assert_eq!(
         fresh, GOLDEN,
         "the ProtocolSpec preset path drifted from the recorded enum-path output"

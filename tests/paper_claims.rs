@@ -2,37 +2,34 @@
 //! section, checked end-to-end through the experiment registry (the same code
 //! path the `repro` binary and the benches use).
 
-use signaling::experiment::{ExperimentId, ExperimentOptions};
+use signaling::experiment::ExperimentOptions;
+use signaling::registry::Registry;
 use signaling::{Protocol, SeriesSet};
 
-fn figure(id: ExperimentId) -> SeriesSet {
-    id.run_with(&ExperimentOptions::quick())
+fn figure(name: &str) -> SeriesSet {
+    Registry::with_builtins()
+        .run(name, &ExperimentOptions::quick())
+        .expect("a built-in experiment")
         .as_figure()
         .cloned()
-        .unwrap_or_else(|| panic!("{} should be a figure", id.name()))
+        .unwrap_or_else(|| panic!("{name} should be a figure"))
 }
 
 #[test]
 fn every_experiment_produces_output() {
-    for id in ExperimentId::ALL {
-        if id.uses_simulation() {
-            // Simulation figures are exercised separately (they are slower).
-            continue;
-        }
-        let out = id.run_with(&ExperimentOptions::quick());
+    // Simulation figures are exercised separately (they are slower).
+    let registry = Registry::with_builtins();
+    for exp in registry.with_tag("analytic") {
+        let name = exp.name();
+        let out = exp.run(&ExperimentOptions::quick());
         let text = out.to_text();
-        assert!(!text.is_empty(), "{}", id.name());
+        assert!(!text.is_empty(), "{name}");
         if let Some(fig) = out.as_figure() {
-            assert!(!fig.series.is_empty(), "{}", id.name());
+            assert!(!fig.series.is_empty(), "{name}");
             for s in &fig.series {
-                assert!(!s.is_empty(), "{}/{}", id.name(), s.label);
+                assert!(!s.is_empty(), "{name}/{}", s.label);
                 for p in &s.points {
-                    assert!(
-                        p.x.is_finite() && p.y.is_finite(),
-                        "{}/{}",
-                        id.name(),
-                        s.label
-                    );
+                    assert!(p.x.is_finite() && p.y.is_finite(), "{name}/{}", s.label);
                 }
             }
         }
@@ -44,8 +41,8 @@ fn claim_explicit_removal_improves_consistency_cheaply() {
     // "a soft-state approach coupled with explicit removal substantially
     //  improves the degree of state consistency while introducing little
     //  additional signaling message overhead"
-    let inconsistency = figure(ExperimentId::Fig4a);
-    let overhead = figure(ExperimentId::Fig4b);
+    let inconsistency = figure("fig4a");
+    let overhead = figure("fig4b");
     let ss_i = inconsistency.get("SS").unwrap();
     let er_i = inconsistency.get("SS+ER").unwrap();
     let ss_m = overhead.get("SS").unwrap();
@@ -79,7 +76,7 @@ fn claim_reliable_signaling_reaches_hard_state_consistency() {
     // "The addition of reliable explicit setup/update/removal allows the
     //  soft-state approach to achieve comparable (and sometimes better)
     //  consistency than that of the hard-state approach."
-    let fig = figure(ExperimentId::Fig4a);
+    let fig = figure("fig4a");
     let rtr = fig.get("SS+RTR").unwrap();
     let hs = fig.get("HS").unwrap();
     let mut rtr_better_somewhere = false;
@@ -105,7 +102,7 @@ fn claim_reliable_signaling_reaches_hard_state_consistency() {
 fn claim_reliable_triggers_matter_mainly_for_long_sessions() {
     // Figure 4(a): for long sessions the protocols group by trigger
     // reliability; for short sessions they group by removal mechanism.
-    let fig = figure(ExperimentId::Fig4a);
+    let fig = figure("fig4a");
     let ss = fig.get("SS").unwrap();
     let ss_rt = fig.get("SS+RT").unwrap();
     let ss_er = fig.get("SS+ER").unwrap();
@@ -126,7 +123,7 @@ fn claim_reliable_triggers_matter_mainly_for_long_sessions() {
 fn claim_modest_loss_makes_reliability_worthwhile() {
     // Figure 5(a): "even for modest loss rates, reliable transmission
     // significantly improves the performance of soft-state protocols".
-    let fig = figure(ExperimentId::Fig5a);
+    let fig = figure("fig5a");
     let ss = fig.get("SS").unwrap();
     let ss_rt = fig.get("SS+RT").unwrap();
     // Find the ~10% loss point.
@@ -141,7 +138,7 @@ fn claim_modest_loss_makes_reliability_worthwhile() {
 #[test]
 fn claim_delay_increases_inconsistency_roughly_linearly() {
     // Figure 5(b): an approximately linear increase for all protocols.
-    let fig = figure(ExperimentId::Fig5b);
+    let fig = figure("fig5b");
     for s in &fig.series {
         assert!(s.is_non_decreasing(1e-9), "{}", s.label);
         // Compare the chord slope of the first and second halves: a straight
@@ -164,7 +161,7 @@ fn claim_delay_increases_inconsistency_roughly_linearly() {
 fn claim_refresh_timer_has_an_optimal_operating_point() {
     // Figure 7: SS and SS+RT have a clear interior cost optimum; SS+RTR
     // prefers long timers; HS does not care.
-    let fig = figure(ExperimentId::Fig7);
+    let fig = figure("fig7");
     for label in ["SS", "SS+RT"] {
         let s = fig.get(label).unwrap();
         let best = s.argmin_y().unwrap();
@@ -187,7 +184,7 @@ fn claim_refresh_timer_has_an_optimal_operating_point() {
 fn claim_hs_is_most_sensitive_to_retransmission_timer() {
     // Figure 8(b): HS depends only on reliable transmission, so its
     // inconsistency grows fastest as the retransmission timer grows.
-    let fig = figure(ExperimentId::Fig8b);
+    let fig = figure("fig8b");
     let growth = |label: &str| {
         let s = fig.get(label).unwrap();
         s.points.last().unwrap().y / s.points.first().unwrap().y.max(1e-12)
@@ -207,7 +204,7 @@ fn claim_tradeoff_crossover_between_soft_and_hard_state() {
     // Figure 10(a): to reach very low inconsistency HS is the cheapest
     // option, while at loose consistency targets SS needs the fewest
     // messages.
-    let fig = figure(ExperimentId::Fig10a);
+    let fig = figure("fig10a");
     let ss = fig.get("SS").unwrap();
     let hs = fig.get("HS").unwrap();
     // Very tight consistency targets are only reachable with hard state: the
@@ -238,12 +235,12 @@ fn claim_tradeoff_crossover_between_soft_and_hard_state() {
 
 #[test]
 fn claim_multi_hop_inconsistency_grows_with_distance_and_hops() {
-    let per_hop = figure(ExperimentId::Fig17);
+    let per_hop = figure("fig17");
     for s in &per_hop.series {
         assert!(s.is_non_decreasing(1e-9), "{}", s.label);
     }
     // SS is the most sensitive to the number of hops (Figure 18a).
-    let fig18 = figure(ExperimentId::Fig18a);
+    let fig18 = figure("fig18a");
     let growth = |label: &str| {
         let s = fig18.get(label).unwrap();
         s.points.last().unwrap().y / s.points.first().unwrap().y.max(1e-12)
@@ -251,7 +248,7 @@ fn claim_multi_hop_inconsistency_grows_with_distance_and_hops() {
     assert!(growth("SS") > growth("SS+RT"));
     assert!(growth("SS") > growth("HS"));
     // Hop-by-hop reliability adds little signaling overhead (Figure 18b).
-    let fig18b = figure(ExperimentId::Fig18b);
+    let fig18b = figure("fig18b");
     let ss = fig18b.get("SS").unwrap().points.last().unwrap().y;
     let ss_rt = fig18b.get("SS+RT").unwrap().points.last().unwrap().y;
     assert!(ss_rt < 1.5 * ss);
@@ -259,7 +256,7 @@ fn claim_multi_hop_inconsistency_grows_with_distance_and_hops() {
 
 #[test]
 fn protocol_labels_cover_all_five_protocols_in_single_hop_figures() {
-    let fig = figure(ExperimentId::Fig6a);
+    let fig = figure("fig6a");
     let labels = fig.labels();
     for p in Protocol::ALL {
         assert!(labels.contains(&p.label()), "{p} missing from Fig 6(a)");
