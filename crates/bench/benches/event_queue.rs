@@ -4,7 +4,7 @@
 //! head-to-head for both ordering cores ([`QueueKind::Heap`] vs
 //! [`QueueKind::Calendar`]).
 //!
-//! Two mixes, each at several backlog sizes, both *stationary* (the backlog
+//! Three mixes, each at several backlog sizes, all *stationary* (the backlog
 //! holds exactly `n` keys in steady state, so per-iteration cost does not
 //! drift with the iteration count):
 //!
@@ -20,13 +20,17 @@
 //!   This is where the heap pays O(log n) sifts through cache-cold levels
 //!   and the calendar stays O(1); the crossover is documented in
 //!   `docs/perf.md`.
+//! * **pop-heavy on a lane** — the same hold on a fixed-interval timer: the
+//!   backlog sits in one FIFO lane and every replacement is armed a
+//!   constant delay ahead, so it always joins the lane and neither core
+//!   ever orders a key.
 //!
 //! Run with `BENCH_BASELINE_DIR=dir` to record timings, and with
 //! `BENCH_COMPARE_DIR=bench-baselines [BENCH_COMPARE_TOLERANCE=x]` to diff a
 //! fresh run against committed baselines (non-zero exit on regression).
 
 use criterion::{black_box, Criterion};
-use simcore::{EventQueue, QueueKind, SimRng};
+use simcore::{EventQueue, QueueKind, SimRng, SimTime};
 
 /// Pending-event backlog sizes for each mix (the paper's campaigns sit in
 /// the small end — a node of the restart-storm experiment peaks at about
@@ -36,6 +40,9 @@ const SIZES: &[usize] = &[4_096, 10_000, 100_000, 1_000_000];
 
 /// Both ordering cores, benched under identical mixes.
 const KINDS: [QueueKind; 2] = [QueueKind::Heap, QueueKind::Calendar];
+
+/// The fixed interval of the lane hold: every pending key is due within it.
+const LANE_INTERVAL: f64 = 1000.0;
 
 /// Builds a queue holding `n` pending events at pseudo-random future times.
 fn filled_queue(n: usize, kind: QueueKind) -> EventQueue<u64> {
@@ -76,6 +83,26 @@ fn main() {
                 b.iter(|| {
                     let e = q.pop().expect("backlog never drains");
                     q.schedule_in(1.0 + 1000.0 * rng.uniform(), e.event);
+                    black_box(e.time)
+                })
+            });
+        }
+    }
+
+    for kind in KINDS {
+        for &n in SIZES {
+            c.bench_function(&format!("event_queue/pop_heavy_lane/{kind}/{n}"), |b| {
+                // `n` keys spread evenly over one interval, in time order,
+                // as a population of fixed-interval timers leaves them.
+                let mut q = EventQueue::with_kind(kind);
+                let lane = q.lane();
+                for i in 0..n {
+                    let at = 1.0 + LANE_INTERVAL * i as f64 / n as f64;
+                    q.schedule_at_lane(lane, SimTime::from_secs(at), i as u64);
+                }
+                b.iter(|| {
+                    let e = q.pop().expect("backlog never drains");
+                    q.schedule_in_lane(lane, LANE_INTERVAL, e.event);
                     black_box(e.time)
                 })
             });

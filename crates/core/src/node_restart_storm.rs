@@ -459,6 +459,88 @@ mod tests {
         assert_eq!(ta, tb, "calendar trace diverged");
     }
 
+    /// The storm node at 128 sessions (the capacity limit scaled to match),
+    /// for a spec whose every mechanism retransmits: reliable triggers,
+    /// reliable refresh and reliable removal, with removal notices.
+    fn small_storm_config(retry: RetryKind) -> NodeConfig {
+        let spec = ProtocolSpec::SS_RTR
+            .with_label("SS+RTR+RR")
+            .with_refresh(Some(siganalytic::RefreshMode::Reliable));
+        let sessions = 128;
+        NodeConfig {
+            sessions,
+            capacity: NodeRestartStormExperiment::capacity(sessions),
+            ..NodeRestartStormExperiment::config(spec, retry, &tiny_options())
+        }
+    }
+
+    #[test]
+    fn storm_node_metrics_are_pinned_under_every_retry_policy() {
+        // Exact pins of the retransmission path: fixed retries re-arm at a
+        // constant interval, backoff and jitter at varying ones, and the
+        // repair after a removal notice adds a delay on top.  Any change
+        // in event order or RNG consumption shows up as a literal diff,
+        // under both ordering cores.
+        for (retry, want) in [
+            (RetryKind::Fixed, PIN_FIXED),
+            (RetryKind::Backoff, PIN_BACKOFF),
+            (RetryKind::Jittered, PIN_JITTERED),
+        ] {
+            let cfg = small_storm_config(retry);
+            for kind in [QueueKind::Heap, QueueKind::Calendar] {
+                let m = sigproto::NodeSim::new(cfg.with_queue_kind(kind), 2003).run();
+                assert_eq!(format!("{m:?}"), want, "{} on {kind}", retry.label());
+            }
+        }
+    }
+
+    const PIN_FIXED: &str = concat!(
+        "NodeMetrics { sessions: 128, horizon: 240.0, ",
+        "events_processed: 255513, ",
+        "messages: MessageCounts { trigger: 227719, refresh: 4742, ",
+        "removal: 12013, trigger_ack: 8876, refresh_ack: 216, ",
+        "removal_ack: 506, removal_notice: 27, external_signal: 0 }, ",
+        "refresh_rate: 19.758333333333333, ",
+        "message_rate: 1058.7458333333334, ",
+        "bandwidth_bytes_per_sec: 67759.73333333334, ",
+        "peak_bandwidth_bytes_per_sec: 124992.0, ",
+        "stale_fraction: 0.025474184275613113, false_removals: 27, ",
+        "false_removal_rate: 0.001101696027620493, ",
+        "mean_active: 102.1152815109845, mean_held: 98.08860363501435, ",
+        "drops_random: 10068, drops_injected: 50525, ",
+        "drops_overload: 174883, crash_wipes: 291 }",
+    );
+    const PIN_BACKOFF: &str = concat!(
+        "NodeMetrics { sessions: 128, horizon: 240.0, ",
+        "events_processed: 52758, ",
+        "messages: MessageCounts { trigger: 34804, refresh: 4961, ",
+        "removal: 1891, trigger_ack: 8039, refresh_ack: 1129, ",
+        "removal_ack: 429, removal_notice: 23, external_signal: 0 }, ",
+        "refresh_rate: 20.670833333333334, message_rate: 213.65, ",
+        "bandwidth_bytes_per_sec: 13673.6, ",
+        "peak_bandwidth_bytes_per_sec: 18496.0, ",
+        "stale_fraction: 0.02079177546703284, false_removals: 23, ",
+        "false_removal_rate: 0.0008994351824271366, ",
+        "mean_active: 106.54834856996135, mean_held: 102.77974810564328, ",
+        "drops_random: 2131, drops_injected: 7458, ",
+        "drops_overload: 23075, crash_wipes: 302 }",
+    );
+    const PIN_JITTERED: &str = concat!(
+        "NodeMetrics { sessions: 128, horizon: 240.0, ",
+        "events_processed: 62523, ",
+        "messages: MessageCounts { trigger: 44236, refresh: 4956, ",
+        "removal: 2185, trigger_ack: 8134, refresh_ack: 1079, ",
+        "removal_ack: 385, removal_notice: 7, external_signal: 0 }, ",
+        "refresh_rate: 20.65, message_rate: 254.09166666666667, ",
+        "bandwidth_bytes_per_sec: 16261.866666666667, ",
+        "peak_bandwidth_bytes_per_sec: 23936.0, ",
+        "stale_fraction: 0.018529713405110834, false_removals: 7, ",
+        "false_removal_rate: 0.0002739712863477954, ",
+        "mean_active: 106.45884485004305, mean_held: 103.29053536553467, ",
+        "drops_random: 2472, drops_injected: 9706, ",
+        "drops_overload: 30199, crash_wipes: 303 }",
+    );
+
     #[test]
     fn every_retry_policy_row_is_rendered_per_protocol() {
         let exp = NodeRestartStormExperiment::new(vec![Protocol::Ss.spec()]);

@@ -16,7 +16,11 @@
 //!   already fired is an O(1) inert no-op, so slots store plain ids with no
 //!   `Option` boxing; refreshes never cancel at all (they bump the deadline
 //!   and the armed timer re-arms itself), so the queue carries no
-//!   cancelled-timer backlog even at 10⁶ sessions.
+//!   cancelled-timer backlog even at 10⁶ sessions.  Refresh and
+//!   retransmission timers re-arm at fixed intervals and link deliveries
+//!   land a fixed delay ahead, so their keys go through FIFO queue lanes
+//!   (O(1) schedule and pop); lifecycle draws, crashes and the lazy
+//!   timeouts, whose delays vary, go to the ordering core.
 //! * **Churn.**  Sessions alternate between alive (exponential lifetime
 //!   `1/λ_r`, the paper's removal process) and vacant (exponential vacancy,
 //!   [`NodeConfig::mean_vacancy`]); each departure schedules the next
@@ -53,8 +57,8 @@ use signet::{
 };
 use sigstats::{BinnedMeter, LevelMeter, OnlineStats, RateMeter, Summary};
 use simcore::{
-    Assignment, EventId, EventQueue, ExecutionPolicy, QueueKind, Replicate, ReplicationEngine,
-    SimRng, SimTime,
+    Assignment, EventId, EventQueue, ExecutionPolicy, Lane, QueueKind, Replicate,
+    ReplicationEngine, SimRng, SimTime,
 };
 // sigtidy: allow(wall-clock) — phase telemetry only; never feeds simulated results
 use std::time::Instant;
@@ -366,6 +370,12 @@ pub struct NodeSim {
     dispatch: FsmDispatch,
     rng: SimRng,
     queue: EventQueue<Event>,
+    /// Queue lanes of the fixed-interval timers and link deliveries, whose
+    /// keys arrive in time order (see [`EventQueue::lane`]).  Lifecycle
+    /// draws, crashes and lazy timeouts go to the queue's ordering core.
+    refresh_lane: Lane,
+    retrans_lane: Lane,
+    delivery_lane: Lane,
     slots: Vec<SessionSlot>,
     /// An id that fired before any session existed: permanently inert, used
     /// as the "no timer armed" sentinel.
@@ -417,16 +427,19 @@ impl NodeSim {
         #[allow(clippy::disallowed_methods)]
         let t0 = Instant::now(); // sigtidy: allow(wall-clock) — setup-phase telemetry
         let n = cfg.sessions;
-        // Steady state holds roughly one lifecycle event, one refresh or
-        // detector timer, and one timeout per alive session, plus in-flight
-        // messages; 4N keeps the hot path reallocation free with room over.
-        let mut queue = EventQueue::with_capacity_and_kind(4 * n + 8, cfg.queue_kind);
+        // The ordering core holds one lifecycle event per session and at
+        // most one timeout or detector timer per session; refresh,
+        // retransmission and delivery keys ride the lanes.
+        let mut queue = EventQueue::with_capacity_and_kind(2 * n + 8, cfg.queue_kind);
         let dead_probe = queue.schedule_at(SimTime::ZERO, Event::Arrive(u32::MAX));
         queue.pop();
         let mut sim = Self {
             dispatch: FsmDispatch::for_spec(cfg.protocol),
             cfg,
             rng,
+            refresh_lane: queue.lane(),
+            retrans_lane: queue.lane(),
+            delivery_lane: queue.lane(),
             queue,
             slots: vec![
                 SessionSlot {
@@ -481,13 +494,7 @@ impl NodeSim {
         let horizon = SimTime::from_secs(self.cfg.horizon);
         #[allow(clippy::disallowed_methods)]
         let t0 = Instant::now(); // sigtidy: allow(wall-clock) — fire-phase telemetry
-        while let Some(t) = self.queue.peek_time() {
-            if t > horizon {
-                break;
-            }
-            let Some(scheduled) = self.queue.pop() else {
-                break;
-            };
+        while let Some(scheduled) = self.queue.pop_until(horizon) {
             self.events_processed += 1;
             self.handle(scheduled.time, scheduled.id, scheduled.event);
         }
@@ -670,6 +677,16 @@ impl NodeSim {
         }
     }
 
+    /// [`NodeSim::schedule_after`] for a refresh or retransmission timer,
+    /// through its lane.
+    fn arm(&mut self, lane: Lane, dt: f64, event: Event) -> EventId {
+        if dt.is_finite() {
+            self.queue.schedule_in_lane(lane, dt, event)
+        } else {
+            self.dead
+        }
+    }
+
     /// Counts one signaling message and adds it to the bandwidth-envelope
     /// bin of the current virtual time (out-of-band external signals are
     /// not wire messages and stay out of the envelope, matching
@@ -700,8 +717,11 @@ impl NodeSim {
         let at = self.now + delay;
         match self.capacity_state.admit(&self.cfg.capacity, at) {
             Admission::Serviced { completion } => {
-                self.queue
-                    .schedule_at(SimTime::from_secs(completion), arrival);
+                self.queue.schedule_at_lane(
+                    self.delivery_lane,
+                    SimTime::from_secs(completion),
+                    arrival,
+                );
             }
             Admission::Overflow => self.drops_overload += 1,
         }
@@ -742,33 +762,42 @@ impl NodeSim {
     // Level-meter steps mirrored into the per-bin meters feeding the
     // recovery trace.  The scalar aggregates still come from the
     // `LevelMeter`s alone, so their accumulation order never changes.
+    // Steps past the horizon (a node driven on by `step_events`) are
+    // clamped to it, so the meters keep describing the horizon that
+    // `metrics` reports on; `run` never gets past it.
 
     fn active_inc(&mut self, t: f64) {
+        let t = t.min(self.cfg.horizon);
         self.active.inc(t);
         self.active_bins.inc(t);
     }
 
     fn active_dec(&mut self, t: f64) {
+        let t = t.min(self.cfg.horizon);
         self.active.dec(t);
         self.active_bins.dec(t);
     }
 
     fn held_inc(&mut self, t: f64) {
+        let t = t.min(self.cfg.horizon);
         self.held.inc(t);
         self.held_bins.inc(t);
     }
 
     fn held_dec(&mut self, t: f64) {
+        let t = t.min(self.cfg.horizon);
         self.held.dec(t);
         self.held_bins.dec(t);
     }
 
     fn stale_inc(&mut self, t: f64) {
+        let t = t.min(self.cfg.horizon);
         self.stale.inc(t);
         self.stale_bins.inc(t);
     }
 
     fn stale_dec(&mut self, t: f64) {
+        let t = t.min(self.cfg.horizon);
         self.stale.dec(t);
         self.stale_bins.dec(t);
     }
@@ -797,7 +826,7 @@ impl NodeSim {
         self.send_install(i, true);
         if self.dispatch.uses_refresh {
             let d = self.refresh_delay();
-            self.slots[i].refresh = self.schedule_after(d, Event::RefreshFire(i as u32));
+            self.slots[i].refresh = self.arm(self.refresh_lane, d, Event::RefreshFire(i as u32));
         }
         if self.dispatch.has_external_detector && self.cfg.params.false_signal_rate > 0.0 {
             let d = self.rng.exponential_rate(self.cfg.params.false_signal_rate);
@@ -826,7 +855,8 @@ impl NodeSim {
             self.slots[i].flags |= PENDING;
             if self.slots[i].retrans == self.dead {
                 let d = self.retrans_interval(i) + RETRANS_SLACK;
-                self.slots[i].retrans = self.schedule_after(d, Event::RetransFire(i as u32));
+                self.slots[i].retrans =
+                    self.arm(self.retrans_lane, d, Event::RetransFire(i as u32));
             }
         }
     }
@@ -864,7 +894,8 @@ impl NodeSim {
                 self.slots[i].flags |= PENDING_REMOVAL;
                 self.slots[i].retry.reset();
                 let d = self.retrans_interval(i) + RETRANS_SLACK;
-                self.slots[i].retrans = self.schedule_after(d, Event::RetransFire(i as u32));
+                self.slots[i].retrans =
+                    self.arm(self.retrans_lane, d, Event::RetransFire(i as u32));
             }
         }
         let vacancy = self.rng.exponential_mean(self.cfg.mean_vacancy);
@@ -886,11 +917,12 @@ impl NodeSim {
                 // No cycle in flight: this refresh starts a fresh one.
                 self.slots[i].retry.reset();
                 let d = self.retrans_interval(i) + RETRANS_SLACK;
-                self.slots[i].retrans = self.schedule_after(d, Event::RetransFire(i as u32));
+                self.slots[i].retrans =
+                    self.arm(self.retrans_lane, d, Event::RetransFire(i as u32));
             }
         }
         let d = self.refresh_delay();
-        self.slots[i].refresh = self.schedule_after(d, Event::RefreshFire(i as u32));
+        self.slots[i].refresh = self.arm(self.refresh_lane, d, Event::RefreshFire(i as u32));
     }
 
     /// Delay from now to this session's next refresh firing: one full
@@ -922,7 +954,7 @@ impl NodeSim {
         if self.slots[i].flags & PENDING_REMOVAL != 0 {
             self.send(MsgKind::Removal, Event::RemovalArrive(i as u32));
             let d = self.retrans_interval(i) + RETRANS_SLACK;
-            self.slots[i].retrans = self.schedule_after(d, Event::RetransFire(i as u32));
+            self.slots[i].retrans = self.arm(self.retrans_lane, d, Event::RetransFire(i as u32));
         } else if self.slots[i].flags & (PENDING | ALIVE) == PENDING | ALIVE {
             // Resend the announcement: reliable triggers retransmit the
             // trigger itself; the reliable-refresh loop repairs with
@@ -1054,7 +1086,7 @@ impl NodeSim {
                         self.slots[i].retry.reset();
                         let d = self.cfg.params.delay + self.retrans_interval(i) + RETRANS_SLACK;
                         self.slots[i].retrans =
-                            self.schedule_after(d, Event::RetransFire(i as u32));
+                            self.arm(self.retrans_lane, d, Event::RetransFire(i as u32));
                     }
                 }
             }
@@ -1505,6 +1537,36 @@ mod tests {
     }
 
     #[test]
+    fn aligned_refresh_metrics_are_pinned() {
+        // Exact pin of grid-snapped refresh timers: each re-arm lands on the
+        // next refresh-interval boundary, whose floating-point value can
+        // differ by an ulp between sessions, so the event order hinges on
+        // exact `(time, seq)` ties.  Asserted under both ordering cores.
+        let cfg = quick_config(Protocol::Ss, 256).with_refresh_phase(RefreshPhase::Aligned);
+        for kind in [QueueKind::Heap, QueueKind::Calendar] {
+            let m = NodeSim::new(cfg.with_queue_kind(kind), 2003).run();
+            assert_eq!(format!("{m:?}"), PIN_ALIGNED, "{kind}");
+        }
+    }
+
+    const PIN_ALIGNED: &str = concat!(
+        "NodeMetrics { sessions: 256, horizon: 90.0, ",
+        "events_processed: 10329, ",
+        "messages: MessageCounts { trigger: 491, refresh: 3796, ",
+        "removal: 0, trigger_ack: 0, refresh_ack: 0, removal_ack: 0, ",
+        "removal_notice: 0, external_signal: 0 }, ",
+        "refresh_rate: 42.17777777777778, ",
+        "message_rate: 47.63333333333333, ",
+        "bandwidth_bytes_per_sec: 3048.5333333333333, ",
+        "peak_bandwidth_bytes_per_sec: 15616.0, ",
+        "stale_fraction: 0.1155258273269029, false_removals: 2, ",
+        "false_removal_rate: 0.00010777470712450884, ",
+        "mean_active: 206.19144152764494, mean_held: 232.70219342793615, ",
+        "drops_random: 61, drops_injected: 0, drops_overload: 0, ",
+        "crash_wipes: 0 }",
+    );
+
+    #[test]
     fn node_dispatch_is_table_derived_and_matches_predicates() {
         for proto in Protocol::ALL {
             let sim = NodeSim::new(quick_config(proto, 8), 7);
@@ -1566,6 +1628,22 @@ mod tests {
         let pending_after = sim.pending_events();
         assert!(pending_before > 0 && pending_after > 0);
         assert_eq!(sim.events_processed(), 3000);
+    }
+
+    #[test]
+    fn stepping_past_the_horizon_keeps_the_horizon_levels() {
+        // `metrics` reports on the horizon.  A node stepped far past it
+        // (as the throughput benchmarks drive it) must report the same
+        // population levels as `run`, which stops there.
+        let cfg = quick_config(Protocol::Ss, 256);
+        let ran = NodeSim::new(cfg, 2003).run();
+        let mut sim = NodeSim::new(cfg, 2003);
+        sim.step_events(3 * ran.events_processed);
+        let stepped = sim.metrics();
+        assert_eq!(stepped.mean_active, ran.mean_active);
+        assert_eq!(stepped.mean_held, ran.mean_held);
+        assert_eq!(stepped.stale_fraction, ran.stale_fraction);
+        assert!(stepped.mean_active <= cfg.sessions as f64);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   slots ordered by `(time, sequence)` keys in one of two interchangeable
 //!   cores ([`queue::QueueKind`]: implicit 4-ary min-heap, or a calendar
 //!   queue for very large pending backlogs), with stable FIFO ordering for
-//!   simultaneous events and O(1) generation-tagged cancellation;
+//!   simultaneous events, O(1) generation-tagged cancellation, and FIFO
+//!   [`queue::Lane`]s that order fixed-interval timers in O(1);
 //! * [`rng::SimRng`] — a seedable deterministic random number generator with
 //!   the handful of samplers the protocols need (exponential, Bernoulli,
 //!   uniform);
@@ -33,6 +34,7 @@
 
 mod calendar;
 pub mod dist;
+mod lanes;
 pub mod queue;
 pub mod rng;
 pub mod runner;
@@ -41,7 +43,7 @@ pub mod timer;
 pub mod trace;
 
 pub use dist::{Dist, TimerMode};
-pub use queue::{EventId, EventQueue, QueueKind, ScheduledEvent};
+pub use queue::{EventId, EventQueue, Lane, QueueKind, ScheduledEvent};
 pub use rng::SimRng;
 pub use runner::{Assignment, ExecutionPolicy, Replicate, ReplicationEngine};
 pub use time::SimTime;

@@ -22,8 +22,15 @@
 //!   so every simulation is bit-for-bit reproducible under either core.
 //!   Cancelled slots leave a stale key behind that is discarded for free
 //!   when it surfaces as the minimum.
+//! * **FIFO lanes in front of the core.**  Keys of fixed-interval timers
+//!   arrive already sorted; [`EventQueue::schedule_in_lane`] appends them to
+//!   a FIFO [`Lane`] in O(1), and every pop takes the minimum over the core's
+//!   top and the lane heads.  A key that would break its lane's order goes
+//!   to the core instead, so the delivered order never depends on the
+//!   caller (see `lanes.rs`).
 
 use crate::calendar::CalendarCore;
+use crate::lanes::Lanes;
 use crate::time::SimTime;
 
 /// Identifier of a scheduled event, used for cancellation.
@@ -52,6 +59,14 @@ impl EventId {
         (self.generation as u64) << 32 | self.slot as u64
     }
 }
+
+/// Handle of one FIFO lane of an [`EventQueue`], from [`EventQueue::lane`].
+///
+/// Keys scheduled through a lane whose times never decrease (a timer armed
+/// at `now + d` for a constant `d`) are ordered in O(1); any other key is
+/// stored in the queue's ordering core as if scheduled without a lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Lane(u32);
 
 /// Which ordering core an [`EventQueue`] runs on.
 ///
@@ -128,6 +143,15 @@ impl HeapKey {
     #[inline]
     pub(crate) fn precedes(&self, other: &HeapKey) -> bool {
         self.rank() < other.rank()
+    }
+
+    /// The id of the event this key was filed for.
+    #[inline]
+    fn id(&self) -> EventId {
+        EventId {
+            slot: self.slot,
+            generation: self.generation,
+        }
     }
 }
 
@@ -344,6 +368,14 @@ impl KeyStore {
     }
 }
 
+/// Where the queue's minimum key sits: the ordering core's top, or the head
+/// of one lane.
+#[derive(Debug, Clone, Copy)]
+enum Head {
+    Store,
+    Lane(usize),
+}
+
 /// A future event list: events are scheduled at absolute virtual times and
 /// popped in non-decreasing time order.  Simultaneous events preserve their
 /// scheduling order (FIFO), which keeps simulations deterministic.
@@ -361,6 +393,12 @@ impl KeyStore {
 /// 4-ary heap, or a calendar queue for very large pending backlogs.  The
 /// delivered event sequence is identical under both.
 ///
+/// FIFO lanes ([`EventQueue::lane`]) sit in front of the core: keys
+/// scheduled through a lane in non-decreasing time order are appended and
+/// popped in O(1).  `pop` and `peek_time` take the minimum over the core's
+/// top and every lane head, so the delivered sequence is the same as if
+/// every key had gone to the core.
+///
 /// The `seq` tie-breaker and [`EventQueue::popped_count`] are `u64`, so
 /// multi-day runs popping 10¹⁰⁺ events cannot wrap them; pre-size with
 /// [`EventQueue::with_capacity`] (audited via [`EventQueue::key_capacity`] /
@@ -370,6 +408,8 @@ impl KeyStore {
 pub struct EventQueue<E> {
     /// Ordering keys, heap- or calendar-organized.
     keys: KeyStore,
+    /// FIFO lanes of already-sorted keys, in front of `keys`.
+    lanes: Lanes,
     /// Slab arena of payload slots, indexed by `HeapKey::slot`.
     slots: Vec<Slot<E>>,
     /// Vacated slot indices available for reuse.
@@ -416,6 +456,7 @@ impl<E> EventQueue<E> {
         };
         Self {
             keys,
+            lanes: Lanes::default(),
             slots: Vec::with_capacity(capacity),
             free: Vec::new(),
             live: 0,
@@ -459,15 +500,15 @@ impl<E> EventQueue<E> {
     /// discarded (diagnostics; each is 24 bytes, holds no payload, and is
     /// freed when it surfaces as the minimum in `pop`/`peek_time`).
     pub fn cancelled_backlog(&self) -> usize {
-        self.keys.len() - self.live
+        self.keys.len() + self.lanes.len() - self.live
     }
 
-    /// Pending-key capacity of the ordering core: how many keys (live +
-    /// stale) it can hold before reallocating.  Together with
-    /// [`EventQueue::slot_capacity`] this audits that a pre-sized queue's
-    /// steady-state churn stays reallocation free.
+    /// Pending-key capacity of the ordering core and the lanes' block pool:
+    /// how many keys (live + stale) they can hold before allocating.
+    /// Together with [`EventQueue::slot_capacity`] this audits that a
+    /// pre-sized queue's steady-state churn stays reallocation free.
     pub fn key_capacity(&self) -> usize {
-        self.keys.capacity()
+        self.keys.capacity() + self.lanes.capacity()
     }
 
     /// Payload-slot capacity of the slab arena.
@@ -475,10 +516,12 @@ impl<E> EventQueue<E> {
         self.slots.capacity()
     }
 
-    /// Bytes currently retained by the queue (ordering keys, payload slab,
-    /// free list) — the denominator material for a bytes-per-session budget.
+    /// Bytes currently retained by the queue (ordering keys, lane blocks,
+    /// payload slab, free list) — the denominator material for a
+    /// bytes-per-session budget.
     pub fn memory_bytes(&self) -> usize {
         self.keys.memory_bytes()
+            + self.lanes.memory_bytes()
             + self.slots.capacity() * std::mem::size_of::<Slot<E>>()
             + self.free.capacity() * std::mem::size_of::<u32>()
     }
@@ -492,11 +535,49 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Adds a FIFO lane and returns its handle (see [`Lane`]).
+    pub fn lane(&mut self) -> Lane {
+        Lane(self.lanes.add())
+    }
+
     /// Schedules `event` at the absolute time `time`.
     ///
     /// Scheduling in the past is clamped to "now" (this can only arise from
     /// floating-point rounding of zero-length delays).
     pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventId {
+        let key = self.store(time, event);
+        self.keys.push(key);
+        key.id()
+    }
+
+    /// Schedules `event` after a delay of `delay` seconds from now.
+    pub fn schedule_in(&mut self, delay: f64, event: E) -> EventId {
+        self.schedule_at(self.now.after(delay), event)
+    }
+
+    /// Schedules `event` at the absolute time `time` through `lane`: O(1)
+    /// when `time` is no earlier than the lane's last key, otherwise (or
+    /// when `lane` belongs to another queue) exactly like
+    /// [`EventQueue::schedule_at`].  Either way the event is delivered in
+    /// the same `(time, seq)` order.
+    pub fn schedule_at_lane(&mut self, lane: Lane, time: SimTime, event: E) -> EventId {
+        let key = self.store(time, event);
+        if !self.lanes.push(lane.0, key) {
+            self.keys.push(key);
+        }
+        key.id()
+    }
+
+    /// Schedules `event` after a delay of `delay` seconds from now through
+    /// `lane` (see [`EventQueue::schedule_at_lane`]).  With a constant
+    /// `delay`, every key fits the lane.
+    pub fn schedule_in_lane(&mut self, lane: Lane, delay: f64, event: E) -> EventId {
+        self.schedule_at_lane(lane, self.now.after(delay), event)
+    }
+
+    /// Stores `event` in a slot and returns its key, with `time` clamped to
+    /// now and the next sequence number; the caller files the key.
+    fn store(&mut self, time: SimTime, event: E) -> HeapKey {
         let time = if time < self.now { self.now } else { time };
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -517,20 +598,13 @@ impl<E> EventQueue<E> {
                 (self.slots.len() - 1) as u32
             }
         };
-        let generation = self.slots[slot as usize].generation;
-        self.keys.push(HeapKey {
+        self.live += 1;
+        HeapKey {
             time,
             seq,
             slot,
-            generation,
-        });
-        self.live += 1;
-        EventId { slot, generation }
-    }
-
-    /// Schedules `event` after a delay of `delay` seconds from now.
-    pub fn schedule_in(&mut self, delay: f64, event: E) -> EventId {
-        self.schedule_at(self.now.after(delay), event)
+            generation: self.slots[slot as usize].generation,
+        }
     }
 
     /// Cancels a previously scheduled event.  Returns `true` if the event was
@@ -557,41 +631,80 @@ impl<E> EventQueue<E> {
 
     /// Pops the next non-cancelled event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        loop {
-            let key = self.keys.remove_min()?;
-            let slot = &mut self.slots[key.slot as usize];
-            if slot.generation != key.generation {
-                // Stale key of a cancelled event: discard and keep looking.
-                continue;
-            }
-            // sigtidy: allow(no-unwrap) — generation equality guarantees a live, un-taken event
-            let event = slot.event.take().expect("current generation implies live");
-            slot.generation = slot.generation.wrapping_add(1);
-            self.free.push(key.slot);
-            self.live -= 1;
-            self.now = key.time;
-            self.popped += 1;
-            return Some(ScheduledEvent {
-                time: key.time,
-                id: EventId {
-                    slot: key.slot,
-                    generation: key.generation,
-                },
-                event,
-            });
+        let (key, head) = self.next_live()?;
+        Some(self.take(key, head))
+    }
+
+    /// Pops the next non-cancelled event if it fires at or before `limit`;
+    /// otherwise leaves it pending and returns `None`.  One selection of
+    /// the minimum, where `peek_time` followed by `pop` makes two.
+    pub fn pop_until(&mut self, limit: SimTime) -> Option<ScheduledEvent<E>> {
+        let (key, head) = self.next_live()?;
+        if key.time > limit {
+            return None;
         }
+        Some(self.take(key, head))
     }
 
     /// Peeks at the time of the next non-cancelled event without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drop stale keys from the front so the peek is accurate.
-        while let Some(key) = self.keys.peek_min() {
-            if self.slots[key.slot as usize].generation == key.generation {
-                return Some(key.time);
+        self.next_live().map(|(key, _)| key.time)
+    }
+
+    /// The smallest key of the core's top and the lane heads, and where it
+    /// sits.
+    #[inline]
+    fn min_head(&mut self) -> Option<(HeapKey, Head)> {
+        let store = self.keys.peek_min().map(|key| (key, Head::Store));
+        match self.lanes.min_head() {
+            Some((key, lane)) if store.is_none_or(|(top, _)| key.precedes(&top)) => {
+                Some((key, Head::Lane(lane)))
             }
-            self.keys.remove_min();
+            _ => store,
         }
-        None
+    }
+
+    /// Removes the minimum key from where [`EventQueue::min_head`] found it.
+    #[inline]
+    fn remove_head(&mut self, head: Head) {
+        match head {
+            Head::Store => {
+                self.keys.remove_min();
+            }
+            Head::Lane(lane) => self.lanes.pop_front(lane),
+        }
+    }
+
+    /// The minimum live key and where it sits.  Stale keys of cancelled
+    /// events that surface first are discarded on the way.
+    #[inline]
+    fn next_live(&mut self) -> Option<(HeapKey, Head)> {
+        loop {
+            let (key, head) = self.min_head()?;
+            if self.slots[key.slot as usize].generation == key.generation {
+                return Some((key, head));
+            }
+            self.remove_head(head);
+        }
+    }
+
+    /// Removes the live minimum `key` and delivers its payload.
+    #[inline]
+    fn take(&mut self, key: HeapKey, head: Head) -> ScheduledEvent<E> {
+        self.remove_head(head);
+        let slot = &mut self.slots[key.slot as usize];
+        // sigtidy: allow(no-unwrap) — generation equality guarantees a live, un-taken event
+        let event = slot.event.take().expect("current generation implies live");
+        slot.generation = slot.generation.wrapping_add(1);
+        self.free.push(key.slot);
+        self.live -= 1;
+        self.now = key.time;
+        self.popped += 1;
+        ScheduledEvent {
+            time: key.time,
+            id: key.id(),
+            event,
+        }
     }
 
     /// Discards all pending events (the clock is left unchanged).
@@ -600,6 +713,7 @@ impl<E> EventQueue<E> {
     /// before the `clear` remain inert against slots reused after it.
     pub fn clear(&mut self) {
         self.keys.clear();
+        self.lanes.clear();
         for (index, slot) in self.slots.iter_mut().enumerate() {
             if slot.event.take().is_some() {
                 slot.generation = slot.generation.wrapping_add(1);
@@ -963,6 +1077,74 @@ mod tests {
     }
 
     #[test]
+    fn in_order_lane_keys_stay_in_the_lane_and_others_fall_back() {
+        for kind in KINDS {
+            let mut q = EventQueue::with_kind(kind);
+            let lane = q.lane();
+            for i in 0..3 * crate::lanes::BLOCK {
+                q.schedule_in_lane(lane, 5.0, i);
+            }
+            assert_eq!((q.lanes.len(), q.keys.len()), (3 * crate::lanes::BLOCK, 0));
+            // Earlier than the lane's tail: the key store takes it, and it
+            // still pops first.
+            q.schedule_at_lane(lane, SimTime::from_secs(1.0), usize::MAX);
+            // A handle this queue never issued falls back too.
+            q.schedule_at_lane(Lane(7), SimTime::from_secs(6.0), usize::MAX - 1);
+            assert_eq!(q.keys.len(), 2);
+            assert_eq!(q.pop().unwrap().event, usize::MAX, "{kind}");
+            let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+            let mut want: Vec<usize> = (0..3 * crate::lanes::BLOCK).collect();
+            want.push(usize::MAX - 1);
+            assert_eq!(order, want, "{kind}");
+            assert_eq!((q.lanes.len(), q.cancelled_backlog()), (0, 0));
+        }
+    }
+
+    #[test]
+    fn lane_blocks_count_toward_capacity_and_memory_and_are_reused() {
+        let mut q = EventQueue::new();
+        let lane = q.lane();
+        let empty_bytes = q.memory_bytes();
+        for round in 0..4 {
+            for i in 0..2 * crate::lanes::BLOCK {
+                q.schedule_in_lane(lane, 1.0, i);
+            }
+            let capacity = q.key_capacity();
+            assert!(capacity >= 2 * crate::lanes::BLOCK);
+            let bytes = q.memory_bytes();
+            assert!(bytes >= empty_bytes + 2 * crate::lanes::BLOCK * 24);
+            while q.pop().is_some() {}
+            if round == 3 {
+                // Three blocks at most: a drained lane hands every block
+                // back, and refilling takes them from the pool again.
+                assert!(capacity <= 3 * crate::lanes::BLOCK, "{capacity}");
+            }
+        }
+        q.schedule_in_lane(lane, 1.0, 0);
+        q.clear();
+        assert_eq!((q.len(), q.cancelled_backlog()), (0, 0));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn pop_until_leaves_later_events_pending() {
+        for kind in KINDS {
+            let mut q = EventQueue::with_kind(kind);
+            let lane = q.lane();
+            q.schedule_in_lane(lane, 2.0, "lane");
+            q.schedule_in(1.0, "store");
+            let a = q.schedule_in(0.5, "cancelled");
+            q.cancel(a);
+            let limit = SimTime::from_secs(1.5);
+            assert_eq!(q.pop_until(limit).unwrap().event, "store", "{kind}");
+            assert!(q.pop_until(limit).is_none());
+            assert_eq!((q.len(), q.now().as_secs()), (1, 1.0));
+            assert_eq!(q.pop_until(SimTime::from_secs(2.0)).unwrap().event, "lane");
+            assert!(q.pop_until(SimTime::from_secs(9.0)).is_none());
+        }
+    }
+
+    #[test]
     fn keys_stay_24_bytes() {
         assert_eq!(std::mem::size_of::<HeapKey>(), 24);
     }
@@ -1223,6 +1405,80 @@ mod tests {
                         ),
                     }
                 }
+            }
+        }
+
+        #[test]
+        fn prop_lanes_deliver_what_a_lane_free_queue_delivers(
+            ops in proptest::collection::vec((0u8..10, 0.0f64..30.0, 0u32..64), 1..300),
+        ) {
+            // The same interleaving against a queue with two lanes and a
+            // queue without: constant-delay lane appends (which always fit),
+            // absolute lane appends at random times (which mostly do not
+            // and fall back to the key store), plain schedules, cancels,
+            // peeks, bounded pops and the odd clear.  Deliveries (time, id
+            // and payload), counts and the stale-key backlog must match.
+            for kind in KINDS {
+                let mut q = EventQueue::with_kind(kind);
+                let lanes = [q.lane(), q.lane()];
+                let delays = [1.0, 4.0];
+                let mut plain = EventQueue::with_kind(kind);
+                let mut ids: Vec<EventId> = Vec::new();
+                let mut next_payload = 0u32;
+                for &(op, value, pick) in &ops {
+                    let k = pick as usize % 2;
+                    match op {
+                        0..=2 => {
+                            let id = q.schedule_in_lane(lanes[k], delays[k], next_payload);
+                            prop_assert_eq!(id, plain.schedule_in(delays[k], next_payload));
+                            ids.push(id);
+                            next_payload += 1;
+                        }
+                        3 => {
+                            let at = SimTime::from_secs(value);
+                            let id = q.schedule_at_lane(lanes[k], at, next_payload);
+                            prop_assert_eq!(id, plain.schedule_at(at, next_payload));
+                            ids.push(id);
+                            next_payload += 1;
+                        }
+                        4 => {
+                            let id = q.schedule_in(value, next_payload);
+                            prop_assert_eq!(id, plain.schedule_in(value, next_payload));
+                            ids.push(id);
+                            next_payload += 1;
+                        }
+                        5 => {
+                            if !ids.is_empty() {
+                                let id = ids[pick as usize % ids.len()];
+                                prop_assert_eq!(q.cancel(id), plain.cancel(id));
+                            }
+                        }
+                        6 => prop_assert_eq!(q.pop(), plain.pop()),
+                        7 => {
+                            let limit = q.now().after(value / 4.0);
+                            prop_assert_eq!(q.pop_until(limit), plain.pop_until(limit));
+                        }
+                        8 => prop_assert_eq!(q.peek_time(), plain.peek_time()),
+                        _ => {
+                            if pick % 8 == 0 {
+                                q.clear();
+                                plain.clear();
+                            }
+                        }
+                    }
+                    prop_assert_eq!(q.len(), plain.len());
+                    prop_assert_eq!(q.cancelled_backlog(), plain.cancelled_backlog());
+                    prop_assert_eq!(q.now(), plain.now());
+                    prop_assert_eq!(q.popped_count(), plain.popped_count());
+                }
+                loop {
+                    let got = q.pop();
+                    prop_assert_eq!(&got, &plain.pop(), "drain under {}", kind);
+                    if got.is_none() {
+                        break;
+                    }
+                }
+                prop_assert_eq!(q.cancelled_backlog(), 0);
             }
         }
 
