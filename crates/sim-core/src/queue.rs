@@ -22,6 +22,14 @@
 //!   so every simulation is bit-for-bit reproducible under either core.
 //!   Cancelled slots leave a stale key behind that is discarded for free
 //!   when it surfaces as the minimum.
+//! * **Tiny backlogs stay unsorted.**  Up to 16 keys the heap core keeps
+//!   them in no order but the minimum first: a push compares with the
+//!   front and appends, a pop scans the rest.  A single session's queue
+//!   lives there, and so does the one exception to stale keys: re-arming a
+//!   [`crate::Timer`] finds its pending key with a scan and overwrites it
+//!   in place.  Past 16 keys the core becomes a heap (until it shrinks to
+//!   8), where finding a key would take a full scan, so a re-arm cancels
+//!   and schedules as above.
 //! * **FIFO lanes in front of the core.**  Keys of fixed-interval timers
 //!   arrive already sorted; [`EventQueue::schedule_in_lane`] appends them to
 //!   a FIFO [`Lane`] in O(1), and every pop takes the minimum over the core's
@@ -169,22 +177,45 @@ const D: usize = 4;
 /// heap of up to 2¹⁴ keys is branch-free.
 const BRANCH_FREE_PREFIX: usize = 1 << 14;
 
+/// Keys up to which a heap core keeps them unsorted (see [`HeapCore`]).
+const SMALL: usize = 16;
+
+/// Length at or below which an ordered heap core returns to unsorted mode.
+/// Well under [`SMALL`], so a backlog hovering near 16 keys does not
+/// re-sort on every other push.
+const SHRINK: usize = 8;
+
 /// The 4-ary-heap ordering core: a flat `Vec` of keys in implicit heap
 /// order.  A 4-ary layout halves the tree depth of a binary heap and keeps
 /// sift traffic inside fewer cache lines.
+///
+/// A small backlog is not heap-ordered at all: up to [`SMALL`] keys sit
+/// unsorted with only the minimum kept at index 0.  A push compares the new
+/// key with the front and appends; a pop swap-removes the front and scans
+/// the rest for the new minimum with selects.  A single session's queue
+/// holds about six keys, where a linear list beats a heap (Jones, CACM
+/// 29(4), 1986): the heap's sift branches mispredict and the scan has none.
+/// The push that would make [`SMALL`]` + 1` keys sorts them (a sorted array
+/// is in heap order) and the core stays ordered until a pop leaves
+/// [`SHRINK`] keys or fewer, which needs no work because heap order already
+/// puts the minimum at index 0.
 #[derive(Debug)]
 struct HeapCore {
     heap: Vec<HeapKey>,
+    /// Whether `heap` is in 4-ary heap order; otherwise it holds at most
+    /// [`SMALL`] keys, unsorted but for the minimum at index 0.
+    ordered: bool,
 }
 
 impl HeapCore {
     fn new() -> Self {
-        Self { heap: Vec::new() }
+        Self::with_capacity(0)
     }
 
     fn with_capacity(capacity: usize) -> Self {
         Self {
             heap: Vec::with_capacity(capacity),
+            ordered: false,
         }
     }
 
@@ -202,9 +233,13 @@ impl HeapCore {
 
     fn clear(&mut self) {
         self.heap.clear();
+        self.ordered = false;
     }
 
     fn push(&mut self, key: HeapKey) {
+        if !self.ordered {
+            return self.push_unsorted(key);
+        }
         self.heap.push(key);
         self.sift_up(self.heap.len() - 1);
     }
@@ -214,13 +249,95 @@ impl HeapCore {
     }
 
     fn remove_min(&mut self) -> Option<HeapKey> {
+        if !self.ordered {
+            return self.remove_min_unsorted();
+        }
         let min = *self.heap.first()?;
         let last = self.heap.pop()?;
         if !self.heap.is_empty() {
             self.heap[0] = last;
             self.sift_down();
         }
+        if self.heap.len() <= SHRINK {
+            self.ordered = false;
+        }
         Some(min)
+    }
+
+    /// [`HeapCore::push`] in unsorted mode: append, keeping the minimum in
+    /// front, or sort once the key is one past [`SMALL`].
+    ///
+    /// This and [`HeapCore::remove_min_unsorted`] stay out of line so that
+    /// an ordered core's push and pop compile as they would without the
+    /// unsorted mode; inlined, they slowed large heaps (`docs/perf.md`,
+    /// "Per-session queues").
+    #[inline(never)]
+    fn push_unsorted(&mut self, key: HeapKey) {
+        let last = self.heap.len();
+        self.heap.push(key);
+        if last < SMALL {
+            if key.precedes(&self.heap[0]) {
+                self.heap.swap(0, last);
+            }
+        } else {
+            self.heap.sort_unstable_by_key(HeapKey::rank);
+            self.ordered = true;
+        }
+    }
+
+    /// [`HeapCore::remove_min`] in unsorted mode.
+    #[inline(never)]
+    fn remove_min_unsorted(&mut self) -> Option<HeapKey> {
+        let min = *self.heap.first()?;
+        self.heap.swap_remove(0);
+        self.min_to_front();
+        Some(min)
+    }
+
+    /// Where the key filed for `id` sits, if the core is unsorted and holds
+    /// it: a scan of at most [`SMALL`] keys.  An ordered core answers
+    /// `None`, because only a full scan could find a key there.
+    fn position(&self, id: EventId) -> Option<usize> {
+        if self.ordered {
+            return None;
+        }
+        self.heap.iter().position(|key| key.id() == id)
+    }
+
+    /// Overwrites the unsorted core's key at `index` (from
+    /// [`HeapCore::position`]) with `key` and restores the minimum at the
+    /// front.
+    fn replace(&mut self, index: usize, key: HeapKey) {
+        debug_assert!(!self.ordered, "only an unsorted core is refiled in place");
+        self.heap[index] = key;
+        if index == 0 {
+            self.min_to_front();
+        } else if key.precedes(&self.heap[0]) {
+            self.heap.swap(0, index);
+        }
+    }
+
+    /// Moves the minimum of an unsorted core to index 0.
+    ///
+    /// Each length up to [`SMALL`] gets its own fully unrolled scan
+    /// ([`min_index`] with a constant length), so the scan is straight-line
+    /// code of conditional moves.  Inside a loop the compiler turns a
+    /// running-minimum select into a branch, which mispredicts whenever a
+    /// new minimum turns up.
+    fn min_to_front(&mut self) {
+        const { assert!(SMALL == 16, "one unrolled arm per length up to SMALL") };
+        let keys = &self.heap[..];
+        macro_rules! unrolled {
+            ($($len:literal)*) => {
+                match keys.len() {
+                    0 => return,
+                    $($len => min_index(keys, $len),)*
+                    len => min_index(keys, len),
+                }
+            };
+        }
+        let best = unrolled!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+        self.heap.swap(0, best);
     }
 
     /// Moves `heap[index]` toward the root until its parent precedes it.
@@ -302,6 +419,27 @@ fn min_child(group: &[HeapKey; D], first: usize) -> usize {
     } else {
         left
     }
+}
+
+/// The index of the smallest of the first `len` (at least one) keys,
+/// selected without branches where `len` is a constant: the keys are taken
+/// in pairs, and the smaller of a pair is picked independently of the
+/// running minimum, so the chain of dependent comparisons is half as long
+/// as one key at a time.
+#[inline(always)]
+fn min_index(keys: &[HeapKey], len: usize) -> usize {
+    let pick = |a: (usize, u128), b: (usize, u128)| if b.1 < a.1 { b } else { a };
+    let entry = |i: usize| (i, keys[i].rank());
+    let mut best = entry(0);
+    let mut i = 1;
+    while i + 1 < len {
+        best = pick(best, pick(entry(i), entry(i + 1)));
+        i += 2;
+    }
+    if i < len {
+        best = pick(best, entry(i));
+    }
+    best.0
 }
 
 /// The ordering core behind an [`EventQueue`], dispatched by [`QueueKind`].
@@ -387,7 +525,10 @@ enum Head {
 /// time.  Stale keys are therefore bounded by the cancellations still ahead
 /// of the clock (not by the session's total event count), and payload
 /// memory stays proportional to the number of *live* events even over
-/// sessions that pop tens of millions of events.
+/// sessions that pop tens of millions of events.  A [`crate::Timer`]
+/// re-arm leaves no stale key at all while the heap core keeps its keys
+/// unsorted (at most 16): it moves the pending key in place (the
+/// crate-private `reschedule_in`).
 ///
 /// The ordering core is chosen at construction ([`QueueKind`]): the default
 /// 4-ary heap, or a calendar queue for very large pending backlogs.  The
@@ -578,7 +719,7 @@ impl<E> EventQueue<E> {
     /// Stores `event` in a slot and returns its key, with `time` clamped to
     /// now and the next sequence number; the caller files the key.
     fn store(&mut self, time: SimTime, event: E) -> HeapKey {
-        let time = if time < self.now { self.now } else { time };
+        let time = self.not_before_now(time);
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = match self.free.pop() {
@@ -604,6 +745,52 @@ impl<E> EventQueue<E> {
             seq,
             slot,
             generation: self.slots[slot as usize].generation,
+        }
+    }
+
+    /// Re-arms the live event `id` to fire after `delay` seconds with the
+    /// payload `event`, and returns its new id; `id` goes inert.  The
+    /// result is exactly that of `cancel(id)` followed by
+    /// `schedule_in(delay, event)`: the same new id, the same next sequence
+    /// number, the same `(time, seq)` delivery order.
+    ///
+    /// When the event's key sits in an unsorted heap core (at most
+    /// [`SMALL`] keys), the key is found by a short scan and overwritten in
+    /// place, so no stale key is left behind and the slot never passes
+    /// through the free list.  Anywhere else — an ordered heap, where a
+    /// key's position is unknown, the calendar core, a lane — and for an id
+    /// that is no longer live, it cancels and schedules.
+    pub(crate) fn reschedule_in(&mut self, id: EventId, delay: f64, event: E) -> EventId {
+        if self.is_pending(id) {
+            let time = self.not_before_now(self.now.after(delay));
+            if let KeyStore::Heap(core) = &mut self.keys {
+                if let Some(index) = core.position(id) {
+                    let slot = &mut self.slots[id.slot as usize];
+                    slot.generation = slot.generation.wrapping_add(1);
+                    slot.event = Some(event);
+                    let key = HeapKey {
+                        time,
+                        seq: self.next_seq,
+                        slot: id.slot,
+                        generation: slot.generation,
+                    };
+                    self.next_seq += 1;
+                    core.replace(index, key);
+                    return key.id();
+                }
+            }
+        }
+        self.cancel(id);
+        self.schedule_in(delay, event)
+    }
+
+    /// `time`, clamped to now.
+    #[inline]
+    fn not_before_now(&self, time: SimTime) -> SimTime {
+        if time < self.now {
+            self.now
+        } else {
+            time
         }
     }
 
@@ -1144,6 +1331,98 @@ mod tests {
         }
     }
 
+    /// Whether the queue's ordering core is a heap in unsorted mode.
+    fn unsorted<E>(q: &EventQueue<E>) -> bool {
+        matches!(&q.keys, KeyStore::Heap(core) if !core.ordered)
+    }
+
+    #[test]
+    fn the_seventeenth_key_orders_the_core_and_eight_unsort_it() {
+        let mut q = EventQueue::new();
+        // Descending times, so every push lands a new minimum at the front.
+        for i in 0..SMALL {
+            q.schedule_at(SimTime::from_secs((100 - i) as f64), i);
+            assert!(unsorted(&q), "{} keys", i + 1);
+            assert_eq!(q.peek_time().unwrap().as_secs(), (100 - i) as f64);
+        }
+        q.schedule_at(SimTime::from_secs(50.0), SMALL);
+        assert!(!unsorted(&q), "17 keys are heap-ordered");
+        let mut popped = Vec::new();
+        while q.len() > SHRINK + 1 {
+            popped.push(q.pop().unwrap().event);
+            assert!(!unsorted(&q), "{} keys", q.len());
+        }
+        popped.push(q.pop().unwrap().event);
+        assert_eq!(q.len(), SHRINK);
+        assert!(unsorted(&q), "8 keys are unsorted again");
+        popped.extend(std::iter::from_fn(|| q.pop().map(|e| e.event)));
+        let mut want = vec![SMALL];
+        want.extend((0..SMALL).rev());
+        assert_eq!(popped, want);
+        assert!(unsorted(&q));
+    }
+
+    #[test]
+    fn equal_times_pop_fifo_in_unsorted_mode() {
+        let mut q = EventQueue::new();
+        let ids: Vec<EventId> = (0..12).map(|i| q.schedule_in(5.0, i)).collect();
+        assert!(unsorted(&q));
+        // A re-armed event takes a fresh sequence number, so at an equal
+        // time it now pops after every other event, as if newly scheduled.
+        q.reschedule_in(ids[3], 5.0, 99);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        assert_eq!(order, [0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 99]);
+    }
+
+    #[test]
+    fn clear_returns_the_core_to_unsorted_mode() {
+        let mut q = EventQueue::new();
+        for i in 0..=SMALL {
+            q.schedule_in(1.0 + i as f64, i);
+        }
+        assert!(!unsorted(&q));
+        q.clear();
+        assert!(unsorted(&q));
+        let ids: Vec<EventId> = (0..4).map(|i| q.schedule_in(4.0 - i as f64, i)).collect();
+        let id = q.reschedule_in(ids[0], 0.5, 9);
+        assert_eq!((q.len(), q.cancelled_backlog()), (4, 0));
+        assert_eq!(q.pop().unwrap().id, id);
+        let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        assert_eq!(order, [3, 2, 1]);
+    }
+
+    #[test]
+    fn rescheduling_outside_an_unsorted_core_cancels_and_schedules() {
+        // In place: no stale key, nothing moves through the free list.
+        let mut q = EventQueue::new();
+        let lane = q.lane();
+        let id = q.schedule_in(3.0, "core");
+        let rearmed = q.reschedule_in(id, 1.0, "core again");
+        assert_eq!((q.len(), q.cancelled_backlog(), q.free.len()), (1, 0, 0));
+        assert!(!q.is_pending(id) && q.is_pending(rearmed));
+        // A key in a lane cannot be found by the core's scan.
+        let id = q.schedule_in_lane(lane, 2.0, "lane");
+        let moved = q.reschedule_in(id, 4.0, "lane, moved");
+        assert_eq!((q.len(), q.cancelled_backlog()), (2, 1));
+        assert!(!q.is_pending(id) && q.is_pending(moved));
+        // A dead id only schedules.
+        let fresh = q.reschedule_in(id, 5.0, "fresh");
+        assert_eq!((q.len(), q.cancelled_backlog()), (3, 1));
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        assert_eq!(order, ["core again", "lane, moved", "fresh"]);
+        assert!(!q.is_pending(fresh));
+        // An ordered heap and a calendar core fall back too.
+        for kind in KINDS {
+            let mut q = EventQueue::with_kind(kind);
+            let ids: Vec<EventId> = (0..=SMALL)
+                .map(|i| q.schedule_in(1.0 + i as f64, i))
+                .collect();
+            q.reschedule_in(ids[SMALL / 2], 0.5, 99);
+            assert_eq!((q.len(), q.cancelled_backlog()), (SMALL + 1, 1), "{kind}");
+            assert_eq!(q.pop().unwrap().event, 99, "{kind}");
+        }
+    }
+
     #[test]
     fn keys_stay_24_bytes() {
         assert_eq!(std::mem::size_of::<HeapKey>(), 24);
@@ -1479,6 +1758,138 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(q.cancelled_backlog(), 0);
+            }
+        }
+
+        #[test]
+        fn prop_reschedule_in_matches_cancel_then_schedule(
+            ops in proptest::collection::vec((0u8..11, 0.0f64..30.0, 0u32..1024), 1..400),
+            targets in proptest::collection::vec(0usize..24, 2..10),
+        ) {
+            // Each interleaving runs against a queue that re-arms with
+            // `reschedule_in` and one that cancels and schedules instead,
+            // both with one lane.  The backlog chases targets between 0 and
+            // 23 keys, so it keeps crossing the 8- and 16-key boundaries of
+            // the heap core's two modes.  Deliveries (time, id, payload) and
+            // `len()` must match, and each queue's `cancelled_backlog()`
+            // must equal a shadow count of the stale keys it holds: one per
+            // cancel or fallback re-arm of a live event, dropped when a
+            // later live key or a clear passes it.
+            for kind in KINDS {
+                let mut q = EventQueue::with_kind(kind);
+                let mut plain = EventQueue::with_kind(kind);
+                let lane = q.lane();
+                let plain_lane = plain.lane();
+                prop_assert_eq!(lane, plain_lane);
+                // The rank of every live event's key, by raw id.
+                let mut live = std::collections::BTreeMap::new();
+                let mut ids: Vec<EventId> = Vec::new();
+                let mut next_seq = 0u64;
+                let mut stale: Vec<u128> = Vec::new();
+                let mut plain_stale: Vec<u128> = Vec::new();
+                for (i, &(op, value, pick)) in ops.iter().enumerate() {
+                    let target = targets[i / 24 % targets.len()];
+                    let op = match op {
+                        0..=3 if q.len() > target => 7,
+                        7..=9 if q.len() < target => op - 7,
+                        _ => op,
+                    };
+                    let payload = i as u32;
+                    let picked = (!ids.is_empty()).then(|| ids[pick as usize % ids.len()]);
+                    macro_rules! file {
+                        ($id:expr, $time:expr) => {{
+                            let key = HeapKey { time: $time, seq: next_seq, slot: 0, generation: 0 };
+                            live.insert($id.raw(), key.rank());
+                            next_seq += 1;
+                            ids.push($id);
+                        }};
+                    }
+                    // The live minimum, which every selection reaches.
+                    let mut selected = None;
+                    match op {
+                        0..=2 => {
+                            let id = q.schedule_in(value, payload);
+                            prop_assert_eq!(id, plain.schedule_in(value, payload));
+                            file!(id, q.now().after(value));
+                        }
+                        3 => {
+                            let id = q.schedule_in_lane(lane, 4.0, payload);
+                            prop_assert_eq!(id, plain.schedule_in_lane(plain_lane, 4.0, payload));
+                            file!(id, q.now().after(4.0));
+                        }
+                        4 => if let Some(id) = picked {
+                            let was = live.remove(&id.raw());
+                            prop_assert_eq!(q.cancel(id), was.is_some());
+                            prop_assert_eq!(plain.cancel(id), was.is_some());
+                            stale.extend(was);
+                            plain_stale.extend(was);
+                        },
+                        5 | 6 => if let Some(old) = picked {
+                            let in_place = q.is_pending(old) && matches!(&q.keys,
+                                KeyStore::Heap(core) if core.position(old).is_some());
+                            let free = q.free.len();
+                            let id = q.reschedule_in(old, value, payload);
+                            plain.cancel(old);
+                            prop_assert_eq!(id, plain.schedule_in(value, payload));
+                            let was = live.remove(&old.raw());
+                            prop_assert!(was.is_some() || !in_place);
+                            if in_place {
+                                prop_assert_eq!(q.free.len(), free);
+                            } else {
+                                stale.extend(was);
+                            }
+                            plain_stale.extend(was);
+                            file!(id, q.now().after(value));
+                        },
+                        7 => {
+                            let got = q.pop();
+                            prop_assert_eq!(&got, &plain.pop());
+                            selected = Some(got.map(|e| live.remove(&e.id.raw()).unwrap_or(0)));
+                        }
+                        8 => {
+                            let got = q.peek_time();
+                            prop_assert_eq!(got, plain.peek_time());
+                            selected = Some(live.values().min().copied());
+                            prop_assert_eq!(got.is_some(), selected.unwrap().is_some());
+                        }
+                        9 => {
+                            let limit = q.now().after(value / 4.0);
+                            selected = Some(live.values().min().copied());
+                            let got = q.pop_until(limit);
+                            prop_assert_eq!(&got, &plain.pop_until(limit));
+                            if let Some(e) = got {
+                                live.remove(&e.id.raw());
+                            }
+                        }
+                        _ => if pick % 16 == 0 {
+                            q.clear();
+                            plain.clear();
+                            live.clear();
+                            stale.clear();
+                            plain_stale.clear();
+                        },
+                    }
+                    // Selecting the live minimum discards every stale key
+                    // below it, and all of them when nothing is live.
+                    if let Some(below) = selected {
+                        let below = below.unwrap_or(u128::MAX);
+                        stale.retain(|&r| r > below);
+                        plain_stale.retain(|&r| r > below);
+                    }
+                    prop_assert_eq!(q.len(), plain.len());
+                    prop_assert_eq!(q.cancelled_backlog(), stale.len(), "{} after op {}", kind, op);
+                    prop_assert_eq!(plain.cancelled_backlog(), plain_stale.len());
+                    prop_assert_eq!(q.now(), plain.now());
+                    prop_assert_eq!(q.popped_count(), plain.popped_count());
+                }
+                loop {
+                    let got = q.pop();
+                    prop_assert_eq!(&got, &plain.pop(), "drain under {}", kind);
+                    if got.is_none() {
+                        break;
+                    }
+                }
+                prop_assert_eq!((q.cancelled_backlog(), plain.cancelled_backlog()), (0, 0));
             }
         }
 

@@ -2,9 +2,11 @@
 //!
 //! Protocol agents use a handful of timers that are constantly restarted:
 //! the sender's refresh timer, the receiver's state-timeout timer, and the
-//! sender's retransmission timer.  [`Timer`] wraps the "cancel the previous
-//! event, schedule a new one" pattern so each protocol implementation cannot
-//! forget to cancel a stale timer event.
+//! sender's retransmission timer.  [`Timer`] owns the id of its pending
+//! expiry, so re-arming replaces that expiry instead of leaving it to fire:
+//! the queue moves the pending event to its new time in place where it can
+//! (see [`EventQueue`]), and otherwise cancels it and schedules a new one.
+//! Either way no protocol implementation can forget a stale timer event.
 
 use crate::queue::{EventId, EventQueue};
 
@@ -43,18 +45,29 @@ impl Timer {
         self.armed
     }
 
-    /// (Re)arms the timer to fire after `delay` seconds, cancelling any
+    /// (Re)arms the timer to fire after `delay` seconds, replacing any
     /// previously scheduled expiry.
     ///
-    /// The common re-arm paths cost nothing: an idle timer (or one whose
-    /// fire was acknowledged via [`Timer::on_fired`]) holds no id and skips
-    /// the cancel call entirely, and a held id whose event already fired — a
-    /// handler re-arming in response to its own expiry without acknowledging
-    /// it — makes the cancel a constant-time generation-compare no-op that
-    /// cannot touch an event reusing the fired event's slot.
+    /// A pending expiry is moved rather than cancelled: while the queue's
+    /// heap core keeps its keys unsorted (at most 16 of them), the expiry's
+    /// ordering key is overwritten in place with the new time and the next
+    /// sequence number, so a re-arm leaves no stale key behind (a session's
+    /// receiver timeout is restarted on every refresh).  When the core is a
+    /// heap, or the key sits in a lane or a calendar core, the expiry is
+    /// cancelled and a new one scheduled.  Both give the same new id and the
+    /// same delivery order.
+    ///
+    /// The common idle paths cost nothing extra: an idle timer (or one
+    /// whose fire was acknowledged via [`Timer::on_fired`]) holds no id and
+    /// just schedules, and a held id whose event already fired — a handler
+    /// re-arming in response to its own expiry without acknowledging it —
+    /// fails a constant-time generation compare and cannot touch an event
+    /// reusing the fired event's slot.
     pub fn arm<E>(&mut self, queue: &mut EventQueue<E>, delay: f64, event: E) {
-        self.cancel(queue);
-        self.pending = Some(queue.schedule_in(delay, event));
+        self.pending = Some(match self.pending {
+            Some(id) => queue.reschedule_in(id, delay, event),
+            None => queue.schedule_in(delay, event),
+        });
         self.armed += 1;
     }
 
@@ -170,6 +183,40 @@ mod tests {
         let e = q.pop().unwrap();
         assert_eq!(e.time.as_secs(), 3.0);
         assert!(t.on_fired(e.id));
+    }
+
+    #[test]
+    fn rearm_in_a_small_queue_moves_the_pending_key() {
+        let mut q = EventQueue::new();
+        for i in 0..15 {
+            q.schedule_in(10.0 + i as f64, Ev::Other);
+        }
+        let mut t = Timer::new();
+        t.arm(&mut q, 5.0, Ev::Tick);
+        let old = t.pending.unwrap();
+        t.arm(&mut q, 30.0, Ev::Tick);
+        assert_eq!((q.len(), q.cancelled_backlog()), (16, 0));
+        assert!(!q.is_pending(old));
+        let last = std::iter::from_fn(|| q.pop()).last().unwrap();
+        assert_eq!((last.time.as_secs(), last.event), (30.0, Ev::Tick));
+        assert!(t.on_fired(last.id));
+    }
+
+    #[test]
+    fn rearm_past_sixteen_keys_leaves_one_stale_key() {
+        let mut q = EventQueue::new();
+        for i in 0..16 {
+            q.schedule_in(10.0 + i as f64, Ev::Other);
+        }
+        let mut t = Timer::new();
+        t.arm(&mut q, 5.0, Ev::Tick);
+        let old = t.pending.unwrap();
+        t.arm(&mut q, 30.0, Ev::Tick);
+        assert_eq!((q.len(), q.cancelled_backlog()), (17, 1));
+        assert!(!q.is_pending(old));
+        let last = std::iter::from_fn(|| q.pop()).last().unwrap();
+        assert_eq!((last.time.as_secs(), last.event), (30.0, Ev::Tick));
+        assert_eq!(q.cancelled_backlog(), 0);
     }
 
     #[test]
