@@ -40,6 +40,11 @@ pub enum ConfigError {
     NonPositiveHorizon,
     /// A scenario's inconsistency weight is not positive.
     NonPositiveWeight(f64),
+    /// A node's mean vacancy between sessions is not positive and finite.
+    NonPositiveVacancy,
+    /// A node has more session slots than its `u32` session indices can
+    /// name.
+    TooManySessions(usize),
     /// A fault schedule attached to a simulation configuration failed its
     /// own validation (the schedule's `validate` reports the typed detail —
     /// the analytic layer has no dependency on the fault types).
@@ -79,6 +84,12 @@ impl fmt::Display for ConfigError {
             ConfigError::NonPositiveHorizon => write!(f, "simulation horizon must be positive"),
             ConfigError::NonPositiveWeight(w) => {
                 write!(f, "inconsistency weight {w} must be positive")
+            }
+            ConfigError::NonPositiveVacancy => {
+                write!(f, "mean vacancy must be positive and finite")
+            }
+            ConfigError::TooManySessions(n) => {
+                write!(f, "{n} sessions exceed the limit of {}", u32::MAX)
             }
             ConfigError::InvalidFaultSchedule => {
                 write!(

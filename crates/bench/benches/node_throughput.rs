@@ -17,6 +17,9 @@
 //! other bench.  The simulation is deterministic, so both cores process the
 //! byte-identical event sequence — the timing difference is purely the
 //! ordering core.
+//!
+//! The `node_build/heap/{10⁴, 10⁵}` rows time the set-up instead: building
+//! the node (which files the arrival wave) plus the 4N-event warm-up.
 
 // The headline events/sec number is a wall-clock measurement by definition.
 #![allow(clippy::disallowed_methods)]
@@ -34,6 +37,10 @@ const KINDS: [QueueKind; 2] = [QueueKind::Heap, QueueKind::Calendar];
 /// Events per measured batch: large enough to amortize loop overhead, small
 /// enough that criterion gets many samples per measurement window.
 const BATCH: u64 = 4096;
+
+/// Populations of the `node_build` rows: building a node and warming it,
+/// the set-up every node run pays before its first measured event.
+const BUILD_SIZES: &[usize] = &[10_000, 100_000];
 
 /// Builds a warmed node at population `n`: every session has arrived and the
 /// queue sits at its stationary backlog.
@@ -75,6 +82,12 @@ fn main() {
                 b.iter(|| black_box(sim.step_events(BATCH)))
             });
         }
+    }
+
+    for &n in BUILD_SIZES {
+        c.bench_function(&format!("node_build/heap/{n}"), |b| {
+            b.iter(|| black_box(warmed_node(n, QueueKind::Heap).pending_events()))
+        });
     }
 
     c.final_summary();

@@ -19,8 +19,10 @@
 //!   cancelled-timer backlog even at 10⁶ sessions.  Refresh and
 //!   retransmission timers re-arm at fixed intervals and link deliveries
 //!   land a fixed delay ahead, so their keys go through FIFO queue lanes
-//!   (O(1) schedule and pop); lifecycle draws, crashes and the lazy
-//!   timeouts, whose delays vary, go to the ordering core.
+//!   (O(1) schedule and pop).  The initial arrival wave is sorted once and
+//!   filed in the refresh lane ([`EventQueue::schedule_batch`]); later
+//!   lifecycle draws, crashes and the lazy timeouts, whose delays vary, go
+//!   to the ordering core.
 //! * **Churn.**  Sessions alternate between alive (exponential lifetime
 //!   `1/λ_r`, the paper's removal process) and vacant (exponential vacancy,
 //!   [`NodeConfig::mean_vacancy`]); each departure schedules the next
@@ -208,8 +210,8 @@ impl NodeConfig {
         self
     }
 
-    /// Validates parameters, horizon, vacancy and the fault schedule.
-    /// (Spec *coherence* is the spec builder's concern — see
+    /// Validates parameters, horizon, vacancy, session count and the fault
+    /// schedule.  (Spec *coherence* is the spec builder's concern — see
     /// [`ProtocolSpec::validate`].)
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.params.validate()?;
@@ -218,7 +220,10 @@ impl NodeConfig {
             return Err(ConfigError::NonPositiveHorizon);
         }
         if self.mean_vacancy <= 0.0 || !self.mean_vacancy.is_finite() {
-            return Err(ConfigError::NonPositiveRemovalRate);
+            return Err(ConfigError::NonPositiveVacancy);
+        }
+        if u32::try_from(self.sessions).is_err() {
+            return Err(ConfigError::TooManySessions(self.sessions));
         }
         self.faults
             .validate()
@@ -371,8 +376,9 @@ pub struct NodeSim {
     rng: SimRng,
     queue: EventQueue<Event>,
     /// Queue lanes of the fixed-interval timers and link deliveries, whose
-    /// keys arrive in time order (see [`EventQueue::lane`]).  Lifecycle
-    /// draws, crashes and lazy timeouts go to the queue's ordering core.
+    /// keys arrive in time order (see [`EventQueue::lane`]).  The refresh
+    /// lane also carries the initial arrival wave.  Later lifecycle draws,
+    /// crashes and lazy timeouts go to the queue's ordering core.
     refresh_lane: Lane,
     retrans_lane: Lane,
     delivery_lane: Lane,
@@ -427,9 +433,13 @@ impl NodeSim {
         #[allow(clippy::disallowed_methods)]
         let t0 = Instant::now(); // sigtidy: allow(wall-clock) — setup-phase telemetry
         let n = cfg.sessions;
+        // Hard assert, like the event slab's: events carry the session index
+        // as a `u32`, so a larger node would silently simulate `n mod 2³²`.
+        assert!(u32::try_from(n).is_ok(), "more sessions than u32::MAX");
         // The ordering core holds one lifecycle event per session and at
         // most one timeout or detector timer per session; refresh,
-        // retransmission and delivery keys ride the lanes.
+        // retransmission and delivery keys ride the lanes.  Its empty key
+        // buffer is also where the arrival wave is sorted.
         let mut queue = EventQueue::with_capacity_and_kind(2 * n + 8, cfg.queue_kind);
         let dead_probe = queue.schedule_at(SimTime::ZERO, Event::Arrive(u32::MAX));
         queue.pop();
@@ -474,11 +484,17 @@ impl NodeSim {
             events_processed: 0,
             phase: PhaseTimings::default(),
         };
-        for i in 0..n as u32 {
-            let at = sim.rng.uniform_range(0.0, sim.cfg.params.refresh_timer);
-            sim.queue
-                .schedule_at(SimTime::from_secs(at), Event::Arrive(i));
-        }
+        // The wave is drawn in session order and filed in time order through
+        // the refresh lane: each arrival arms its refresh a full interval
+        // later, behind every arrival, so the refreshes queue in the same
+        // lane as the wave drains.
+        let refresh_timer = sim.cfg.params.refresh_timer;
+        let rng = &mut sim.rng;
+        sim.queue.schedule_batch(
+            sim.refresh_lane,
+            (0..n).map(|_| SimTime::from_secs(rng.uniform_range(0.0, refresh_timer))),
+            |i| Event::Arrive(i as u32),
+        );
         let clock = sim.faults;
         for (at, policy) in clock.crashes() {
             sim.queue
@@ -1329,10 +1345,35 @@ mod tests {
         let cfg = quick_config(Protocol::Ss, 10);
         cfg.validate().unwrap();
         assert!(cfg.with_horizon(0.0).validate().is_err());
-        assert!(cfg.with_mean_vacancy(0.0).validate().is_err());
-        assert!(cfg.with_mean_vacancy(f64::INFINITY).validate().is_err());
+        for vacancy in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                cfg.with_mean_vacancy(vacancy).validate(),
+                Err(ConfigError::NonPositiveVacancy),
+                "{vacancy}"
+            );
+        }
+        assert_eq!(
+            ConfigError::NonPositiveVacancy.to_string(),
+            "mean vacancy must be positive and finite"
+        );
+        let mut huge = cfg;
+        huge.sessions = u32::MAX as usize;
+        huge.validate().unwrap();
+        huge.sessions += 1;
+        assert_eq!(
+            huge.validate(),
+            Err(ConfigError::TooManySessions(huge.sessions))
+        );
         // Sessions clamp to at least one.
         assert_eq!(NodeConfig::new(Protocol::Ss, churn_params(), 0).sessions, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "more sessions than u32::MAX")]
+    fn a_node_past_u32_sessions_is_refused_before_allocating() {
+        let mut cfg = quick_config(Protocol::Ss, 1);
+        cfg.sessions = u32::MAX as usize + 1;
+        NodeSim::new(cfg, 1);
     }
 
     #[test]

@@ -101,6 +101,13 @@ impl Lanes {
             + self.lanes.capacity() * std::mem::size_of::<LaneState>()
     }
 
+    /// Whether `lane` names a lane of this queue that holds no key.
+    pub(crate) fn is_empty_lane(&self, lane: u32) -> bool {
+        self.lanes
+            .get(lane as usize)
+            .is_some_and(|state| state.len == 0)
+    }
+
     /// Appends `key` to lane `lane` if its rank is above the lane's last
     /// rank.  Returns `false`, holding nothing, when the key would break the
     /// lane's order or `lane` names no lane of this queue.

@@ -36,6 +36,10 @@
 //!   top and the lane heads.  A key that would break its lane's order goes
 //!   to the core instead, so the delivered order never depends on the
 //!   caller (see `lanes.rs`).
+//! * **Batches sorted once.**  [`EventQueue::schedule_batch`] files many
+//!   events at once: into an empty heap queue it sorts them in the core's
+//!   own key buffer and appends them to a lane, so a wave of 10⁶ random
+//!   times costs one sort instead of 10⁶ sifts in and out of a cold heap.
 
 use crate::calendar::CalendarCore;
 use crate::lanes::Lanes;
@@ -538,7 +542,9 @@ enum Head {
 /// scheduled through a lane in non-decreasing time order are appended and
 /// popped in O(1).  `pop` and `peek_time` take the minimum over the core's
 /// top and every lane head, so the delivered sequence is the same as if
-/// every key had gone to the core.
+/// every key had gone to the core.  [`EventQueue::schedule_batch`] sorts a
+/// batch of events in arbitrary time order into a lane, delivering them as
+/// one `schedule_at` each would.
 ///
 /// The `seq` tie-breaker and [`EventQueue::popped_count`] are `u64`, so
 /// multi-day runs popping 10¹⁰⁺ events cannot wrap them; pre-size with
@@ -714,6 +720,61 @@ impl<E> EventQueue<E> {
     /// `delay`, every key fits the lane.
     pub fn schedule_in_lane(&mut self, lane: Lane, delay: f64, event: E) -> EventId {
         self.schedule_at_lane(lane, self.now.after(delay), event)
+    }
+
+    /// Schedules a batch of events: event `i` at the `i`-th time `times`
+    /// yields, with payload `event(i)`.  Every event is delivered exactly as
+    /// if each had been scheduled with [`EventQueue::schedule_at`] in index
+    /// order: by time, ties by index, and before or after any other event
+    /// as that loop would have put it.  `len`, `popped_count` and
+    /// `cancelled_backlog` match that loop's too.
+    ///
+    /// When the heap core and `lane` are both empty, the batch is sorted by
+    /// `(time, index)` in the core's own key buffer and appended to `lane`
+    /// in that order, handing out sequence numbers and payload slots in
+    /// firing order: one sort, then O(1) per key to file and to pop, where
+    /// `schedule_at` would push every key into the core and later sift it
+    /// out.  Otherwise (a non-empty core or lane, or the calendar core,
+    /// which keeps no flat key buffer) it runs that `schedule_at` loop.
+    ///
+    /// `times` is consumed in index order.  `event` is called once per
+    /// index, in no particular order, so it should depend on the index
+    /// alone.  The batch's ids are not returned; schedule an event on its
+    /// own to be able to cancel it.
+    pub fn schedule_batch<T>(&mut self, lane: Lane, times: T, mut event: impl FnMut(usize) -> E)
+    where
+        T: IntoIterator<Item = SimTime>,
+    {
+        let mut batch = match &mut self.keys {
+            KeyStore::Heap(core) if core.len() == 0 && self.lanes.is_empty_lane(lane.0) => {
+                std::mem::take(&mut core.heap)
+            }
+            _ => {
+                for (index, time) in times.into_iter().enumerate() {
+                    self.schedule_at(time, event(index));
+                }
+                return;
+            }
+        };
+        // Until a key is filed, its `seq` holds the event's index.
+        batch.extend(times.into_iter().enumerate().map(|(index, time)| HeapKey {
+            time: self.not_before_now(time),
+            seq: index as u64,
+            slot: 0,
+            generation: 0,
+        }));
+        batch.sort_unstable_by_key(HeapKey::rank);
+        for sorted in &batch {
+            let key = self.store(sorted.time, event(sorted.seq as usize));
+            // Ranks rise strictly along the sorted batch, so an empty lane
+            // takes every key; a refused one would be lost.
+            let filed = self.lanes.push(lane.0, key);
+            assert!(filed, "a sorted batch fits an empty lane");
+        }
+        batch.clear();
+        if let KeyStore::Heap(core) = &mut self.keys {
+            core.heap = batch;
+        }
     }
 
     /// Stores `event` in a slot and returns its key, with `time` clamped to
@@ -1428,6 +1489,69 @@ mod tests {
         assert_eq!(std::mem::size_of::<HeapKey>(), 24);
     }
 
+    /// The id of the pending event carrying `payload`.
+    fn id_of(q: &EventQueue<u32>, payload: u32) -> EventId {
+        let (slot, held) = q
+            .slots
+            .iter()
+            .enumerate()
+            .find(|(_, held)| held.event == Some(payload))
+            .expect("the payload is pending");
+        EventId {
+            slot: slot as u32,
+            generation: held.generation,
+        }
+    }
+
+    /// Schedules `times` as one batch in `q` and with one `schedule_at` per
+    /// event in `plain`, with payloads counting up from `next`, and records
+    /// each event's id in both queues.
+    fn batch_both(
+        q: &mut EventQueue<u32>,
+        plain: &mut EventQueue<u32>,
+        lane: Lane,
+        times: &[SimTime],
+        next: &mut u32,
+        ids: &mut Vec<(EventId, EventId)>,
+    ) {
+        let first = *next;
+        q.schedule_batch(lane, times.iter().copied(), |i| first + i as u32);
+        for &time in times {
+            ids.push((id_of(q, *next), plain.schedule_at(time, *next)));
+            *next += 1;
+        }
+    }
+
+    #[test]
+    fn a_batch_into_an_empty_heap_queue_is_filed_in_its_lane_in_time_order() {
+        let mut q = EventQueue::new();
+        let lane = q.lane();
+        let times = [3.0, 1.0, 2.0, 1.0, 0.5].map(SimTime::from_secs);
+        q.schedule_batch(lane, times, |i| i);
+        assert_eq!((q.keys.len(), q.lanes.len(), q.len()), (0, 5, 5));
+        // Ties pop by index; slots and sequence numbers were handed out in
+        // firing order, so the pops walk the slab from its start.
+        let popped: Vec<(f64, usize, u32)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.time.as_secs(), e.event, e.id.slot))
+            .collect();
+        assert_eq!(
+            popped,
+            [
+                (0.5, 4, 0),
+                (1.0, 1, 1),
+                (1.0, 3, 2),
+                (2.0, 2, 3),
+                (3.0, 0, 4)
+            ]
+        );
+        // The core's key buffer, borrowed for the sort, is back and empty.
+        assert!(q.keys.capacity() >= 5 && unsorted(&q));
+        // A queue whose lane already holds a key schedules one by one.
+        q.schedule_in_lane(lane, 1.0, 9);
+        q.schedule_batch(lane, times, |i| i);
+        assert_eq!((q.keys.len(), q.lanes.len()), (5, 1));
+    }
+
     /// A straightforward reference model: a `Vec` of `(time, seq, payload)`
     /// scanned for the minimum on every pop.
     struct ReferenceModel {
@@ -1890,6 +2014,108 @@ mod tests {
                     }
                 }
                 prop_assert_eq!((q.cancelled_backlog(), plain.cancelled_backlog()), (0, 0));
+            }
+        }
+
+        #[test]
+        fn prop_schedule_batch_matches_one_schedule_at_per_event(
+            before in proptest::collection::vec((0u8..3, 0u8..40), 0..6),
+            wave in proptest::collection::vec(0u8..40, 0..160),
+            ops in proptest::collection::vec((0u8..10, 0u8..40, 0u32..1024), 0..200),
+        ) {
+            // Each run batches the same times into one queue and schedules
+            // them one `schedule_at` at a time into another.  Times sit on
+            // a half-second grid, so batches hold ties.  The events before
+            // the batch may leave keys in the core or the lane (the
+            // one-by-one fallback) or advance the clock past early batch
+            // times (clamped to now).  Afterwards come schedules, cancels
+            // of batch and other ids, pops, bounded pops, peeks, clears and
+            // further batches, with the queues compared after every step.
+            let at = |t: u8| SimTime::from_secs(t as f64 * 0.5);
+            for kind in KINDS {
+                let mut q = EventQueue::with_kind(kind);
+                let mut plain = EventQueue::with_kind(kind);
+                let lane = q.lane();
+                prop_assert_eq!(plain.lane(), lane);
+                let mut next = 0u32;
+                let mut ids: Vec<(EventId, EventId)> = Vec::new();
+                for &(op, t) in &before {
+                    match op {
+                        0 => ids.push((q.schedule_at(at(t), next), plain.schedule_at(at(t), next))),
+                        1 => ids.push((
+                            q.schedule_at_lane(lane, at(t), next),
+                            plain.schedule_at_lane(lane, at(t), next),
+                        )),
+                        _ => prop_assert_eq!(
+                            q.pop().map(|e| (e.time, e.event)),
+                            plain.pop().map(|e| (e.time, e.event))
+                        ),
+                    }
+                    next += 1;
+                }
+                let sorts = kind == QueueKind::Heap && q.keys.len() == 0 && q.lanes.len() == 0;
+                let times: Vec<SimTime> = wave.iter().map(|&t| at(t)).collect();
+                batch_both(&mut q, &mut plain, lane, &times, &mut next, &mut ids);
+                if sorts {
+                    prop_assert_eq!((q.keys.len(), q.lanes.len()), (0, times.len()));
+                }
+                for &(op, t, pick) in &ops {
+                    match op {
+                        0 => {
+                            ids.push((q.schedule_at(at(t), next), plain.schedule_at(at(t), next)));
+                            next += 1;
+                        }
+                        1 => {
+                            ids.push((
+                                q.schedule_in_lane(lane, 1.0, next),
+                                plain.schedule_in_lane(lane, 1.0, next),
+                            ));
+                            next += 1;
+                        }
+                        2 | 3 => {
+                            if !ids.is_empty() {
+                                let (a, b) = ids[pick as usize % ids.len()];
+                                prop_assert_eq!(q.cancel(a), plain.cancel(b));
+                            }
+                        }
+                        4 | 5 => prop_assert_eq!(
+                            q.pop().map(|e| (e.time, e.event)),
+                            plain.pop().map(|e| (e.time, e.event))
+                        ),
+                        6 => {
+                            let limit = q.now().after(t as f64 / 8.0);
+                            prop_assert_eq!(
+                                q.pop_until(limit).map(|e| (e.time, e.event)),
+                                plain.pop_until(limit).map(|e| (e.time, e.event))
+                            );
+                        }
+                        7 => prop_assert_eq!(q.peek_time(), plain.peek_time()),
+                        8 => {
+                            let times: Vec<SimTime> =
+                                (0..pick % 24).map(|j| at((t as u32 + 7 * j) as u8 % 40)).collect();
+                            batch_both(&mut q, &mut plain, lane, &times, &mut next, &mut ids);
+                        }
+                        _ => {
+                            if pick % 4 == 0 {
+                                q.clear();
+                                plain.clear();
+                            }
+                        }
+                    }
+                    prop_assert_eq!(q.len(), plain.len());
+                    prop_assert_eq!(q.cancelled_backlog(), plain.cancelled_backlog());
+                    prop_assert_eq!(q.now(), plain.now());
+                    prop_assert_eq!(q.popped_count(), plain.popped_count());
+                }
+                loop {
+                    let got = q.pop().map(|e| (e.time, e.event));
+                    prop_assert_eq!(got, plain.pop().map(|e| (e.time, e.event)), "drain under {}", kind);
+                    if got.is_none() {
+                        break;
+                    }
+                }
+                prop_assert_eq!(q.popped_count(), plain.popped_count());
+                prop_assert_eq!(q.cancelled_backlog(), 0);
             }
         }
 
