@@ -42,6 +42,9 @@ pub enum ConfigError {
     NonPositiveWeight(f64),
     /// A node's mean vacancy between sessions is not positive and finite.
     NonPositiveVacancy,
+    /// A node has no session slots (a struct literal bypassing
+    /// `NodeConfig::new`'s floor of one).
+    NoSessions,
     /// A node has more session slots than its `u32` session indices can
     /// name.
     TooManySessions(usize),
@@ -88,6 +91,7 @@ impl fmt::Display for ConfigError {
             ConfigError::NonPositiveVacancy => {
                 write!(f, "mean vacancy must be positive and finite")
             }
+            ConfigError::NoSessions => write!(f, "a node needs at least one session"),
             ConfigError::TooManySessions(n) => {
                 write!(f, "{n} sessions exceed the limit of {}", u32::MAX)
             }

@@ -23,6 +23,15 @@
 //!   filed in the refresh lane ([`EventQueue::schedule_batch`]); later
 //!   lifecycle draws, crashes and the lazy timeouts, whose delays vary, go
 //!   to the ordering core.
+//! * **Phase-ordered sessions.**  Sessions are numbered in the order the
+//!   wave delivers them: session 0 arrives first.  Each refresh fires a
+//!   fixed interval after its session's install, so the refresh stream,
+//!   and the deliveries and timeouts it drives, walk the session slab
+//!   front to back, where the hardware prefetcher hides the cache misses
+//!   of a slab far larger than cache.  Churn re-draws a session's phase
+//!   once per lifetime and vacancy, so the sweep decays slowly back to a
+//!   random walk.  The numbering is a permutation of labels: no draw and
+//!   no delivered `(time, seq)` changes, and no aggregate depends on it.
 //! * **Churn.**  Sessions alternate between alive (exponential lifetime
 //!   `1/λ_r`, the paper's removal process) and vacant (exponential vacancy,
 //!   [`NodeConfig::mean_vacancy`]); each departure schedules the next
@@ -221,6 +230,9 @@ impl NodeConfig {
         }
         if self.mean_vacancy <= 0.0 || !self.mean_vacancy.is_finite() {
             return Err(ConfigError::NonPositiveVacancy);
+        }
+        if self.sessions == 0 {
+            return Err(ConfigError::NoSessions);
         }
         if u32::try_from(self.sessions).is_err() {
             return Err(ConfigError::TooManySessions(self.sessions));
@@ -484,10 +496,11 @@ impl NodeSim {
             events_processed: 0,
             phase: PhaseTimings::default(),
         };
-        // The wave is drawn in session order and filed in time order through
-        // the refresh lane: each arrival arms its refresh a full interval
-        // later, behind every arrival, so the refreshes queue in the same
-        // lane as the wave drains.
+        // The wave is drawn in one go and filed in time order through the
+        // refresh lane: each arrival arms its refresh a full interval later,
+        // behind every arrival, so the refreshes queue in the same lane as
+        // the wave drains.  The batch numbers its events in firing order,
+        // so session `k` is the `k`-th to arrive and to refresh.
         let refresh_timer = sim.cfg.params.refresh_timer;
         let rng = &mut sim.rng;
         sim.queue.schedule_batch(
@@ -1364,8 +1377,14 @@ mod tests {
             huge.validate(),
             Err(ConfigError::TooManySessions(huge.sessions))
         );
-        // Sessions clamp to at least one.
+        // Sessions clamp to at least one; a literal with none is refused.
         assert_eq!(NodeConfig::new(Protocol::Ss, churn_params(), 0).sessions, 1);
+        let empty = NodeConfig { sessions: 0, ..cfg };
+        assert_eq!(empty.validate(), Err(ConfigError::NoSessions));
+        assert_eq!(
+            ConfigError::NoSessions.to_string(),
+            "a node needs at least one session"
+        );
     }
 
     #[test]
@@ -1374,6 +1393,36 @@ mod tests {
         let mut cfg = quick_config(Protocol::Ss, 1);
         cfg.sessions = u32::MAX as usize + 1;
         NodeSim::new(cfg, 1);
+    }
+
+    #[test]
+    fn sessions_are_numbered_in_arrival_order_so_refreshes_sweep_the_slab() {
+        // Lifetimes far beyond the run: no session departs and re-arrives
+        // inside the rounds watched here.
+        let params = SingleHopParams::kazaa_defaults().with_mean_lifetime(1e9);
+        let sessions = 4096;
+        let first_round_end = SimTime::from_secs(2.0 * params.refresh_timer);
+        for kind in [QueueKind::Heap, QueueKind::Calendar] {
+            for phase in [RefreshPhase::Staggered, RefreshPhase::Aligned] {
+                let cfg = NodeConfig::new(Protocol::Ss, params, sessions)
+                    .with_queue_kind(kind)
+                    .with_refresh_phase(phase);
+                let mut sim = NodeSim::new(cfg, 2003);
+                let (mut arrivals, mut refreshes) = (Vec::new(), Vec::new());
+                while sim.queue.peek_time().is_some_and(|t| t < first_round_end) {
+                    let e = sim.queue.pop().expect("an event is pending");
+                    match e.event {
+                        Event::Arrive(i) => arrivals.push(i),
+                        Event::RefreshFire(i) => refreshes.push(i),
+                        _ => {}
+                    }
+                    sim.handle(e.time, e.id, e.event);
+                }
+                let in_order: Vec<u32> = (0..sessions as u32).collect();
+                assert_eq!(arrivals, in_order, "{kind} {phase:?}");
+                assert_eq!(refreshes, in_order, "{kind} {phase:?}");
+            }
+        }
     }
 
     #[test]

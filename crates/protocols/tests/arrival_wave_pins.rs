@@ -98,3 +98,46 @@ fn the_warm_up_past_the_wave_is_pinned() {
         );
     }
 }
+
+/// The same warm-up at 10⁵ sessions, past every cache: the wave's session
+/// numbering decides which slab slot each event touches, never which event
+/// fires next, so every count and aggregate here is label-blind.
+#[test]
+fn the_warm_up_of_an_out_of_cache_node_is_pinned() {
+    let params = SingleHopParams::kazaa_defaults().with_mean_lifetime(600.0);
+    let sessions = 100_000;
+    for kind in KINDS {
+        let cfg = NodeConfig::new(Protocol::Ss, params, sessions).with_queue_kind(kind);
+        let mut sim = NodeSim::new(cfg, 2003);
+        assert_eq!(sim.step_events(4 * sessions as u64), 4 * sessions as u64);
+        assert_eq!(sim.events_processed(), 400_000, "{kind}");
+        assert_eq!(sim.pending_events(), 299_323, "{kind}");
+        let m = sim.metrics();
+        assert_eq!(
+            (
+                m.messages.trigger,
+                m.messages.refresh,
+                m.messages.signaling_total()
+            ),
+            (100_037, 101_643, 201_680),
+            "{kind}"
+        );
+        assert_eq!(format!("{m:?}"), PIN_OUT_OF_CACHE, "{kind}");
+    }
+}
+
+const PIN_OUT_OF_CACHE: &str = concat!(
+    "NodeMetrics { sessions: 100000, horizon: 120.0, ",
+    "events_processed: 400000, ",
+    "messages: MessageCounts { trigger: 100037, refresh: 101643, ",
+    "removal: 0, trigger_ack: 0, refresh_ack: 0, removal_ack: 0, ",
+    "removal_notice: 0, external_signal: 0 }, ",
+    "refresh_rate: 847.025, message_rate: 1680.6666666666667, ",
+    "bandwidth_bytes_per_sec: 107562.66666666667, ",
+    "peak_bandwidth_bytes_per_sec: 1295680.0, ",
+    "stale_fraction: 0.011524854717118565, false_removals: 0, ",
+    "false_removal_rate: 0.0, ",
+    "mean_active: 96762.5453751576, mean_held: 97746.20980566471, ",
+    "drops_random: 4018, drops_injected: 0, drops_overload: 0, ",
+    "crash_wipes: 0 }",
+);

@@ -40,6 +40,8 @@
 //!   events at once: into an empty heap queue it sorts them in the core's
 //!   own key buffer and appends them to a lane, so a wave of 10⁶ random
 //!   times costs one sort instead of 10⁶ sifts in and out of a cold heap.
+//!   It numbers the payloads in firing order, so entities named by them
+//!   are laid out in the order their events fire.
 
 use crate::calendar::CalendarCore;
 use crate::lanes::Lanes;
@@ -544,7 +546,7 @@ enum Head {
 /// top and every lane head, so the delivered sequence is the same as if
 /// every key had gone to the core.  [`EventQueue::schedule_batch`] sorts a
 /// batch of events in arbitrary time order into a lane, delivering them as
-/// one `schedule_at` each would.
+/// one `schedule_at` each would, with payloads numbered in firing order.
 ///
 /// The `seq` tie-breaker and [`EventQueue::popped_count`] are `u64`, so
 /// multi-day runs popping 10¹⁰⁺ events cannot wrap them; pre-size with
@@ -722,25 +724,29 @@ impl<E> EventQueue<E> {
         self.schedule_at_lane(lane, self.now.after(delay), event)
     }
 
-    /// Schedules a batch of events: event `i` at the `i`-th time `times`
-    /// yields, with payload `event(i)`.  Every event is delivered exactly as
-    /// if each had been scheduled with [`EventQueue::schedule_at`] in index
-    /// order: by time, ties by index, and before or after any other event
-    /// as that loop would have put it.  `len`, `popped_count` and
-    /// `cancelled_backlog` match that loop's too.
+    /// Schedules a batch of events, the `i`-th at the `i`-th time `times`
+    /// yields, and gives the `k`-th of them to be delivered the payload
+    /// `event(k)`.  Delivery order is by time, ties by index, and before
+    /// or after any other event exactly as one [`EventQueue::schedule_at`]
+    /// per event in index order would put it; `len`, `popped_count` and
+    /// `cancelled_backlog` match that loop's too.  Only which payload rides
+    /// which time differs from that loop: payloads are numbered in delivery
+    /// order, so a caller that names its entities by `k` numbers them in
+    /// the order the batch fires.
     ///
-    /// When the heap core and `lane` are both empty, the batch is sorted by
-    /// `(time, index)` in the core's own key buffer and appended to `lane`
-    /// in that order, handing out sequence numbers and payload slots in
-    /// firing order: one sort, then O(1) per key to file and to pop, where
-    /// `schedule_at` would push every key into the core and later sift it
-    /// out.  Otherwise (a non-empty core or lane, or the calendar core,
-    /// which keeps no flat key buffer) it runs that `schedule_at` loop.
+    /// The batch is sorted once by `(time, index)`, with times clamped to
+    /// now.  When the heap core and `lane` are both empty, the sort runs in
+    /// the core's own key buffer and the keys are appended to `lane`,
+    /// handing out sequence numbers and payload slots in firing order: one
+    /// sort, then O(1) per key to file and to pop, where `schedule_at`
+    /// would push every key into the core and later sift it out.
+    /// Otherwise (a non-empty core or lane, or the calendar core, which
+    /// keeps no flat key buffer) the batch is sorted in a buffer of its own
+    /// and scheduled with `schedule_at` in sorted order.
     ///
-    /// `times` is consumed in index order.  `event` is called once per
-    /// index, in no particular order, so it should depend on the index
-    /// alone.  The batch's ids are not returned; schedule an event on its
-    /// own to be able to cancel it.
+    /// `times` is consumed in index order and `event` is called for
+    /// `k = 0, 1, …` in turn.  The batch's ids are not returned; schedule
+    /// an event on its own to be able to cancel it.
     pub fn schedule_batch<T>(&mut self, lane: Lane, times: T, mut event: impl FnMut(usize) -> E)
     where
         T: IntoIterator<Item = SimTime>,
@@ -750,22 +756,15 @@ impl<E> EventQueue<E> {
                 std::mem::take(&mut core.heap)
             }
             _ => {
-                for (index, time) in times.into_iter().enumerate() {
-                    self.schedule_at(time, event(index));
+                for (k, sorted) in self.sorted(Vec::new(), times).iter().enumerate() {
+                    self.schedule_at(sorted.time, event(k));
                 }
                 return;
             }
         };
-        // Until a key is filed, its `seq` holds the event's index.
-        batch.extend(times.into_iter().enumerate().map(|(index, time)| HeapKey {
-            time: self.not_before_now(time),
-            seq: index as u64,
-            slot: 0,
-            generation: 0,
-        }));
-        batch.sort_unstable_by_key(HeapKey::rank);
-        for sorted in &batch {
-            let key = self.store(sorted.time, event(sorted.seq as usize));
+        batch = self.sorted(batch, times);
+        for (k, sorted) in batch.iter().enumerate() {
+            let key = self.store(sorted.time, event(k));
             // Ranks rise strictly along the sorted batch, so an empty lane
             // takes every key; a refused one would be lost.
             let filed = self.lanes.push(lane.0, key);
@@ -775,6 +774,23 @@ impl<E> EventQueue<E> {
         if let KeyStore::Heap(core) = &mut self.keys {
             core.heap = batch;
         }
+    }
+
+    /// `batch` with one key per time appended, clamped to now, and sorted
+    /// by `(time, index)`.  Until a key is filed, its `seq` holds the
+    /// event's index.
+    fn sorted<T>(&self, mut batch: Vec<HeapKey>, times: T) -> Vec<HeapKey>
+    where
+        T: IntoIterator<Item = SimTime>,
+    {
+        batch.extend(times.into_iter().enumerate().map(|(index, time)| HeapKey {
+            time: self.not_before_now(time),
+            seq: index as u64,
+            slot: 0,
+            generation: 0,
+        }));
+        batch.sort_unstable_by_key(HeapKey::rank);
+        batch
     }
 
     /// Stores `event` in a slot and returns its key, with `time` clamped to
@@ -1503,9 +1519,11 @@ mod tests {
         }
     }
 
-    /// Schedules `times` as one batch in `q` and with one `schedule_at` per
-    /// event in `plain`, with payloads counting up from `next`, and records
-    /// each event's id in both queues.
+    /// Schedules `times` as one batch in `q` and records each event's id in
+    /// `q` and in `plain`, the reference, which gets one `schedule_at` per
+    /// event in index order.  Payloads count up from `next` in delivery
+    /// order: the event with the `k`-th smallest `(time clamped to now,
+    /// index)` carries `next + k` in both queues.
     fn batch_both(
         q: &mut EventQueue<u32>,
         plain: &mut EventQueue<u32>,
@@ -1515,11 +1533,18 @@ mod tests {
         ids: &mut Vec<(EventId, EventId)>,
     ) {
         let first = *next;
-        q.schedule_batch(lane, times.iter().copied(), |i| first + i as u32);
-        for &time in times {
-            ids.push((id_of(q, *next), plain.schedule_at(time, *next)));
-            *next += 1;
+        q.schedule_batch(lane, times.iter().copied(), |k| first + k as u32);
+        let clamped = |i: usize| times[i].as_secs().max(plain.now().as_secs());
+        let mut by_delivery: Vec<usize> = (0..times.len()).collect();
+        by_delivery.sort_by(|&a, &b| clamped(a).total_cmp(&clamped(b)).then(a.cmp(&b)));
+        let mut payload = vec![0; times.len()];
+        for (k, &index) in by_delivery.iter().enumerate() {
+            payload[index] = first + k as u32;
         }
+        for (&time, &payload) in times.iter().zip(&payload) {
+            ids.push((id_of(q, payload), plain.schedule_at(time, payload)));
+        }
+        *next += times.len() as u32;
     }
 
     #[test]
@@ -1527,29 +1552,60 @@ mod tests {
         let mut q = EventQueue::new();
         let lane = q.lane();
         let times = [3.0, 1.0, 2.0, 1.0, 0.5].map(SimTime::from_secs);
-        q.schedule_batch(lane, times, |i| i);
+        let mut calls = Vec::new();
+        q.schedule_batch(lane, times, |k| {
+            calls.push(k);
+            k
+        });
+        assert_eq!(calls, [0, 1, 2, 3, 4]);
         assert_eq!((q.keys.len(), q.lanes.len(), q.len()), (0, 5, 5));
-        // Ties pop by index; slots and sequence numbers were handed out in
-        // firing order, so the pops walk the slab from its start.
+        // Payloads are numbered in firing order, and slots and sequence
+        // numbers were handed out in that order too, so the pops walk the
+        // slab from its start.
         let popped: Vec<(f64, usize, u32)> = std::iter::from_fn(|| q.pop())
             .map(|e| (e.time.as_secs(), e.event, e.id.slot))
             .collect();
         assert_eq!(
             popped,
             [
-                (0.5, 4, 0),
+                (0.5, 0, 0),
                 (1.0, 1, 1),
-                (1.0, 3, 2),
-                (2.0, 2, 3),
-                (3.0, 0, 4)
+                (1.0, 2, 2),
+                (2.0, 3, 3),
+                (3.0, 4, 4)
             ]
         );
         // The core's key buffer, borrowed for the sort, is back and empty.
         assert!(q.keys.capacity() >= 5 && unsorted(&q));
-        // A queue whose lane already holds a key schedules one by one.
+        // A queue whose lane already holds a key sorts the batch and files
+        // it in the core, still numbered in firing order and behind the
+        // earlier key at a tied time; so does the calendar core.
+        let later = times.map(|t| t.after(3.0));
         q.schedule_in_lane(lane, 1.0, 9);
-        q.schedule_batch(lane, times, |i| i);
+        q.schedule_batch(lane, later, |k| k);
         assert_eq!((q.keys.len(), q.lanes.len()), (5, 1));
+        let mut calendar = EventQueue::with_kind(QueueKind::Calendar);
+        let calendar_lane = calendar.lane();
+        calendar.schedule_batch(calendar_lane, times, |k| k);
+        calendar.pop_until(SimTime::from_secs(3.0));
+        calendar.pop_until(SimTime::from_secs(3.0));
+        calendar.schedule_batch(calendar_lane, [0.5, 0.0].map(SimTime::from_secs), |k| k + 5);
+        calendar.schedule_at(SimTime::from_secs(4.0), 9);
+        calendar.schedule_batch(calendar_lane, later, |k| k);
+        assert_eq!(calendar.keys.len(), 11);
+        let popped = |q: &mut EventQueue<usize>| -> Vec<(f64, usize)> {
+            std::iter::from_fn(|| q.pop())
+                .map(|e| (e.time.as_secs(), e.event))
+                .collect()
+        };
+        let want = [(3.5, 0), (4.0, 9), (4.0, 1), (4.0, 2), (5.0, 3), (6.0, 4)];
+        assert_eq!(popped(&mut q), want);
+        // Two of the calendar's first batch fired; its clamped second batch
+        // (both times past) fires at 1.0 in index order, behind the first
+        // batch's tied key.
+        let mut calendar_want = vec![(1.0, 2), (1.0, 5), (1.0, 6), (2.0, 3), (3.0, 4)];
+        calendar_want.extend(want);
+        assert_eq!(popped(&mut calendar), calendar_want);
     }
 
     /// A straightforward reference model: a `Vec` of `(time, seq, payload)`
@@ -2024,8 +2080,9 @@ mod tests {
             ops in proptest::collection::vec((0u8..10, 0u8..40, 0u32..1024), 0..200),
         ) {
             // Each run batches the same times into one queue and schedules
-            // them one `schedule_at` at a time into another.  Times sit on
-            // a half-second grid, so batches hold ties.  The events before
+            // them one `schedule_at` at a time into another, both with
+            // payloads numbered in delivery order (`batch_both`).  Times
+            // sit on a half-second grid, so batches hold ties.  The events before
             // the batch may leave keys in the core or the lane (the
             // one-by-one fallback) or advance the clock past early batch
             // times (clamped to now).  Afterwards come schedules, cancels
