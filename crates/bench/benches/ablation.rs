@@ -11,7 +11,9 @@
 use criterion::{black_box, Criterion};
 use siganalytic::single_hop::transitions::{protocol_transitions, RateEntry, RateTable};
 use siganalytic::single_hop::SingleHopState;
-use signaling::{Campaign, Protocol, SessionConfig, SingleHopModel, SingleHopParams};
+use signaling::{
+    Campaign, ExecutionPolicy, Protocol, SessionConfig, SingleHopModel, SingleHopParams,
+};
 use signet::LossModel;
 
 fn solve(protocol: Protocol, params: SingleHopParams) -> (f64, f64) {
@@ -95,7 +97,7 @@ fn print_burst_loss_ablation() {
     };
     for protocol in Protocol::ALL {
         let independent = Campaign::new(SessionConfig::deterministic(protocol, params), 120, 7)
-            .parallel(true)
+            .execution(ExecutionPolicy::auto())
             .run()
             .inconsistency
             .mean;
@@ -104,7 +106,7 @@ fn print_burst_loss_ablation() {
             120,
             7,
         )
-        .parallel(true)
+        .execution(ExecutionPolicy::auto())
         .run()
         .inconsistency
         .mean;

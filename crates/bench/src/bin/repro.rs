@@ -235,7 +235,7 @@ fn main() {
         // and verify the symbolic bound dominates the measured
         // reconvergence time.
         let domination_start = Instant::now();
-        let domination = signaling::node_outage::check_latency_domination(
+        let domination = signaling::node_experiment::outage::check_latency_domination(
             &ExperimentOptions::quick()
                 .with_execution(args.execution)
                 .with_timing(args.timing)

@@ -13,6 +13,7 @@
 //! are composed entirely out of `signaling`'s public API, without touching
 //! any core source.
 
+pub use signaling::coherent_spectrum;
 use signaling::experiment::ExperimentOptions;
 use signaling::registry::{
     Experiment, ExperimentSpec, ProtocolRegistry, Registry, RegistryError, SpecKind, SweepTarget,
@@ -32,52 +33,6 @@ use signaling::{
 /// and `repro` with zero protocol-specific code.
 pub const SS_RR: ProtocolSpec =
     ProtocolSpec::soft_state("SS+RR").with_refresh(Some(RefreshMode::Reliable));
-
-/// Every *coherent* mechanism composition — the full hard/soft design space
-/// the `spec-spectrum` experiment charts — each under a distinct,
-/// mechanism-encoding label.
-///
-/// The label scheme packs one character per knob,
-/// `spec:<refresh><timeout><triggers><removal><notify>` with `-` for
-/// "absent/best-effort-less", `b` for best-effort, `r` for reliable, `t`/`n`
-/// for an enabled timeout/notification — e.g. pure soft state (the SS
-/// preset's mechanisms) is `spec:bt b--` written `spec:btb--`, and pure hard
-/// state is `spec:--rrn`.  The encoding is injective, so the set always
-/// passes [`signaling::registry::check_protocol_set`].
-pub fn coherent_spectrum() -> &'static [ProtocolSpec] {
-    use std::sync::OnceLock;
-    static SPECTRUM: OnceLock<Vec<ProtocolSpec>> = OnceLock::new();
-    SPECTRUM.get_or_init(|| {
-        ProtocolSpec::enumerate_all("spec")
-            .into_iter()
-            .filter(|spec| spec.validate().is_ok())
-            .map(|spec| spec.with_label(spectrum_label(&spec)))
-            .collect()
-    })
-}
-
-/// The injective `spec:<refresh><timeout><triggers><removal><notify>` label
-/// of one spectrum point (leaked once per distinct composition; the spectrum
-/// is computed a single time into a static).
-fn spectrum_label(spec: &ProtocolSpec) -> &'static str {
-    let refresh = match spec.refresh {
-        None => '-',
-        Some(RefreshMode::BestEffort) => 'b',
-        Some(RefreshMode::Reliable) => 'r',
-    };
-    let timeout = if spec.state_timeout { 't' } else { '-' };
-    let triggers = match spec.triggers {
-        signaling::Delivery::BestEffort => 'b',
-        signaling::Delivery::Reliable => 'r',
-    };
-    let removal = match spec.removal {
-        signaling::Removal::None => '-',
-        signaling::Removal::BestEffort => 'b',
-        signaling::Removal::Reliable => 'r',
-    };
-    let notify = if spec.notify_on_removal { 'n' } else { '-' };
-    Box::leak(format!("spec:{refresh}{timeout}{triggers}{removal}{notify}").into_boxed_str())
-}
 
 /// Options used by the benches: small simulation campaigns so `cargo bench`
 /// stays fast; the `repro` binary uses the full defaults instead.
@@ -139,8 +94,9 @@ pub fn protocol_registry() -> ProtocolRegistry {
 }
 
 /// Registers the non-paper experiments.  Every entry here is user-level
-/// composition: declarative [`ExperimentSpec`]s and a hand-written
-/// [`Experiment`] type, all built on public API only.
+/// composition: declarative [`ExperimentSpec`]s, a hand-written
+/// [`Experiment`] type and the node experiments' static rows
+/// ([`signaling::NODE_EXPERIMENTS`]), all built on public API only.
 pub fn register_extras(registry: &mut Registry) -> Result<(), RegistryError> {
     registry.register(
         ExperimentSpec::new(
@@ -195,14 +151,9 @@ pub fn register_extras(registry: &mut Registry) -> Result<(), RegistryError> {
         .tag("analytic"),
     )?;
     registry.register(ScenarioCostSweep)?;
-    registry.register(signaling::NodeScaleExperiment)?;
-    registry.register(signaling::NodeStormExperiment)?;
-    registry.register(signaling::NodeOutageExperiment::new(
-        coherent_spectrum().to_vec(),
-    ))?;
-    registry.register(signaling::NodeRestartStormExperiment::new(
-        coherent_spectrum().to_vec(),
-    ))?;
+    for row in signaling::NODE_EXPERIMENTS {
+        registry.register(row)?;
+    }
     Ok(())
 }
 
@@ -423,7 +374,7 @@ mod tests {
                 "spec:rtrrn",
             ]
         );
-        // The bench-local label encoder and the transition-table layer's
+        // The spectrum's label encoder and the transition-table layer's
         // mechanism code are independent implementations of the same
         // scheme; they must agree on every point.
         for spec in coherent_spectrum() {

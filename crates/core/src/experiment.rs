@@ -43,22 +43,24 @@ pub struct ExperimentOptions {
     /// how `repro --protocols` runs any figure over any design point.
     pub protocols: Option<Vec<ProtocolSpec>>,
     /// Print per-phase wall-clock breakdowns to stderr while running
-    /// (`repro --timing`).  Experiments with internal phases — the
-    /// node-scale simulation's schedule/fire/metrics split — report them
+    /// (`repro --timing`).  Experiments with internal phases — the node
+    /// tables' per-campaign schedule/fire/metrics split — report them
     /// under this flag; it never changes stdout output or any result.
     pub timing: bool,
-    /// Which loss process the node-scale simulations draw from
-    /// (`repro --loss`).  [`LossKind::Bernoulli`] is the paper's
+    /// Which loss process the node simulations draw from (`repro --loss`):
+    /// every `node`-tagged table.  [`LossKind::Bernoulli`] is the paper's
     /// independent-loss model; [`LossKind::GilbertElliott`] keeps the same
     /// mean loss but correlates it into bursts (see
     /// [`LossModel::bursty`](sigproto::LossModel::bursty)), probing how
     /// much of the protocol comparison survives a harsher channel.
     pub loss_kind: LossKind,
-    /// Which retransmission retry discipline the node-scale simulations
-    /// arm (`repro --retry`).  [`RetryKind::Fixed`] is the paper's fixed
-    /// interval `R`; the backoff and jittered kinds are the
-    /// overload-aware alternatives the `node-restart-storm` experiment
-    /// compares.
+    /// Which retransmission retry discipline the node simulations arm
+    /// (`repro --retry`): the `node-scale`, `node-storm` and `node-outage`
+    /// tables and the `repro check-specs` latency-domination cross-check.
+    /// [`RetryKind::Fixed`] is the paper's fixed interval `R`; the backoff
+    /// and jittered kinds are the overload-aware alternatives the
+    /// `node-restart-storm` table compares (it sweeps all three itself, so
+    /// this option does not apply to it).
     pub retry_kind: RetryKind,
 }
 

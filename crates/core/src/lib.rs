@@ -20,6 +20,9 @@
 //!   - [`experiment`] — the paper catalog (static rows that the registry
 //!     runs, resolved by name through the [`ExperimentId`] handle) and the
 //!     experiment sizing options,
+//!   - [`node_experiment`] — the population-scale node experiments
+//!     (`node-scale`, `node-storm`, `node-outage`, `node-restart-storm`),
+//!     static rows over one shared campaign path,
 //!   - [`compare`] — side-by-side analytic-vs-simulation comparisons
 //!     (the paper's Figures 11–12 methodology),
 //!   - [`report`] — plain-text / CSV / JSON rendering of experiment results.
@@ -44,10 +47,7 @@
 
 pub mod compare;
 pub mod experiment;
-pub mod node_outage;
-pub mod node_restart_storm;
-pub mod node_scale;
-pub mod node_storm;
+pub mod node_experiment;
 pub mod registry;
 pub mod report;
 
@@ -57,15 +57,98 @@ pub use compare::{
 pub use experiment::{
     ExperimentId, ExperimentOptions, ExperimentOutput, LossKind, Metric, RetryKind,
 };
-pub use node_outage::NodeOutageExperiment;
-pub use node_restart_storm::NodeRestartStormExperiment;
-pub use node_scale::NodeScaleExperiment;
-pub use node_storm::NodeStormExperiment;
+pub use node_experiment::restart_storm::NodeRestartStormExperiment;
+pub use node_experiment::NODE_EXPERIMENTS;
 pub use registry::{
-    check_protocol_set, Experiment, ExperimentSpec, ProtocolEntry, ProtocolRegistry,
-    ProtocolSetError, Registry, RegistryError, SpecError, SpecKind, SweepTarget,
+    check_protocol_set, coherent_spectrum, Experiment, ExperimentSpec, ProtocolEntry,
+    ProtocolRegistry, ProtocolSetError, Registry, RegistryError, SpecError, SpecKind, SweepTarget,
 };
 pub use report::{render_csv, render_json, render_table};
+
+/// `node-restart-storm`'s fault schedule, capacity model and constants.
+pub mod node_restart_storm {
+    pub use crate::node_experiment::restart_storm::*;
+
+    #[cfg(test)]
+    mod tests {
+        use crate::node_experiment::restart_storm::NodeRestartStormExperiment;
+        use crate::node_experiment::tests::*;
+        use crate::{ProtocolSpec, RetryKind};
+
+        #[test]
+        fn respects_protocol_override() {
+            assert_respects_protocol_override("node-restart-storm");
+        }
+
+        #[test]
+        fn table_is_bit_identical_across_policies_and_queue_kinds() {
+            assert_identical_across_policies("node-restart-storm", &[ProtocolSpec::SS_RTR]);
+            assert_queue_kinds_agree(NodeRestartStormExperiment::config(
+                ProtocolSpec::SS_RTR,
+                RetryKind::Jittered,
+                &tiny_options(),
+            ));
+        }
+    }
+}
+
+// Each remaining node experiment's own checks, under its row's name; the
+// shared assertions live in `node_experiment::tests`.
+#[cfg(test)]
+mod node_scale {
+    mod tests {
+        use crate::node_experiment::tests::*;
+        use crate::ProtocolSpec;
+
+        #[test]
+        fn respects_protocol_override() {
+            assert_respects_protocol_override("node-scale");
+        }
+
+        #[test]
+        fn table_is_deterministic_across_execution_policies() {
+            assert_identical_across_policies("node-scale", &ProtocolSpec::PAPER);
+        }
+    }
+}
+
+#[cfg(test)]
+mod node_storm {
+    mod tests {
+        use crate::node_experiment::tests::*;
+        use crate::ProtocolSpec;
+
+        #[test]
+        fn respects_protocol_override() {
+            assert_respects_protocol_override("node-storm");
+        }
+
+        #[test]
+        fn table_is_deterministic_across_execution_policies() {
+            assert_identical_across_policies("node-storm", &[ProtocolSpec::SS]);
+        }
+    }
+}
+
+#[cfg(test)]
+mod node_outage {
+    mod tests {
+        use crate::node_experiment::outage;
+        use crate::node_experiment::tests::*;
+        use crate::ProtocolSpec;
+
+        #[test]
+        fn respects_protocol_override() {
+            assert_respects_protocol_override("node-outage");
+        }
+
+        #[test]
+        fn table_is_bit_identical_across_policies_and_queue_kinds() {
+            assert_identical_across_policies("node-outage", &[ProtocolSpec::SS]);
+            assert_queue_kinds_agree(outage::config(ProtocolSpec::SS, &tiny_options()));
+        }
+    }
+}
 
 // Re-exports of the building blocks.
 pub use siganalytic::spec::SpecError as ProtocolSpecError;

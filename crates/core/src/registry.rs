@@ -41,7 +41,9 @@ use crate::experiment::{
     ExperimentOutput, Metric, PAPER_EXPERIMENTS,
 };
 use siganalytic::spec::SpecError as ProtocolSpecError;
-use siganalytic::{ConfigError, MultiHopParams, ProtocolSpec, SingleHopParams};
+use siganalytic::{
+    ConfigError, Delivery, MultiHopParams, ProtocolSpec, RefreshMode, Removal, SingleHopParams,
+};
 use sigstats::{Point, SeriesSet};
 use sigworkload::{MultiHopScenario, Scenario, Sweep};
 use simcore::TimerMode;
@@ -275,6 +277,53 @@ pub fn check_protocol_set(set: &[ProtocolSpec]) -> Result<(), ProtocolSetError> 
         }
     }
     Ok(())
+}
+
+/// Every *coherent* mechanism composition — the full hard/soft design space
+/// the `spec-spectrum` experiment charts and the `node-outage` and
+/// `node-restart-storm` tables run by default — each under a distinct,
+/// mechanism-encoding label.
+///
+/// The label scheme packs one character per knob,
+/// `spec:<refresh><timeout><triggers><removal><notify>` with `-` for
+/// "absent/best-effort-less", `b` for best-effort, `r` for reliable, `t`/`n`
+/// for an enabled timeout/notification — e.g. pure soft state (the SS
+/// preset's mechanisms) is `spec:bt b--` written `spec:btb--`, and pure hard
+/// state is `spec:--rrn`.  The encoding is injective, so the set always
+/// passes [`check_protocol_set`].
+pub fn coherent_spectrum() -> &'static [ProtocolSpec] {
+    use std::sync::OnceLock;
+    static SPECTRUM: OnceLock<Vec<ProtocolSpec>> = OnceLock::new();
+    SPECTRUM.get_or_init(|| {
+        ProtocolSpec::enumerate_all("spec")
+            .into_iter()
+            .filter(|spec| spec.validate().is_ok())
+            .map(|spec| spec.with_label(spectrum_label(&spec)))
+            .collect()
+    })
+}
+
+/// The injective `spec:<refresh><timeout><triggers><removal><notify>` label
+/// of one spectrum point (leaked once per distinct composition; the spectrum
+/// is computed a single time into a static).
+fn spectrum_label(spec: &ProtocolSpec) -> &'static str {
+    let refresh = match spec.refresh {
+        None => '-',
+        Some(RefreshMode::BestEffort) => 'b',
+        Some(RefreshMode::Reliable) => 'r',
+    };
+    let timeout = if spec.state_timeout { 't' } else { '-' };
+    let triggers = match spec.triggers {
+        Delivery::BestEffort => 'b',
+        Delivery::Reliable => 'r',
+    };
+    let removal = match spec.removal {
+        Removal::None => '-',
+        Removal::BestEffort => 'b',
+        Removal::Reliable => 'r',
+    };
+    let notify = if spec.notify_on_removal { 'n' } else { '-' };
+    Box::leak(format!("spec:{refresh}{timeout}{triggers}{removal}{notify}").into_boxed_str())
 }
 
 /// One registered protocol: its mechanism composition plus a note on which

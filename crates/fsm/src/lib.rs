@@ -25,7 +25,8 @@
 //!   crash-wipe bound iff it runs a refresh stream).  The *numeric* half of
 //!   the property — the bound dominating measured `node-outage`
 //!   reconvergence for every coherent spec — needs the simulator, so it
-//!   lives in `signaling::node_outage::check_latency_domination` and runs
+//!   lives in `signaling::node_experiment::outage::check_latency_domination`
+//!   and runs
 //!   as part of `repro check-specs`.
 //!
 //! `repro check-specs` runs [`check_all`] over all 33 coherent specs and

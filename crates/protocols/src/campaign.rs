@@ -83,17 +83,6 @@ impl Campaign {
         self
     }
 
-    /// Enables multi-threaded execution (one thread per available CPU);
-    /// shorthand for [`Campaign::execution`] with
-    /// [`ExecutionPolicy::auto`] / [`ExecutionPolicy::Serial`].
-    pub fn parallel(self, enabled: bool) -> Self {
-        self.execution(if enabled {
-            ExecutionPolicy::auto()
-        } else {
-            ExecutionPolicy::Serial
-        })
-    }
-
     /// The configuration being replicated.
     pub fn config(&self) -> &SessionConfig {
         &self.config
@@ -200,15 +189,6 @@ impl MultiHopCampaign {
         self
     }
 
-    /// Enables multi-threaded execution (one thread per available CPU).
-    pub fn parallel(self, enabled: bool) -> Self {
-        self.execution(if enabled {
-            ExecutionPolicy::auto()
-        } else {
-            ExecutionPolicy::Serial
-        })
-    }
-
     /// Runs every replication and aggregates the results.
     pub fn run(&self) -> MultiHopCampaignResult {
         let task = MultiHopReplicate {
@@ -280,7 +260,7 @@ mod tests {
     fn parallel_and_serial_agree() {
         let serial = Campaign::new(quick_config(Protocol::SsRtr), 24, 3).run();
         let parallel = Campaign::new(quick_config(Protocol::SsRtr), 24, 3)
-            .parallel(true)
+            .execution(ExecutionPolicy::auto())
             .run();
         assert_eq!(serial, parallel);
     }

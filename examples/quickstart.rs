@@ -8,7 +8,8 @@
 //! ```
 
 use signaling::{
-    Campaign, Protocol, SessionConfig, SimRng, SingleHopModel, SingleHopParams, SingleHopSession,
+    Campaign, ExecutionPolicy, Protocol, SessionConfig, SimRng, SingleHopModel, SingleHopParams,
+    SingleHopSession,
 };
 
 fn main() {
@@ -58,7 +59,9 @@ fn main() {
     );
     for protocol in Protocol::ALL {
         let cfg = SessionConfig::deterministic(protocol, params);
-        let result = Campaign::new(cfg, 100, 7).parallel(true).run();
+        let result = Campaign::new(cfg, 100, 7)
+            .execution(ExecutionPolicy::auto())
+            .run();
         println!(
             "{:<8} {:>14.6} ±{:>8.6} {:>16.6}",
             protocol.label(),

@@ -1,19 +1,25 @@
-//! Golden test pinning every built-in paper experiment byte-for-byte.
+//! Golden tests pinning registered experiments byte-for-byte.
 //!
-//! The fixture maps each of the 22 built-in names to a 64-bit FNV-1a digest
-//! of its rendered text (the `repro` block: header line plus table) followed
-//! by its CSV, at `ExperimentOptions::quick()` under serial execution.  Any
-//! change to a built-in's title, labels, grid, protocol set or numbers moves
-//! its digest.  On a mismatch the failure message prints the regenerated
-//! fixture; replace `tests/golden/paper_catalog_quick_serial.txt` with it
-//! only after establishing the change is intended.
+//! Each fixture maps an experiment name to a 64-bit FNV-1a digest of its
+//! rendered text (the `repro` block: header line plus table) followed by its
+//! CSV, under serial execution.  `paper_catalog_quick_serial.txt` pins the
+//! 22 built-in paper experiments at `ExperimentOptions::quick()`;
+//! `node_catalog_quick_serial.txt` pins every `node`-tagged experiment of
+//! the extended registry at the same size over three protocols, plus one
+//! bursty-loss and one jittered-retry row.  Any change to an experiment's
+//! title, labels, grid, protocol set or numbers moves its digest.  On a
+//! mismatch the failure message prints the regenerated fixture; replace the
+//! fixture with it only after establishing the change is intended.
 
-use signaling::experiment::{ExperimentId, ExperimentOptions, ExperimentOutput};
-use signaling::registry::Registry;
+use signaling::experiment::{
+    ExperimentId, ExperimentOptions, ExperimentOutput, LossKind, RetryKind,
+};
+use signaling::registry::{Experiment, Registry};
 use signaling::report::render_csv;
-use signaling::ExecutionPolicy;
+use signaling::{ExecutionPolicy, ProtocolSpec};
 
 const GOLDEN: &str = include_str!("golden/paper_catalog_quick_serial.txt");
+const NODE_GOLDEN: &str = include_str!("golden/node_catalog_quick_serial.txt");
 
 /// FNV-1a over the rendered output; any change in one byte moves it.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -22,36 +28,68 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// One `name digest` line per built-in, in registry order.
-fn catalog_digests() -> String {
-    let options = ExperimentOptions::quick().with_execution(ExecutionPolicy::Serial);
-    let mut fixture = String::new();
-    for exp in Registry::with_builtins().iter() {
-        let output = exp.run(&options);
-        let mut rendered = format!(
-            "== {} — {} ==\n{}\n",
-            exp.name(),
-            exp.description(),
-            output.to_text()
-        );
-        if let ExperimentOutput::Figure(fig) = &output {
-            rendered.push_str(&render_csv(fig));
-        }
-        fixture.push_str(&format!(
-            "{} {:016x}\n",
-            exp.name(),
-            fnv1a(rendered.as_bytes())
-        ));
+/// One `label digest` line for `exp` run under `options`.
+fn digest_line(label: &str, exp: &dyn Experiment, options: &ExperimentOptions) -> String {
+    let output = exp.run(options);
+    let mut rendered = format!(
+        "== {} — {} ==\n{}\n",
+        exp.name(),
+        exp.description(),
+        output.to_text()
+    );
+    if let ExperimentOutput::Figure(fig) = &output {
+        rendered.push_str(&render_csv(fig));
     }
-    fixture
+    format!("{label} {:016x}\n", fnv1a(rendered.as_bytes()))
+}
+
+/// One `name digest` line per experiment, in the given order.
+fn catalog_digests<'a>(
+    experiments: impl IntoIterator<Item = &'a dyn Experiment>,
+    options: &ExperimentOptions,
+) -> String {
+    experiments
+        .into_iter()
+        .map(|exp| digest_line(exp.name(), exp, options))
+        .collect()
 }
 
 #[test]
 fn every_builtin_matches_the_committed_catalog_digest() {
-    let fresh = catalog_digests();
+    let options = ExperimentOptions::quick().with_execution(ExecutionPolicy::Serial);
+    let fresh = catalog_digests(Registry::with_builtins().iter(), &options);
     assert_eq!(
         fresh, GOLDEN,
         "paper catalog output drifted from tests/golden/paper_catalog_quick_serial.txt; \
+         regenerated fixture:\n{fresh}"
+    );
+}
+
+#[test]
+fn every_node_experiment_matches_the_committed_node_digest() {
+    let registry = sigbench::extended_registry();
+    let options = ExperimentOptions::quick()
+        .with_execution(ExecutionPolicy::Serial)
+        .with_protocols(vec![
+            ProtocolSpec::SS,
+            ProtocolSpec::HS,
+            ProtocolSpec::SS_RTR,
+        ]);
+    let mut fresh = catalog_digests(registry.with_tag("node"), &options);
+    let node = |name: &str| registry.get(name).expect("node experiment is registered");
+    fresh.push_str(&digest_line(
+        "node-scale/gilbert",
+        node("node-scale"),
+        &options.clone().with_loss_kind(LossKind::GilbertElliott),
+    ));
+    fresh.push_str(&digest_line(
+        "node-outage/jittered",
+        node("node-outage"),
+        &options.clone().with_retry_kind(RetryKind::Jittered),
+    ));
+    assert_eq!(
+        fresh, NODE_GOLDEN,
+        "node experiment output drifted from tests/golden/node_catalog_quick_serial.txt; \
          regenerated fixture:\n{fresh}"
     );
 }

@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use signaling::{
-    MultiHopModel, MultiHopParams, Protocol, SessionConfig, SimRng, SingleHopModel,
-    SingleHopParams, SingleHopSession, TimerMode,
+    ExecutionPolicy, MultiHopModel, MultiHopParams, Protocol, SessionConfig, SimRng,
+    SingleHopModel, SingleHopParams, SingleHopSession, TimerMode,
 };
 
 /// Strategy over reasonable single-hop parameter sets.
@@ -159,7 +159,7 @@ fn timer_mode_changes_little_at_the_paper_defaults() {
                 ..SessionConfig::deterministic(protocol, params)
             };
             signaling::Campaign::new(cfg, 200, 9)
-                .parallel(true)
+                .execution(ExecutionPolicy::auto())
                 .run()
                 .inconsistency
                 .mean
