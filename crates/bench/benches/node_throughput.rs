@@ -20,6 +20,11 @@
 //!
 //! The `node_build/heap/{10⁴, 10⁵}` rows time the set-up instead: building
 //! the node (which files the arrival wave) plus the 4N-event warm-up.
+//!
+//! The `node_steady/heap/10⁵` row times the timeout phase: a node run past
+//! three state timeouts (the first fires about τ = 15 s in, after the
+//! `node_throughput` rows' warm-up), where every session's timeout is
+//! re-arming lazily and the timeout keys ride their own queue lanes.
 
 // The headline events/sec number is a wall-clock measurement by definition.
 #![allow(clippy::disallowed_methods)]
@@ -42,14 +47,21 @@ const BATCH: u64 = 4096;
 /// the set-up every node run pays before its first measured event.
 const BUILD_SIZES: &[usize] = &[10_000, 100_000];
 
+/// Population of the `node_steady` row.
+const STEADY_SIZE: usize = 100_000;
+
+/// The node every row runs: pure soft state on Kazaa parameters with a
+/// ten-minute lifetime, whose stationary mix is dominated by refresh and
+/// timeout timers with steady churn underneath.
+fn node_config(n: usize, kind: QueueKind) -> NodeConfig {
+    let params = SingleHopParams::kazaa_defaults().with_mean_lifetime(600.0);
+    NodeConfig::new(Protocol::Ss, params, n).with_queue_kind(kind)
+}
+
 /// Builds a warmed node at population `n`: every session has arrived and the
 /// queue sits at its stationary backlog.
 fn warmed_node(n: usize, kind: QueueKind) -> NodeSim {
-    // Kazaa parameters with a ten-minute lifetime: the stationary mix is
-    // dominated by refresh and timeout timers with steady churn underneath.
-    let params = SingleHopParams::kazaa_defaults().with_mean_lifetime(600.0);
-    let cfg = NodeConfig::new(Protocol::Ss, params, n).with_queue_kind(kind);
-    let mut sim = NodeSim::new(cfg, 0x90de);
+    let mut sim = NodeSim::new(node_config(n, kind), 0x90de);
     // Processing 4n events takes the node through the arrival wave (one
     // arrival, trigger delivery, refresh arm and timeout arm per session)
     // into the periodic steady state.
@@ -89,6 +101,16 @@ fn main() {
             b.iter(|| black_box(warmed_node(n, QueueKind::Heap).pending_events()))
         });
     }
+
+    // Run to a horizon one refresh interval past 3τ, then step on from
+    // there (the level meters clamp at the horizon; the events go on).
+    let cfg = node_config(STEADY_SIZE, QueueKind::Heap);
+    let past = 3.0 * cfg.params.timeout_timer + cfg.params.refresh_timer;
+    let mut sim = NodeSim::new(cfg.with_horizon(past), 0x90de);
+    sim.run();
+    c.bench_function(&format!("node_steady/heap/{STEADY_SIZE}"), |b| {
+        b.iter(|| black_box(sim.step_events(BATCH)))
+    });
 
     c.final_summary();
 }

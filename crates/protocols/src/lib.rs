@@ -54,6 +54,7 @@ pub use metrics::{MessageCounts, MultiHopRunMetrics, SessionMetrics};
 pub use multi_hop::MultiHopSession;
 pub use node::{
     NodeCampaign, NodeCampaignResult, NodeConfig, NodeMetrics, NodeSim, PhaseTimings, RefreshPhase,
+    ScheduleCounts,
 };
 pub use recovery::{RecoveryMetrics, RecoveryTrace};
 pub use retry::{RetryPolicy, RetryState};

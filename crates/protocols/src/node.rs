@@ -20,9 +20,13 @@
 //!   retransmission timers re-arm at fixed intervals and link deliveries
 //!   land a fixed delay ahead, so their keys go through FIFO queue lanes
 //!   (O(1) schedule and pop).  The initial arrival wave is sorted once and
-//!   filed in the refresh lane ([`EventQueue::schedule_batch`]); later
-//!   lifecycle draws, crashes and the lazy timeouts, whose delays vary, go
-//!   to the ordering core.
+//!   filed in the refresh lane ([`EventQueue::schedule_batch`]).  State
+//!   timeouts ride two more lanes when the receiver's capacity is
+//!   unlimited: a session's installs then land one refresh interval apart,
+//!   so a timeout arm's delay is the timeout `τ` itself or `τ − T` almost
+//!   every time (see [`NodeSim::arm_timeout`]).  Later lifecycle draws,
+//!   crashes, the external detector's signals and the timeouts off that
+//!   grid go to the ordering core.
 //! * **Phase-ordered sessions.**  Sessions are numbered in the order the
 //!   wave delivers them: session 0 arrives first.  Each refresh fires a
 //!   fixed interval after its session's install, so the refresh stream,
@@ -327,6 +331,29 @@ impl PhaseTimings {
     }
 }
 
+/// Where a node filed its events, counted deterministically: a pure
+/// function of the config and seed, like [`NodeMetrics`].  `lifecycle`
+/// and `timeout_arms` are the same under both queue kinds; `core_keys`
+/// also counts the arrival wave under [`QueueKind::Calendar`], which files
+/// the wave in its core rather than a lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScheduleCounts {
+    /// Lifecycle events scheduled after the arrival wave: arrival and
+    /// departure draws, and injected crashes.  They go to the ordering
+    /// core; an infinite ("never") draw schedules nothing and is not
+    /// counted.
+    pub lifecycle: u64,
+    /// State-timeout arms: the first arm at each install and every lazy
+    /// re-arm (external-detector signals are not counted).
+    pub timeout_arms: u64,
+    /// The timeout arms whose delay matched neither timeout lane's delay
+    /// and went to the ordering core (all of them when no lane is open).
+    pub off_grid_timeouts: u64,
+    /// Keys the event queue filed in its ordering core rather than a lane
+    /// ([`EventQueue::core_filed_count`]).
+    pub core_keys: u64,
+}
+
 /// Session flag bits.
 const ALIVE: u8 = 1 << 0; // sender holds the state
 const HELD: u8 = 1 << 1; // receiver holds the state
@@ -390,10 +417,15 @@ pub struct NodeSim {
     /// Queue lanes of the fixed-interval timers and link deliveries, whose
     /// keys arrive in time order (see [`EventQueue::lane`]).  The refresh
     /// lane also carries the initial arrival wave.  Later lifecycle draws,
-    /// crashes and lazy timeouts go to the queue's ordering core.
+    /// crashes and detector signals go to the queue's ordering core.
     refresh_lane: Lane,
     retrans_lane: Lane,
     delivery_lane: Lane,
+    /// The state-timeout lanes and the delay each takes, `τ` and `τ − T`
+    /// (see [`NodeSim::arm_timeout`]); `None` for specs with no state
+    /// timeout and behind a finite receiver capacity, so their pops scan no
+    /// extra lane head.
+    timeout_lanes: Option<[(f64, Lane); 2]>,
     slots: Vec<SessionSlot>,
     /// An id that fired before any session existed: permanently inert, used
     /// as the "no timer armed" sentinel.
@@ -429,6 +461,13 @@ pub struct NodeSim {
     drops_overload: u64,
     crash_wipes: u64,
     events_processed: u64,
+    /// Lifecycle events scheduled after the arrival wave: arrival and
+    /// departure draws, and injected crashes.
+    lifecycle_events: u64,
+    /// State-timeout arms: first arms at install and lazy re-arms.
+    timeout_arms: u64,
+    /// The state-timeout arms whose delay matched neither timeout lane.
+    off_grid_timeouts: u64,
     phase: PhaseTimings,
 }
 
@@ -448,20 +487,35 @@ impl NodeSim {
         // Hard assert, like the event slab's: events carry the session index
         // as a `u32`, so a larger node would silently simulate `n mod 2³²`.
         assert!(u32::try_from(n).is_ok(), "more sessions than u32::MAX");
-        // The ordering core holds one lifecycle event per session and at
-        // most one timeout or detector timer per session; refresh,
-        // retransmission and delivery keys ride the lanes.  Its empty key
+        // The ordering core holds one lifecycle event per session, plus at
+        // most one detector timer or state timeout per session: all of them
+        // under an external detector or a finite capacity, only those off
+        // the timeout lanes' grid otherwise.  Refresh, retransmission,
+        // delivery and on-grid timeout keys ride the lanes.  Its empty key
         // buffer is also where the arrival wave is sorted.
         let mut queue = EventQueue::with_capacity_and_kind(2 * n + 8, cfg.queue_kind);
         let dead_probe = queue.schedule_at(SimTime::ZERO, Event::Arrive(u32::MAX));
         queue.pop();
+        let dispatch = FsmDispatch::for_spec(cfg.protocol);
+        let timeout = cfg.params.timeout_timer;
+        // A finite capacity server completes a delivery at
+        // `max(arrival, busy) + 1/rate`, so its queueing moves installs off
+        // the `T` grid the lanes rely on (docs/perf.md, "Timeout lanes").
+        let on_grid = dispatch.uses_state_timeout && cfg.capacity.is_unlimited();
+        let timeout_lanes = on_grid.then(|| {
+            [
+                (timeout, queue.lane()),
+                (timeout - cfg.params.refresh_timer, queue.lane()),
+            ]
+        });
         let mut sim = Self {
-            dispatch: FsmDispatch::for_spec(cfg.protocol),
+            dispatch,
             cfg,
             rng,
             refresh_lane: queue.lane(),
             retrans_lane: queue.lane(),
             delivery_lane: queue.lane(),
+            timeout_lanes,
             queue,
             slots: vec![
                 SessionSlot {
@@ -494,6 +548,9 @@ impl NodeSim {
             drops_overload: 0,
             crash_wipes: 0,
             events_processed: 0,
+            lifecycle_events: 0,
+            timeout_arms: 0,
+            off_grid_timeouts: 0,
             phase: PhaseTimings::default(),
         };
         // The wave is drawn in one go and filed in time order through the
@@ -512,6 +569,7 @@ impl NodeSim {
         for (at, policy) in clock.crashes() {
             sim.queue
                 .schedule_at(SimTime::from_secs(at), Event::Crash(policy));
+            sim.lifecycle_events += 1;
         }
         sim.phase.schedule = t0.elapsed().as_secs_f64();
         sim
@@ -639,6 +697,16 @@ impl NodeSim {
         self.queue.len()
     }
 
+    /// Where this node's events were filed so far (see [`ScheduleCounts`]).
+    pub fn schedule_counts(&self) -> ScheduleCounts {
+        ScheduleCounts {
+            lifecycle: self.lifecycle_events,
+            timeout_arms: self.timeout_arms,
+            off_grid_timeouts: self.off_grid_timeouts,
+            core_keys: self.queue.core_filed_count(),
+        }
+    }
+
     // ------------------------------------------------------------------
     // Event handling.
     // ------------------------------------------------------------------
@@ -706,10 +774,21 @@ impl NodeSim {
         }
     }
 
+    /// [`NodeSim::schedule_after`] for a departure or vacancy draw, counted
+    /// in [`ScheduleCounts::lifecycle`] when it is scheduled.
+    fn schedule_lifecycle(&mut self, dt: f64, event: Event) {
+        if dt.is_finite() {
+            self.lifecycle_events += 1;
+            self.queue.schedule_in(dt, event);
+        }
+    }
+
     /// [`NodeSim::schedule_after`] for a refresh or retransmission timer,
     /// through its lane.
-    // `arm`, `send` and `deliver` run on every event: `#[inline]` keeps them
-    // inlined into `handle` however the crate is split into codegen units.
+    // `arm`, `arm_timeout`, `send` and `deliver` run on every event:
+    // `#[inline]` lets them inline into `handle` however the crate is split
+    // into codegen units (`arm_timeout`, once per timeout arm, stays out of
+    // line in sigperf's release build; docs/perf.md, "Timeout lanes").
     #[inline]
     fn arm(&mut self, lane: Lane, dt: f64, event: Event) -> EventId {
         if dt.is_finite() {
@@ -717,6 +796,31 @@ impl NodeSim {
         } else {
             self.dead
         }
+    }
+
+    /// Arms session `i`'s state timeout `dt` seconds from now, through the
+    /// timeout lane whose delay `dt` matches.  Installs land one refresh
+    /// interval `T` apart, so a first arm waits `τ` and a lazy re-arm, at
+    /// `deadline − now`, waits `τ − T` after a regular refresh, or `τ` when
+    /// the refresh landed at the very instant the timer fired.  Each lane
+    /// then receives its keys in time order.  Delays off that grid (after
+    /// a lost refresh, a re-arrival, a repair) would break a lane's order;
+    /// they go to the ordering core, as a refused lane key would, and so
+    /// does every arm when no lane is open.
+    #[inline]
+    fn arm_timeout(&mut self, i: usize, dt: f64) -> EventId {
+        self.timeout_arms += 1;
+        let event = Event::Timeout(i as u32);
+        let tolerance = 1e-6 * self.cfg.params.refresh_timer;
+        if let Some(lanes) = self.timeout_lanes {
+            for (delay, lane) in lanes {
+                if (dt - delay).abs() <= tolerance {
+                    return self.queue.schedule_in_lane(lane, dt, event);
+                }
+            }
+        }
+        self.off_grid_timeouts += 1;
+        self.schedule_after(dt, event)
     }
 
     /// Counts one signaling message and adds it to the bandwidth-envelope
@@ -867,7 +971,7 @@ impl NodeSim {
             self.slots[i].timeout = self.schedule_after(d, Event::Timeout(i as u32));
         }
         let lifetime = self.rng.exponential_rate(self.cfg.params.removal_rate);
-        self.schedule_after(lifetime, Event::Depart(i as u32));
+        self.schedule_lifecycle(lifetime, Event::Depart(i as u32));
     }
 
     /// Sends the state announcement (a trigger on arrival/repair, a refresh
@@ -933,7 +1037,7 @@ impl NodeSim {
             }
         }
         let vacancy = self.rng.exponential_mean(self.cfg.mean_vacancy);
-        self.schedule_after(vacancy, Event::Arrive(i as u32));
+        self.schedule_lifecycle(vacancy, Event::Arrive(i as u32));
     }
 
     fn on_refresh_fire(&mut self, i: usize, id: EventId) {
@@ -1016,8 +1120,7 @@ impl NodeSim {
             // never accumulates cancelled-timeout backlog.
             self.slots[i].deadline = t + self.cfg.params.timeout_timer;
             if self.slots[i].timeout == self.dead {
-                let d = self.cfg.params.timeout_timer;
-                self.slots[i].timeout = self.schedule_after(d, Event::Timeout(i as u32));
+                self.slots[i].timeout = self.arm_timeout(i, self.cfg.params.timeout_timer);
             }
         }
         // ACK path of the reliable variants, with the ACK's own loss draw.
@@ -1083,7 +1186,7 @@ impl NodeSim {
                 // A newer install pushed the deadline past this firing:
                 // re-arm there (the lazy-timeout second half).
                 let d = self.slots[i].deadline - t;
-                self.slots[i].timeout = self.schedule_after(d, Event::Timeout(i as u32));
+                self.slots[i].timeout = self.arm_timeout(i, d);
             } else {
                 self.remove_held(i, t);
             }

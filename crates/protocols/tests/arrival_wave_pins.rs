@@ -4,11 +4,12 @@
 //! the first refresh interval.  These pins cover the events that interleave
 //! with that wave: a crash–restart and a link outage inside it, and the
 //! refresh, retransmission, delivery and departure events the arrivals
-//! themselves schedule.  Any change to how the wave is filed that moved one
-//! delivered event, or one RNG draw, moves one of these numbers.
+//! themselves schedule; the last pin runs on into the state timeouts that
+//! follow.  Any change to how the wave or the timeouts are filed that
+//! moved one delivered event, or one RNG draw, moves one of these numbers.
 
 use siganalytic::{Protocol, SingleHopParams};
-use signet::{CrashStatePolicy, FaultEvent, FaultSchedule};
+use signet::{CapacityModel, CrashStatePolicy, FaultEvent, FaultSchedule};
 use sigproto::{NodeConfig, NodeSim, RecoveryTrace};
 use simcore::QueueKind;
 
@@ -139,5 +140,139 @@ const PIN_OUT_OF_CACHE: &str = concat!(
     "false_removal_rate: 0.0, ",
     "mean_active: 96762.5453751576, mean_held: 97746.20980566471, ",
     "drops_random: 4018, drops_injected: 0, drops_overload: 0, ",
+    "crash_wipes: 0 }",
+);
+
+/// The timeout phase: a 10⁴-session node run to 60 s, past three state
+/// timeouts (τ = 15 s), so the first timeout arms, the lazy re-arms and
+/// the expiries of the opening minute all stand behind these numbers.
+/// SS+RTR adds removal notices, whose repair arms fall off the
+/// retransmission grid.
+fn timeout_phase(protocol: Protocol, kind: QueueKind) -> NodeConfig {
+    let params = SingleHopParams::kazaa_defaults().with_mean_lifetime(600.0);
+    NodeConfig::new(protocol, params, 10_000)
+        .with_horizon(60.0)
+        .with_queue_kind(kind)
+}
+
+#[test]
+fn the_timeout_phase_is_pinned() {
+    for (protocol, pin, events, pending) in [
+        (Protocol::Ss, PIN_TIMEOUT_SS, 277_843, 28_811),
+        (Protocol::SsRtr, PIN_TIMEOUT_SS_RTR, 277_810, 28_584),
+    ] {
+        for kind in KINDS {
+            let mut sim = NodeSim::new(timeout_phase(protocol, kind), 2003);
+            let m = sim.run();
+            assert_eq!(format!("{m:?}"), pin, "{protocol:?} {kind}");
+            assert_eq!(sim.events_processed(), events, "{protocol:?} {kind}");
+            assert_eq!(sim.pending_events(), pending, "{protocol:?} {kind}");
+        }
+    }
+}
+
+/// Where the timeout-phase node files its keys.  Its state timeouts ride
+/// the two timeout lanes, so only the arms off the lanes' grid reach the
+/// ordering core, and under SS, which sends no repair triggers, the core
+/// takes little more than the lifecycle draws, those arms and (under the
+/// calendar core, which sorts it in place) the arrival wave.  A change
+/// that sent the timeouts back to the core would multiply `core_keys` by
+/// five and fail the bounds; the counts are pinned exactly too.
+#[test]
+fn the_timeout_phase_files_its_timeouts_on_lanes() {
+    for (protocol, counts) in [
+        (
+            Protocol::Ss,
+            [
+                (10_998, 57_547, 1_287, 12_286),
+                (10_998, 57_547, 1_287, 22_286),
+            ],
+        ),
+        (
+            Protocol::SsRtr,
+            [
+                (10_987, 56_778, 1_151, 13_770),
+                (10_987, 56_778, 1_151, 23_770),
+            ],
+        ),
+    ] {
+        for (kind, (lifecycle, timeout_arms, off_grid, core_keys)) in KINDS.into_iter().zip(counts)
+        {
+            let mut sim = NodeSim::new(timeout_phase(protocol, kind), 2003);
+            sim.run();
+            let got = sim.schedule_counts();
+            assert_eq!(
+                (
+                    got.lifecycle,
+                    got.timeout_arms,
+                    got.off_grid_timeouts,
+                    got.core_keys
+                ),
+                (lifecycle, timeout_arms, off_grid, core_keys),
+                "{protocol:?} {kind}"
+            );
+            assert!(
+                got.off_grid_timeouts <= got.timeout_arms * 3 / 100,
+                "{protocol:?} {kind}: {got:?}"
+            );
+            if protocol == Protocol::Ss {
+                let wave = if kind == QueueKind::Calendar {
+                    10_000
+                } else {
+                    0
+                };
+                assert!(
+                    got.core_keys - wave <= got.lifecycle + got.timeout_arms * 3 / 100,
+                    "{kind}: {got:?}"
+                );
+            }
+        }
+    }
+}
+
+/// Behind a finite receiver capacity the service queue moves installs off
+/// the refresh grid, so no timeout lane opens and every arm goes to the
+/// ordering core.
+#[test]
+fn a_finite_capacity_node_opens_no_timeout_lane() {
+    let capacity = CapacityModel::limited(4_000.0, 64).unwrap();
+    let cfg = timeout_phase(Protocol::Ss, QueueKind::Heap).with_capacity(capacity);
+    let mut sim = NodeSim::new(cfg, 2003);
+    sim.run();
+    let got = sim.schedule_counts();
+    assert!(got.timeout_arms > 50_000, "{got:?}");
+    assert_eq!(got.off_grid_timeouts, got.timeout_arms, "{got:?}");
+}
+
+const PIN_TIMEOUT_SS: &str = concat!(
+    "NodeMetrics { sessions: 10000, horizon: 60.0, ",
+    "events_processed: 277843, ",
+    "messages: MessageCounts { trigger: 10146, refresh: 105525, ",
+    "removal: 0, trigger_ack: 0, refresh_ack: 0, removal_ack: 0, ",
+    "removal_notice: 0, external_signal: 0 }, ",
+    "refresh_rate: 1758.75, message_rate: 1927.85, ",
+    "bandwidth_bytes_per_sec: 123382.4, ",
+    "peak_bandwidth_bytes_per_sec: 130816.0, ",
+    "stale_fraction: 0.016274679452504243, false_removals: 31, ",
+    "false_removal_rate: 5.609633380796045e-5, ",
+    "mean_active: 9210.346409364602, mean_held: 9338.535888218034, ",
+    "drops_random: 2381, drops_injected: 0, drops_overload: 0, ",
+    "crash_wipes: 0 }",
+);
+
+const PIN_TIMEOUT_SS_RTR: &str = concat!(
+    "NodeMetrics { sessions: 10000, horizon: 60.0, ",
+    "events_processed: 277810, ",
+    "messages: MessageCounts { trigger: 10600, refresh: 105332, ",
+    "removal: 894, trigger_ack: 10363, refresh_ack: 0, removal_ack: 880, ",
+    "removal_notice: 32, external_signal: 0 }, ",
+    "refresh_rate: 1755.5333333333333, ",
+    "message_rate: 2135.016666666667, ",
+    "bandwidth_bytes_per_sec: 136641.06666666668, ",
+    "peak_bandwidth_bytes_per_sec: 272704.0, ",
+    "stale_fraction: 4.822454365122167e-5, false_removals: 32, ",
+    "false_removal_rate: 5.801246686744389e-5, ",
+    "mean_active: 9193.426208748857, mean_held: 9188.574705132192, ",
+    "drops_random: 2641, drops_injected: 0, drops_overload: 0, ",
     "crash_wipes: 0 }",
 );

@@ -568,6 +568,8 @@ pub struct EventQueue<E> {
     now: SimTime,
     next_seq: u64,
     popped: u64,
+    /// Keys filed in `keys` rather than a lane.
+    core_filed: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -612,6 +614,7 @@ impl<E> EventQueue<E> {
             now: SimTime::ZERO,
             next_seq: 0,
             popped: 0,
+            core_filed: 0,
         }
     }
 
@@ -643,6 +646,15 @@ impl<E> EventQueue<E> {
     /// less than a millionth of the range).
     pub fn popped_count(&self) -> u64 {
         self.popped
+    }
+
+    /// Total number of keys filed in the ordering core so far: every
+    /// schedule no lane took, including in-place re-arms and lane keys
+    /// refused for breaking their lane's order.  Deterministic, like
+    /// [`EventQueue::popped_count`]: it counts where keys went, so a
+    /// caller can check that its fixed-interval timers stay on the lanes.
+    pub fn core_filed_count(&self) -> u64 {
+        self.core_filed
     }
 
     /// Number of stale keys left behind by cancellations and not yet
@@ -695,7 +707,7 @@ impl<E> EventQueue<E> {
     /// floating-point rounding of zero-length delays).
     pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventId {
         let key = self.store(time, event);
-        self.keys.push(key);
+        self.file_in_core(key);
         key.id()
     }
 
@@ -712,9 +724,16 @@ impl<E> EventQueue<E> {
     pub fn schedule_at_lane(&mut self, lane: Lane, time: SimTime, event: E) -> EventId {
         let key = self.store(time, event);
         if !self.lanes.push(lane.0, key) {
-            self.keys.push(key);
+            self.file_in_core(key);
         }
         key.id()
+    }
+
+    /// Files `key` in the ordering core.
+    #[inline]
+    fn file_in_core(&mut self, key: HeapKey) {
+        self.core_filed += 1;
+        self.keys.push(key);
     }
 
     /// Schedules `event` after a delay of `delay` seconds from now through
@@ -852,6 +871,7 @@ impl<E> EventQueue<E> {
                         generation: slot.generation,
                     };
                     self.next_seq += 1;
+                    self.core_filed += 1;
                     core.replace(index, key);
                     return key.id();
                 }
@@ -1355,6 +1375,7 @@ mod tests {
             // A handle this queue never issued falls back too.
             q.schedule_at_lane(Lane(7), SimTime::from_secs(6.0), usize::MAX - 1);
             assert_eq!(q.keys.len(), 2);
+            assert_eq!(q.core_filed_count(), 2, "{kind}");
             assert_eq!(q.pop().unwrap().event, usize::MAX, "{kind}");
             let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
             let mut want: Vec<usize> = (0..3 * crate::lanes::BLOCK).collect();
@@ -1929,7 +1950,9 @@ mod tests {
                     prop_assert_eq!(q.cancelled_backlog(), plain.cancelled_backlog());
                     prop_assert_eq!(q.now(), plain.now());
                     prop_assert_eq!(q.popped_count(), plain.popped_count());
+                    prop_assert!(q.core_filed_count() <= plain.core_filed_count());
                 }
+                prop_assert_eq!(plain.core_filed_count(), u64::from(next_payload));
                 loop {
                     let got = q.pop();
                     prop_assert_eq!(&got, &plain.pop(), "drain under {}", kind);
