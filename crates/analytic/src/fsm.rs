@@ -711,8 +711,7 @@ pub struct TransitionTable {
 
 impl TransitionTable {
     /// Generates the table for one spec.
-    pub fn for_spec(spec: impl Into<ProtocolSpec>) -> Self {
-        let spec = spec.into();
+    pub fn for_spec(spec: ProtocolSpec) -> Self {
         let mut rows = Vec::new();
         each_single_hop_row(spec, &mut |from, event, guard, to, rate| {
             rows.push(FsmRow {
@@ -813,8 +812,7 @@ pub struct MultiHopTransitionTable {
 
 impl MultiHopTransitionTable {
     /// Generates the table for one spec and hop count.
-    pub fn for_spec(spec: impl Into<ProtocolSpec>, hops: usize) -> Self {
-        let spec = spec.into();
+    pub fn for_spec(spec: ProtocolSpec, hops: usize) -> Self {
         let mut rows = Vec::new();
         each_multi_hop_row(spec, hops, &mut |from, event, guard, to, rate| {
             rows.push(MultiHopFsmRow {
@@ -942,15 +940,14 @@ impl FsmDispatch {
 
     /// Generates the table for `spec` and derives the capability set from
     /// it — the constructor the simulators use.
-    pub fn for_spec(spec: impl Into<ProtocolSpec>) -> Self {
+    pub fn for_spec(spec: ProtocolSpec) -> Self {
         Self::from_table(&TransitionTable::for_spec(spec))
     }
 
     /// The historical derivation straight from the spec predicates — kept
     /// as the reference the model checker's agreement property compares
     /// [`FsmDispatch::from_table`] against.
-    pub fn from_predicates(spec: impl Into<ProtocolSpec>) -> Self {
-        let spec = spec.into();
+    pub fn from_predicates(spec: ProtocolSpec) -> Self {
         Self {
             uses_refresh: spec.uses_refresh(),
             reliable_refresh: spec.reliable_refresh(),
@@ -1080,7 +1077,6 @@ pub fn mechanism_matrix(specs: &[ProtocolSpec]) -> String {
 mod tests {
     use super::*;
     use crate::multi_hop::transitions::{multi_hop_transitions, multi_hop_transitions_reference};
-    use crate::params::Protocol;
     use crate::single_hop::transitions::{protocol_transitions, protocol_transitions_reference};
 
     fn coherent_specs() -> Vec<ProtocolSpec> {
@@ -1163,13 +1159,13 @@ mod tests {
 
     #[test]
     fn render_mentions_states_events_and_actions() {
-        let table = TransitionTable::for_spec(Protocol::SsRtr);
+        let table = TransitionTable::for_spec(ProtocolSpec::SS_RTR);
         let text = table.render();
         assert!(text.contains("SS+RTR"));
         assert!(text.contains("trigger delivered"));
         assert!(text.contains("ack-trigger"));
         assert!(text.contains("(0,0)"));
-        let multi = MultiHopTransitionTable::for_spec(Protocol::Hs, 4);
+        let multi = MultiHopTransitionTable::for_spec(ProtocolSpec::HS, 4);
         let text = multi.render();
         assert!(text.contains("K = 4"));
         assert!(text.contains("false-signal"));

@@ -3,7 +3,7 @@
 
 use super::states::MultiHopState;
 use super::transitions::multi_hop_transitions;
-use crate::params::{MultiHopParams, Protocol};
+use crate::params::MultiHopParams;
 use crate::single_hop::model::ModelError;
 use crate::spec::ProtocolSpec;
 use ctmc::CtmcBuilder;
@@ -83,13 +83,9 @@ impl MultiHopModel {
     /// mechanism composition.  The paper evaluates SS, SS+RT and HS in the
     /// multi-hop setting; the removal-oriented variants (SS+ER, SS+RTR) are
     /// accepted and behave like their base protocol because the multi-hop
-    /// model contains no sender-side removal.  Accepts a [`Protocol`] name
-    /// or any coherent [`ProtocolSpec`].
-    pub fn new(
-        protocol: impl Into<ProtocolSpec>,
-        params: MultiHopParams,
-    ) -> Result<Self, ModelError> {
-        let protocol = protocol.into();
+    /// model contains no sender-side removal.  Any coherent [`ProtocolSpec`]
+    /// is accepted.
+    pub fn new(protocol: ProtocolSpec, params: MultiHopParams) -> Result<Self, ModelError> {
         protocol.validate().map_err(ModelError::InvalidSpec)?;
         params.validate().map_err(ModelError::InvalidParams)?;
         Ok(Self { protocol, params })
@@ -289,7 +285,7 @@ pub(crate) fn message_rates_from(
 /// Solves the paper's three multi-hop protocols (SS, SS+RT, HS) under one
 /// parameter set.
 pub fn solve_all_multi_hop(params: MultiHopParams) -> Result<Vec<MultiHopSolution>, ModelError> {
-    Protocol::MULTI_HOP
+    ProtocolSpec::PAPER_MULTI_HOP
         .iter()
         .map(|p| MultiHopModel::new(*p, params)?.solve())
         .collect()
@@ -299,14 +295,14 @@ pub fn solve_all_multi_hop(params: MultiHopParams) -> Result<Vec<MultiHopSolutio
 mod tests {
     use super::*;
 
-    fn solve(protocol: Protocol) -> MultiHopSolution {
+    fn solve(protocol: ProtocolSpec) -> MultiHopSolution {
         MultiHopModel::new(protocol, MultiHopParams::reservation_defaults())
             .unwrap()
             .solve()
             .unwrap()
     }
 
-    fn solve_with(protocol: Protocol, params: MultiHopParams) -> MultiHopSolution {
+    fn solve_with(protocol: ProtocolSpec, params: MultiHopParams) -> MultiHopSolution {
         MultiHopModel::new(protocol, params)
             .unwrap()
             .solve()
@@ -315,7 +311,7 @@ mod tests {
 
     #[test]
     fn stationary_distribution_is_a_distribution() {
-        for proto in Protocol::MULTI_HOP {
+        for proto in ProtocolSpec::PAPER_MULTI_HOP {
             let s = solve(proto);
             let sum: f64 = s.stationary.values().sum();
             assert!((sum - 1.0).abs() < 1e-9, "{proto}");
@@ -327,7 +323,7 @@ mod tests {
     fn per_hop_inconsistency_grows_with_hop_index() {
         // Figure 17: nodes farther from the sender are inconsistent a larger
         // fraction of the time, roughly linearly.
-        for proto in Protocol::MULTI_HOP {
+        for proto in ProtocolSpec::PAPER_MULTI_HOP {
             let s = solve(proto);
             assert_eq!(s.per_hop_inconsistency.len(), 20);
             for w in s.per_hop_inconsistency.windows(2) {
@@ -346,7 +342,7 @@ mod tests {
         // Hop K is consistent only in the fully consistent state, so its
         // inconsistency equals 1 − π_(K,0)... except for slow states with
         // K consistent hops, which do not exist.  The identity is exact.
-        for proto in Protocol::MULTI_HOP {
+        for proto in ProtocolSpec::PAPER_MULTI_HOP {
             let s = solve(proto);
             let last = *s.per_hop_inconsistency.last().unwrap();
             assert!((last - s.inconsistency).abs() < 1e-9, "{proto}");
@@ -359,9 +355,9 @@ mod tests {
     #[test]
     fn protocol_ordering_matches_figure_17() {
         // SS is the most inconsistent; SS+RT is close to HS; HS is best.
-        let ss = solve(Protocol::Ss);
-        let ss_rt = solve(Protocol::SsRt);
-        let hs = solve(Protocol::Hs);
+        let ss = solve(ProtocolSpec::SS);
+        let ss_rt = solve(ProtocolSpec::SS_RT);
+        let hs = solve(ProtocolSpec::HS);
         assert!(ss.inconsistency > ss_rt.inconsistency);
         assert!(ss_rt.inconsistency >= hs.inconsistency);
         // SS+RT is within a small factor of HS (the paper calls them
@@ -376,29 +372,29 @@ mod tests {
     fn inconsistency_and_overhead_grow_with_hop_count() {
         // Figure 18: both metrics increase monotonically with K; SS is the
         // most sensitive to the number of hops.
-        for proto in Protocol::MULTI_HOP {
+        for proto in ProtocolSpec::PAPER_MULTI_HOP {
             let small = solve_with(proto, MultiHopParams::reservation_defaults().with_hops(2));
             let large = solve_with(proto, MultiHopParams::reservation_defaults().with_hops(20));
             assert!(large.inconsistency > small.inconsistency, "{proto}");
             assert!(large.message_rate > small.message_rate, "{proto}");
         }
         let ss_growth = solve_with(
-            Protocol::Ss,
+            ProtocolSpec::SS,
             MultiHopParams::reservation_defaults().with_hops(20),
         )
         .inconsistency
             / solve_with(
-                Protocol::Ss,
+                ProtocolSpec::SS,
                 MultiHopParams::reservation_defaults().with_hops(2),
             )
             .inconsistency;
         let hs_growth = solve_with(
-            Protocol::Hs,
+            ProtocolSpec::HS,
             MultiHopParams::reservation_defaults().with_hops(20),
         )
         .inconsistency
             / solve_with(
-                Protocol::Hs,
+                ProtocolSpec::HS,
                 MultiHopParams::reservation_defaults().with_hops(2),
             )
             .inconsistency;
@@ -412,9 +408,9 @@ mod tests {
     fn reliable_triggers_add_little_overhead_in_multi_hop() {
         // Figure 18(b): SS+RT ≈ SS in message rate (refreshes dominate),
         // while HS is far cheaper because it has no refreshes.
-        let ss = solve(Protocol::Ss);
-        let ss_rt = solve(Protocol::SsRt);
-        let hs = solve(Protocol::Hs);
+        let ss = solve(ProtocolSpec::SS);
+        let ss_rt = solve(ProtocolSpec::SS_RT);
+        let hs = solve(ProtocolSpec::HS);
         assert!(ss_rt.message_rate < 1.5 * ss.message_rate);
         assert!(hs.message_rate < 0.5 * ss.message_rate);
         assert!(ss.message_rates.refresh > 0.5 * ss.message_rate);
@@ -423,7 +419,8 @@ mod tests {
 
     #[test]
     fn expected_hops_per_message() {
-        let m = MultiHopModel::new(Protocol::Ss, MultiHopParams::reservation_defaults()).unwrap();
+        let m =
+            MultiHopModel::new(ProtocolSpec::SS, MultiHopParams::reservation_defaults()).unwrap();
         let e = m.expected_hops_per_message();
         let p = MultiHopParams::reservation_defaults();
         let expected = (1.0 - (1.0 - p.loss).powf(20.0)) / p.loss;
@@ -431,7 +428,7 @@ mod tests {
         // Loss-free channel: exactly K hops.
         let mut lossless = MultiHopParams::reservation_defaults();
         lossless.loss = 0.0;
-        let m = MultiHopModel::new(Protocol::Ss, lossless).unwrap();
+        let m = MultiHopModel::new(ProtocolSpec::SS, lossless).unwrap();
         assert_eq!(m.expected_hops_per_message(), 20.0);
     }
 
@@ -442,22 +439,22 @@ mod tests {
         // in our model smaller T always repairs faster, so inconsistency
         // decreases, while the message rate explodes (Figure 19(b)).
         let fast = solve_with(
-            Protocol::Ss,
+            ProtocolSpec::SS,
             MultiHopParams::reservation_defaults().with_refresh_timer_scaled_timeout(1.0),
         );
         let slow = solve_with(
-            Protocol::Ss,
+            ProtocolSpec::SS,
             MultiHopParams::reservation_defaults().with_refresh_timer_scaled_timeout(50.0),
         );
         assert!(fast.inconsistency < slow.inconsistency);
         assert!(fast.message_rate > 10.0 * slow.message_rate);
         // HS ignores the refresh timer.
         let hs_fast = solve_with(
-            Protocol::Hs,
+            ProtocolSpec::HS,
             MultiHopParams::reservation_defaults().with_refresh_timer_scaled_timeout(1.0),
         );
         let hs_slow = solve_with(
-            Protocol::Hs,
+            ProtocolSpec::HS,
             MultiHopParams::reservation_defaults().with_refresh_timer_scaled_timeout(50.0),
         );
         assert!((hs_fast.inconsistency - hs_slow.inconsistency).abs() < 1e-12);
@@ -477,7 +474,7 @@ mod tests {
     #[test]
     fn single_hop_degenerate_case_works() {
         let p = MultiHopParams::reservation_defaults().with_hops(1);
-        for proto in Protocol::MULTI_HOP {
+        for proto in ProtocolSpec::PAPER_MULTI_HOP {
             let s = solve_with(proto, p);
             assert_eq!(s.per_hop_inconsistency.len(), 1);
             assert!((0.0..=1.0).contains(&s.inconsistency));
@@ -487,14 +484,14 @@ mod tests {
     #[test]
     fn invalid_params_rejected() {
         let p = MultiHopParams::reservation_defaults().with_hops(0);
-        assert!(MultiHopModel::new(Protocol::Ss, p).is_err());
+        assert!(MultiHopModel::new(ProtocolSpec::SS, p).is_err());
     }
 
     #[test]
     fn recovery_state_only_for_hard_state() {
-        let hs = solve(Protocol::Hs);
+        let hs = solve(ProtocolSpec::HS);
         assert!(hs.stationary.contains_key(&MultiHopState::Recovery));
-        let ss = solve(Protocol::Ss);
+        let ss = solve(ProtocolSpec::SS);
         assert!(!ss.stationary.contains_key(&MultiHopState::Recovery));
         assert_eq!(ss.stationary_probability(MultiHopState::Recovery), 0.0);
     }

@@ -20,12 +20,7 @@ pub struct MultiHopRateEntry {
 /// `(i, Slow)` to `(i+1, Fast)`, i.e. the node after hop `i+1` finally
 /// receives the state (Equations 9 `(i−1,1)→(i,0)` for SS, 10 for SS+RT, 11
 /// for HS).  `next_hop` is `i + 1` (1-indexed hop being repaired).
-pub fn slow_repair_rate(
-    protocol: impl Into<ProtocolSpec>,
-    p: &MultiHopParams,
-    next_hop: usize,
-) -> f64 {
-    let spec = protocol.into();
+pub fn slow_repair_rate(spec: ProtocolSpec, p: &MultiHopParams, next_hop: usize) -> f64 {
     let survive_from_sender = p.survival(next_hop);
     let survive_one = 1.0 - p.loss;
     // A refresh generated by the sender must survive `next_hop` hops;
@@ -73,8 +68,8 @@ pub fn timeout_cascade_rate_with_interval(
 /// best-effort refreshes attempt once per refresh interval `T`; reliable
 /// refreshes also retry every retransmission interval `R`, so attempts
 /// arrive at the faster of the two.
-pub fn multi_hop_attempt_interval(protocol: impl Into<ProtocolSpec>, p: &MultiHopParams) -> f64 {
-    if protocol.into().reliable_refresh() {
+pub fn multi_hop_attempt_interval(protocol: ProtocolSpec, p: &MultiHopParams) -> f64 {
+    if protocol.reliable_refresh() {
         p.refresh_timer.min(p.retrans_timer)
     } else {
         p.refresh_timer
@@ -87,10 +82,7 @@ pub fn multi_hop_attempt_interval(protocol: impl Into<ProtocolSpec>, p: &MultiHo
 /// removal), so the paper's removal variants behave identically to their
 /// base protocol — which is why Section III-B evaluates only SS, SS+RT and
 /// HS.
-pub fn multi_hop_transitions(
-    protocol: impl Into<ProtocolSpec>,
-    p: &MultiHopParams,
-) -> Vec<MultiHopRateEntry> {
+pub fn multi_hop_transitions(protocol: ProtocolSpec, p: &MultiHopParams) -> Vec<MultiHopRateEntry> {
     let mut entries = Vec::new();
     multi_hop_transitions_into(protocol, p, &mut entries);
     entries
@@ -106,12 +98,11 @@ pub fn multi_hop_transitions(
 /// the entry stream is bit-identical to the historical builder kept below
 /// as [`multi_hop_transitions_reference_into`].
 pub fn multi_hop_transitions_into(
-    protocol: impl Into<ProtocolSpec>,
+    protocol: ProtocolSpec,
     p: &MultiHopParams,
     entries: &mut Vec<MultiHopRateEntry>,
 ) {
     use crate::fsm::MultiHopRate;
-    let protocol: ProtocolSpec = protocol.into();
     let k = p.hops;
     entries.clear();
     // The cascade rate depends only on the target position `j`, not on the
@@ -140,7 +131,7 @@ pub fn multi_hop_transitions_into(
 /// The historical predicate-derived builder, kept verbatim as the golden
 /// reference the table-driven path is checked against.
 pub fn multi_hop_transitions_reference(
-    protocol: impl Into<ProtocolSpec>,
+    protocol: ProtocolSpec,
     p: &MultiHopParams,
 ) -> Vec<MultiHopRateEntry> {
     let mut entries = Vec::new();
@@ -150,11 +141,10 @@ pub fn multi_hop_transitions_reference(
 
 /// [`multi_hop_transitions_reference`] into a caller-owned buffer.
 pub fn multi_hop_transitions_reference_into(
-    protocol: impl Into<ProtocolSpec>,
+    protocol: ProtocolSpec,
     p: &MultiHopParams,
     entries: &mut Vec<MultiHopRateEntry>,
 ) {
-    let protocol: ProtocolSpec = protocol.into();
     let k = p.hops;
     entries.clear();
     let mut push = |from: MultiHopState, to: MultiHopState, rate: f64| {
@@ -250,7 +240,6 @@ pub fn describe_entry(e: &MultiHopRateEntry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::Protocol;
 
     fn params() -> MultiHopParams {
         MultiHopParams::reservation_defaults()
@@ -262,15 +251,20 @@ mod tests {
         // Repairing a far hop by refresh is slower than a near hop (the
         // refresh has to survive more hops); retransmission-based repair does
         // not depend on the hop index.
-        assert!(slow_repair_rate(Protocol::Ss, &p, 1) > slow_repair_rate(Protocol::Ss, &p, 15));
         assert!(
-            (slow_repair_rate(Protocol::Hs, &p, 1) - slow_repair_rate(Protocol::Hs, &p, 15)).abs()
+            slow_repair_rate(ProtocolSpec::SS, &p, 1) > slow_repair_rate(ProtocolSpec::SS, &p, 15)
+        );
+        assert!(
+            (slow_repair_rate(ProtocolSpec::HS, &p, 1)
+                - slow_repair_rate(ProtocolSpec::HS, &p, 15))
+            .abs()
                 < 1e-15
         );
         // Reliable triggers repair faster than refresh-only at every hop.
         for hop in [1usize, 5, 20] {
             assert!(
-                slow_repair_rate(Protocol::SsRt, &p, hop) > slow_repair_rate(Protocol::Ss, &p, hop)
+                slow_repair_rate(ProtocolSpec::SS_RT, &p, hop)
+                    > slow_repair_rate(ProtocolSpec::SS, &p, hop)
             );
         }
     }
@@ -300,8 +294,8 @@ mod tests {
     #[test]
     fn transition_counts() {
         let p = params().with_hops(4);
-        let ss = multi_hop_transitions(Protocol::Ss, &p);
-        let hs = multi_hop_transitions(Protocol::Hs, &p);
+        let ss = multi_hop_transitions(ProtocolSpec::SS, &p);
+        let hs = multi_hop_transitions(ProtocolSpec::HS, &p);
         // Every rate positive, no self-loops.
         for e in ss.iter().chain(hs.iter()) {
             assert!(e.rate > 0.0);
@@ -328,9 +322,9 @@ mod tests {
     #[test]
     fn every_state_can_reach_zero_on_update() {
         let p = params().with_hops(3);
-        for proto in Protocol::MULTI_HOP {
+        for proto in ProtocolSpec::PAPER_MULTI_HOP {
             let ts = multi_hop_transitions(proto, &p);
-            let with_recovery = proto == Protocol::Hs;
+            let with_recovery = proto == ProtocolSpec::HS;
             for s in MultiHopState::enumerate(3, with_recovery) {
                 if s == MultiHopState::fast(0) {
                     continue;

@@ -107,48 +107,29 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// The five signaling protocols studied by the paper (Section II).
+/// Names for the paper's five protocols, left only for the benchmark package.
 ///
-/// Since the protocol layer was opened up, this enum is a set of *names* for
-/// the five paper presets of [`ProtocolSpec`] — the mechanism-composition
-/// type every model and simulator actually runs on.  Each variant converts
-/// into its preset via [`Protocol::spec`] (or `Into<ProtocolSpec>`, which
-/// every protocol-taking API accepts), so existing call sites keep working
-/// unchanged.  The mechanism predicates on this enum are kept as the
-/// paper-transcribed ground truth the presets are tested against.
+/// The workspace names the paper's protocols by the [`ProtocolSpec`] presets
+/// ([`ProtocolSpec::SS`] … [`ProtocolSpec::HS`], [`ProtocolSpec::PAPER`]).
+/// This enum's only remaining callers are `sigperf/src/analytic.rs` and
+/// `sigperf/src/node.rs`, which the benchmark's own change moves to the
+/// presets; that change deletes the enum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
-    /// Pure soft state: best-effort triggers + periodic refresh; removal only
-    /// by receiver-side state timeout.
+    /// [`ProtocolSpec::SS`].
     Ss,
-    /// Soft state with best-effort explicit removal messages.
+    /// [`ProtocolSpec::SS_ER`].
     SsEr,
-    /// Soft state with reliable (ACK + retransmit) trigger messages and a
-    /// notification that lets the sender recover from false removal.
+    /// [`ProtocolSpec::SS_RT`].
     SsRt,
-    /// Soft state with reliable triggers *and* reliable explicit removal.
+    /// [`ProtocolSpec::SS_RTR`].
     SsRtr,
-    /// Pure hard state: reliable setup/update/removal, no refreshes, no state
-    /// timeout; orphan removal via an external failure signal.
+    /// [`ProtocolSpec::HS`].
     Hs,
 }
 
 impl Protocol {
-    /// All protocols in the order the paper lists them.
-    pub const ALL: [Protocol; 5] = [
-        Protocol::Ss,
-        Protocol::SsEr,
-        Protocol::SsRt,
-        Protocol::SsRtr,
-        Protocol::Hs,
-    ];
-
-    /// The three protocols the paper evaluates in the multi-hop setting
-    /// (Section III-B).
-    pub const MULTI_HOP: [Protocol; 3] = [Protocol::Ss, Protocol::SsRt, Protocol::Hs];
-
-    /// The protocol's mechanism composition — the [`ProtocolSpec`] preset
-    /// this name stands for.
+    /// The [`ProtocolSpec`] preset this name stands for.
     pub const fn spec(self) -> ProtocolSpec {
         match self {
             Protocol::Ss => ProtocolSpec::SS,
@@ -158,73 +139,11 @@ impl Protocol {
             Protocol::Hs => ProtocolSpec::HS,
         }
     }
-
-    /// The label used in the paper's figures.
-    pub fn label(self) -> &'static str {
-        match self {
-            Protocol::Ss => "SS",
-            Protocol::SsEr => "SS+ER",
-            Protocol::SsRt => "SS+RT",
-            Protocol::SsRtr => "SS+RTR",
-            Protocol::Hs => "HS",
-        }
-    }
-
-    /// Whether the protocol sends periodic refresh messages.
-    pub fn uses_refresh(self) -> bool {
-        !matches!(self, Protocol::Hs)
-    }
-
-    /// Whether the protocol removes receiver state on a state-timeout timer.
-    pub fn uses_state_timeout(self) -> bool {
-        !matches!(self, Protocol::Hs)
-    }
-
-    /// Whether the protocol sends explicit state-removal messages.
-    pub fn uses_explicit_removal(self) -> bool {
-        matches!(self, Protocol::SsEr | Protocol::SsRtr | Protocol::Hs)
-    }
-
-    /// Whether trigger (setup/update) messages are sent reliably
-    /// (ACK + retransmission).
-    pub fn reliable_triggers(self) -> bool {
-        matches!(self, Protocol::SsRt | Protocol::SsRtr | Protocol::Hs)
-    }
-
-    /// Whether explicit removal messages are sent reliably.
-    pub fn reliable_removal(self) -> bool {
-        matches!(self, Protocol::SsRtr | Protocol::Hs)
-    }
-
-    /// Whether the receiver notifies the sender when it removes state (so the
-    /// sender can repair a false removal with a fresh trigger).  The paper
-    /// gives this mechanism to SS+RT, SS+RTR and HS.
-    pub fn notifies_on_removal(self) -> bool {
-        matches!(self, Protocol::SsRt | Protocol::SsRtr | Protocol::Hs)
-    }
-}
-
-impl fmt::Display for Protocol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
 }
 
 impl From<Protocol> for ProtocolSpec {
     fn from(p: Protocol) -> Self {
         p.spec()
-    }
-}
-
-impl PartialEq<Protocol> for ProtocolSpec {
-    fn eq(&self, other: &Protocol) -> bool {
-        *self == other.spec()
-    }
-}
-
-impl PartialEq<ProtocolSpec> for Protocol {
-    fn eq(&self, other: &ProtocolSpec) -> bool {
-        self.spec() == *other
     }
 }
 
@@ -456,44 +375,6 @@ impl MultiHopParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn protocol_labels_match_paper() {
-        let labels: Vec<&str> = Protocol::ALL.iter().map(|p| p.label()).collect();
-        assert_eq!(labels, vec!["SS", "SS+ER", "SS+RT", "SS+RTR", "HS"]);
-        assert_eq!(format!("{}", Protocol::SsRtr), "SS+RTR");
-    }
-
-    #[test]
-    fn mechanism_matrix_matches_section_two() {
-        use Protocol::*;
-        // Refresh + timeout: all soft-state variants, not HS.
-        for p in [Ss, SsEr, SsRt, SsRtr] {
-            assert!(p.uses_refresh(), "{p}");
-            assert!(p.uses_state_timeout(), "{p}");
-        }
-        assert!(!Hs.uses_refresh());
-        assert!(!Hs.uses_state_timeout());
-        // Explicit removal: SS+ER, SS+RTR, HS.
-        assert!(!Ss.uses_explicit_removal());
-        assert!(SsEr.uses_explicit_removal());
-        assert!(!SsRt.uses_explicit_removal());
-        assert!(SsRtr.uses_explicit_removal());
-        assert!(Hs.uses_explicit_removal());
-        // Reliable triggers: SS+RT, SS+RTR, HS.
-        assert!(!Ss.reliable_triggers());
-        assert!(!SsEr.reliable_triggers());
-        assert!(SsRt.reliable_triggers());
-        assert!(SsRtr.reliable_triggers());
-        assert!(Hs.reliable_triggers());
-        // Reliable removal: SS+RTR, HS.
-        assert!(SsRtr.reliable_removal());
-        assert!(Hs.reliable_removal());
-        assert!(!SsRt.reliable_removal());
-        // Notification on removal: the reliable-trigger protocols.
-        assert!(SsRt.notifies_on_removal());
-        assert!(!SsEr.notifies_on_removal());
-    }
 
     #[test]
     fn kazaa_defaults_are_valid_and_consistent() {

@@ -3,7 +3,7 @@
 use super::metrics::MessageRates;
 use super::states::SingleHopState;
 use super::transitions::{protocol_transitions, RateTable};
-use crate::params::{ConfigError, Protocol, SingleHopParams};
+use crate::params::{ConfigError, SingleHopParams};
 use crate::spec::{ProtocolSpec, SpecError};
 use ctmc::{CtmcBuilder, CtmcError};
 use std::collections::HashMap;
@@ -88,13 +88,8 @@ pub struct SingleHopModel {
 
 impl SingleHopModel {
     /// Builds the model, validating the parameters and the protocol's
-    /// mechanism composition.  Accepts a [`Protocol`] name or any
-    /// [`ProtocolSpec`].
-    pub fn new(
-        protocol: impl Into<ProtocolSpec>,
-        params: SingleHopParams,
-    ) -> Result<Self, ModelError> {
-        let protocol = protocol.into();
+    /// mechanism composition.
+    pub fn new(protocol: ProtocolSpec, params: SingleHopParams) -> Result<Self, ModelError> {
         protocol.validate().map_err(ModelError::InvalidSpec)?;
         params.validate().map_err(ModelError::InvalidParams)?;
         let table = protocol_transitions(protocol, &params);
@@ -347,7 +342,7 @@ pub(crate) fn message_rates_from(
 
 /// Solves all five protocols under the same parameter set.
 pub fn solve_all(params: SingleHopParams) -> Result<Vec<SingleHopSolution>, ModelError> {
-    Protocol::ALL
+    ProtocolSpec::PAPER
         .iter()
         .map(|p| SingleHopModel::new(*p, params)?.solve())
         .collect()
@@ -357,14 +352,14 @@ pub fn solve_all(params: SingleHopParams) -> Result<Vec<SingleHopSolution>, Mode
 mod tests {
     use super::*;
 
-    fn solve(protocol: Protocol) -> SingleHopSolution {
+    fn solve(protocol: ProtocolSpec) -> SingleHopSolution {
         SingleHopModel::new(protocol, SingleHopParams::kazaa_defaults())
             .unwrap()
             .solve()
             .unwrap()
     }
 
-    fn solve_with(protocol: Protocol, params: SingleHopParams) -> SingleHopSolution {
+    fn solve_with(protocol: ProtocolSpec, params: SingleHopParams) -> SingleHopSolution {
         SingleHopModel::new(protocol, params)
             .unwrap()
             .solve()
@@ -373,7 +368,7 @@ mod tests {
 
     #[test]
     fn stationary_probabilities_sum_to_one() {
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             let s = solve(proto);
             let sum: f64 = s.stationary.values().sum();
             assert!((sum - 1.0).abs() < 1e-9, "{proto}: sum = {sum}");
@@ -383,7 +378,7 @@ mod tests {
 
     #[test]
     fn inconsistency_is_a_probability() {
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             let s = solve(proto);
             assert!(
                 (0.0..=1.0).contains(&s.inconsistency),
@@ -397,11 +392,11 @@ mod tests {
     fn default_ordering_matches_paper_figure_four() {
         // At the Kazaa defaults (session ≈ 1800 s) the paper finds
         // SS worst, SS+ER a large improvement, SS+RTR ≈ HS best.
-        let ss = solve(Protocol::Ss).inconsistency;
-        let ss_er = solve(Protocol::SsEr).inconsistency;
-        let ss_rt = solve(Protocol::SsRt).inconsistency;
-        let ss_rtr = solve(Protocol::SsRtr).inconsistency;
-        let hs = solve(Protocol::Hs).inconsistency;
+        let ss = solve(ProtocolSpec::SS).inconsistency;
+        let ss_er = solve(ProtocolSpec::SS_ER).inconsistency;
+        let ss_rt = solve(ProtocolSpec::SS_RT).inconsistency;
+        let ss_rtr = solve(ProtocolSpec::SS_RTR).inconsistency;
+        let hs = solve(ProtocolSpec::HS).inconsistency;
         assert!(ss_er < ss, "SS+ER ({ss_er}) should beat SS ({ss})");
         assert!(ss_rt < ss, "SS+RT ({ss_rt}) should beat SS ({ss})");
         assert!(
@@ -420,8 +415,8 @@ mod tests {
     fn explicit_removal_adds_negligible_overhead_for_long_sessions() {
         // The paper's headline: SS+ER greatly improves consistency over SS at
         // almost no extra signaling cost for sessions of ~1000s of seconds.
-        let ss = solve(Protocol::Ss);
-        let ss_er = solve(Protocol::SsEr);
+        let ss = solve(ProtocolSpec::SS);
+        let ss_er = solve(ProtocolSpec::SS_ER);
         assert!(ss_er.inconsistency < 0.5 * ss.inconsistency);
         let overhead = (ss_er.normalized_message_rate - ss.normalized_message_rate)
             / ss.normalized_message_rate;
@@ -430,13 +425,17 @@ mod tests {
 
     #[test]
     fn hard_state_has_lowest_message_rate() {
-        let rates: Vec<(Protocol, f64)> = Protocol::ALL
+        let rates: Vec<(ProtocolSpec, f64)> = ProtocolSpec::PAPER
             .iter()
             .map(|p| (*p, solve(*p).normalized_message_rate))
             .collect();
-        let hs = rates.iter().find(|(p, _)| *p == Protocol::Hs).unwrap().1;
+        let hs = rates
+            .iter()
+            .find(|(p, _)| *p == ProtocolSpec::HS)
+            .unwrap()
+            .1;
         for (p, r) in &rates {
-            if *p != Protocol::Hs {
+            if *p != ProtocolSpec::HS {
                 assert!(hs < *r, "HS ({hs}) should be below {p} ({r})");
             }
         }
@@ -444,9 +443,9 @@ mod tests {
 
     #[test]
     fn refresh_dominates_soft_state_message_rate() {
-        let s = solve(Protocol::Ss);
+        let s = solve(ProtocolSpec::SS);
         assert!(s.message_rates.refresh_fraction() > 0.8);
-        let hs = solve(Protocol::Hs);
+        let hs = solve(ProtocolSpec::HS);
         assert_eq!(hs.message_rates.refresh, 0.0);
     }
 
@@ -456,8 +455,8 @@ mod tests {
         // sender departs under SS, and only ~Δ longer under the explicit
         // removal protocols.
         let params = SingleHopParams::kazaa_defaults();
-        let ss = solve(Protocol::Ss);
-        let ss_er = solve(Protocol::SsEr);
+        let ss = solve(ProtocolSpec::SS);
+        let ss_er = solve(ProtocolSpec::SS_ER);
         let sender = params.mean_lifetime();
         assert!(ss.expected_lifetime > sender + 0.5 * params.timeout_timer);
         assert!(ss_er.expected_lifetime < sender + params.timeout_timer);
@@ -467,7 +466,7 @@ mod tests {
     #[test]
     fn shorter_sessions_mean_more_inconsistency_and_overhead() {
         // Figure 4: both metrics decrease as the session length grows.
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             let short = solve_with(
                 proto,
                 SingleHopParams::kazaa_defaults().with_mean_lifetime(30.0),
@@ -495,10 +494,10 @@ mod tests {
         // how state removal is performed, with SS and SS+RT (timeout removal)
         // far worse than the explicit-removal protocols.
         let params = SingleHopParams::kazaa_defaults().with_mean_lifetime(30.0);
-        let ss = solve_with(Protocol::Ss, params).inconsistency;
-        let ss_rt = solve_with(Protocol::SsRt, params).inconsistency;
-        let ss_er = solve_with(Protocol::SsEr, params).inconsistency;
-        let hs = solve_with(Protocol::Hs, params).inconsistency;
+        let ss = solve_with(ProtocolSpec::SS, params).inconsistency;
+        let ss_rt = solve_with(ProtocolSpec::SS_RT, params).inconsistency;
+        let ss_er = solve_with(ProtocolSpec::SS_ER, params).inconsistency;
+        let hs = solve_with(ProtocolSpec::HS, params).inconsistency;
         assert!(ss > 5.0 * ss_er);
         assert!(ss_rt > 5.0 * ss_er);
         assert!(
@@ -510,7 +509,7 @@ mod tests {
 
     #[test]
     fn higher_loss_means_more_inconsistency() {
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             let mut lossier = SingleHopParams::kazaa_defaults();
             lossier.loss = 0.25;
             let low = solve(proto).inconsistency;
@@ -524,14 +523,14 @@ mod tests {
         // Figure 5(a): under heavy loss, SS+RT clearly beats SS.
         let mut lossy = SingleHopParams::kazaa_defaults();
         lossy.loss = 0.2;
-        let ss = solve_with(Protocol::Ss, lossy).inconsistency;
-        let ss_rt = solve_with(Protocol::SsRt, lossy).inconsistency;
+        let ss = solve_with(ProtocolSpec::SS, lossy).inconsistency;
+        let ss_rt = solve_with(ProtocolSpec::SS_RT, lossy).inconsistency;
         assert!(ss_rt < ss);
     }
 
     #[test]
     fn longer_delay_means_more_inconsistency() {
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             let near = solve_with(
                 proto,
                 SingleHopParams::kazaa_defaults().with_delay_scaled_retrans(0.01),
@@ -552,25 +551,29 @@ mod tests {
         bad.timeout_timer = 1.0; // refresh stays at 5 s
         let good = SingleHopParams::kazaa_defaults();
         for proto in [
-            Protocol::Ss,
-            Protocol::SsEr,
-            Protocol::SsRt,
-            Protocol::SsRtr,
+            ProtocolSpec::SS,
+            ProtocolSpec::SS_ER,
+            ProtocolSpec::SS_RT,
+            ProtocolSpec::SS_RTR,
         ] {
             let collapsed = solve_with(proto, bad).inconsistency;
             let healthy = solve_with(proto, good).inconsistency;
             // SS+RT both repairs false removals quickly (small penalty) and
             // loses the long orphan-timeout wait (a benefit), so its
             // degradation factor is smaller than for the other variants.
-            let factor = if proto == Protocol::SsRt { 2.0 } else { 5.0 };
+            let factor = if proto == ProtocolSpec::SS_RT {
+                2.0
+            } else {
+                5.0
+            };
             assert!(
                 collapsed > factor * healthy,
                 "{proto}: {collapsed} vs {healthy}"
             );
         }
         // HS has no timeout and is unaffected.
-        let hs_bad = solve_with(Protocol::Hs, bad).inconsistency;
-        let hs_good = solve_with(Protocol::Hs, good).inconsistency;
+        let hs_bad = solve_with(ProtocolSpec::HS, bad).inconsistency;
+        let hs_good = solve_with(ProtocolSpec::HS, good).inconsistency;
         assert!((hs_bad - hs_good).abs() < 1e-9);
     }
 
@@ -578,21 +581,21 @@ mod tests {
     fn smaller_refresh_timer_costs_more_messages() {
         // Figure 6(b): the soft-state message rate scales like 1/T.
         let fast = solve_with(
-            Protocol::Ss,
+            ProtocolSpec::SS,
             SingleHopParams::kazaa_defaults().with_refresh_timer_scaled_timeout(1.0),
         );
         let slow = solve_with(
-            Protocol::Ss,
+            ProtocolSpec::SS,
             SingleHopParams::kazaa_defaults().with_refresh_timer_scaled_timeout(20.0),
         );
         assert!(fast.normalized_message_rate > 5.0 * slow.normalized_message_rate);
         // HS ignores the refresh timer entirely.
         let hs_fast = solve_with(
-            Protocol::Hs,
+            ProtocolSpec::HS,
             SingleHopParams::kazaa_defaults().with_refresh_timer_scaled_timeout(1.0),
         );
         let hs_slow = solve_with(
-            Protocol::Hs,
+            ProtocolSpec::HS,
             SingleHopParams::kazaa_defaults().with_refresh_timer_scaled_timeout(20.0),
         );
         assert!((hs_fast.normalized_message_rate - hs_slow.normalized_message_rate).abs() < 1e-9);
@@ -601,27 +604,27 @@ mod tests {
 
     #[test]
     fn message_rate_components_match_protocol_mechanisms() {
-        let ss = solve(Protocol::Ss).message_rates;
+        let ss = solve(ProtocolSpec::SS).message_rates;
         assert_eq!(ss.explicit_removal, 0.0);
         assert_eq!(ss.reliable_trigger_extra, 0.0);
         assert_eq!(ss.reliable_removal_extra, 0.0);
         assert!(ss.refresh > 0.0 && ss.trigger > 0.0);
 
-        let er = solve(Protocol::SsEr).message_rates;
+        let er = solve(ProtocolSpec::SS_ER).message_rates;
         assert!(er.explicit_removal > 0.0);
         assert_eq!(er.reliable_trigger_extra, 0.0);
 
-        let rt = solve(Protocol::SsRt).message_rates;
+        let rt = solve(ProtocolSpec::SS_RT).message_rates;
         assert!(rt.reliable_trigger_extra > 0.0);
         assert_eq!(rt.explicit_removal, 0.0);
         assert_eq!(rt.reliable_removal_extra, 0.0);
 
-        let rtr = solve(Protocol::SsRtr).message_rates;
+        let rtr = solve(ProtocolSpec::SS_RTR).message_rates;
         assert!(rtr.explicit_removal > 0.0);
         assert!(rtr.reliable_trigger_extra > 0.0);
         assert!(rtr.reliable_removal_extra > 0.0);
 
-        let hs = solve(Protocol::Hs).message_rates;
+        let hs = solve(ProtocolSpec::HS).message_rates;
         assert_eq!(hs.refresh, 0.0);
         assert!(hs.trigger > 0.0);
         assert!(hs.reliable_trigger_extra > 0.0);
@@ -630,14 +633,14 @@ mod tests {
 
     #[test]
     fn normalized_rate_is_lifetime_times_rate_times_removal_rate() {
-        let s = solve(Protocol::SsEr);
+        let s = solve(ProtocolSpec::SS_ER);
         let expected = s.expected_lifetime * s.message_rate * s.params.removal_rate;
         assert!((s.normalized_message_rate - expected).abs() < 1e-12);
     }
 
     #[test]
     fn integrated_cost_combines_both_metrics() {
-        let s = solve(Protocol::Ss);
+        let s = solve(ProtocolSpec::SS);
         let c = s.integrated_cost(10.0);
         assert!((c - (10.0 * s.inconsistency + s.normalized_message_rate)).abs() < 1e-12);
         assert!(s.integrated_cost(0.0) < c);
@@ -656,7 +659,7 @@ mod tests {
         let mut bad = SingleHopParams::kazaa_defaults();
         bad.loss = 2.0;
         assert!(matches!(
-            SingleHopModel::new(Protocol::Ss, bad),
+            SingleHopModel::new(ProtocolSpec::SS, bad),
             Err(ModelError::InvalidParams(_))
         ));
     }
@@ -667,7 +670,7 @@ mod tests {
         // takes setup/update/removal messages to propagate.
         let mut p = SingleHopParams::kazaa_defaults();
         p.loss = 0.0;
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             let s = solve_with(proto, p);
             assert!(
                 s.inconsistency < 0.01,
@@ -679,7 +682,7 @@ mod tests {
 
     #[test]
     fn stationary_probability_of_missing_state_is_zero() {
-        let s = solve(Protocol::Ss);
+        let s = solve(ProtocolSpec::SS);
         assert_eq!(s.stationary_probability(SingleHopState::Removing2), 0.0);
         assert!(s.stationary_probability(SingleHopState::Consistent) > 0.9);
     }

@@ -99,8 +99,7 @@ impl RateTable {
 ///
 /// For the paper presets this reduces to exactly Table I: `(1−p_l)/T` for
 /// SS/SS+ER, `(1/T + 1/R)(1−p_l)` for SS+RT/SS+RTR, `(1−p_l)/R` for HS.
-pub fn slow_path_repair_rate(protocol: impl Into<ProtocolSpec>, p: &SingleHopParams) -> f64 {
-    let spec = protocol.into();
+pub fn slow_path_repair_rate(spec: ProtocolSpec, p: &SingleHopParams) -> f64 {
     let success = 1.0 - p.loss;
     match (spec.uses_refresh(), spec.retransmits_repairs()) {
         (true, true) => (1.0 / p.refresh_timer + 1.0 / p.retrans_timer) * success,
@@ -116,8 +115,7 @@ pub fn slow_path_repair_rate(protocol: impl Into<ProtocolSpec>, p: &SingleHopPar
 /// (retransmissions every `R` multiply the attempts per timeout interval); a
 /// protocol without a state timeout relies on an external failure detector
 /// instead, whose false alarms arrive at rate `λ_e`.
-pub fn false_removal_rate(protocol: impl Into<ProtocolSpec>, p: &SingleHopParams) -> f64 {
-    let spec = protocol.into();
+pub fn false_removal_rate(spec: ProtocolSpec, p: &SingleHopParams) -> f64 {
     if spec.has_external_detector() {
         p.false_signal_rate
     } else if spec.reliable_refresh() {
@@ -135,8 +133,7 @@ pub fn false_removal_rate(protocol: impl Into<ProtocolSpec>, p: &SingleHopParams
 /// backstop contributes `1/τ`, removal retransmission contributes
 /// `(1−p_l)/R`.  `None` when the protocol has no `(0,1)₂` state (no explicit
 /// removal, or no surviving cleanup mechanism).
-pub fn orphan_cleanup_rate(protocol: impl Into<ProtocolSpec>, p: &SingleHopParams) -> Option<f64> {
-    let spec = protocol.into();
+pub fn orphan_cleanup_rate(spec: ProtocolSpec, p: &SingleHopParams) -> Option<f64> {
     if !spec.uses_explicit_removal() {
         return None;
     }
@@ -152,8 +149,7 @@ pub fn orphan_cleanup_rate(protocol: impl Into<ProtocolSpec>, p: &SingleHopParam
 /// Rate of the `(0,1)₁ → (0,0)` transition (Table I row 5): state-timeout for
 /// the protocols without explicit removal, successful delivery of the removal
 /// message otherwise.
-pub fn removal_delivery_rate(protocol: impl Into<ProtocolSpec>, p: &SingleHopParams) -> f64 {
-    let spec = protocol.into();
+pub fn removal_delivery_rate(spec: ProtocolSpec, p: &SingleHopParams) -> f64 {
     let success = 1.0 - p.loss;
     if spec.uses_explicit_removal() {
         success / p.delay
@@ -168,8 +164,7 @@ pub fn removal_delivery_rate(protocol: impl Into<ProtocolSpec>, p: &SingleHopPar
 /// predicates — there is no per-protocol `match` left — so any coherent
 /// composition of mechanisms yields a well-formed chain, and the paper
 /// presets reproduce Table I bit for bit.
-pub fn protocol_transitions(protocol: impl Into<ProtocolSpec>, p: &SingleHopParams) -> RateTable {
-    let protocol: ProtocolSpec = protocol.into();
+pub fn protocol_transitions(protocol: ProtocolSpec, p: &SingleHopParams) -> RateTable {
     let mut table = RateTable {
         protocol,
         entries: Vec::new(),
@@ -189,11 +184,10 @@ pub fn protocol_transitions(protocol: impl Into<ProtocolSpec>, p: &SingleHopPara
 /// (kept below as [`protocol_transitions_reference_into`] for the model
 /// checker's agreement property).
 pub fn protocol_transitions_into(
-    protocol: impl Into<ProtocolSpec>,
+    protocol: ProtocolSpec,
     p: &SingleHopParams,
     table: &mut RateTable,
 ) {
-    let protocol: ProtocolSpec = protocol.into();
     table.protocol = protocol;
     table.entries.clear();
     let entries = &mut table.entries;
@@ -208,11 +202,7 @@ pub fn protocol_transitions_into(
 /// The historical predicate-derived builder, kept verbatim as the golden
 /// reference the table-driven path is checked against (exact equality, the
 /// way `LuSolver` is pinned to the Gaussian reference).
-pub fn protocol_transitions_reference(
-    protocol: impl Into<ProtocolSpec>,
-    p: &SingleHopParams,
-) -> RateTable {
-    let protocol: ProtocolSpec = protocol.into();
+pub fn protocol_transitions_reference(protocol: ProtocolSpec, p: &SingleHopParams) -> RateTable {
     let mut table = RateTable {
         protocol,
         entries: Vec::new(),
@@ -223,12 +213,11 @@ pub fn protocol_transitions_reference(
 
 /// [`protocol_transitions_reference`] into a caller-owned table.
 pub fn protocol_transitions_reference_into(
-    protocol: impl Into<ProtocolSpec>,
+    protocol: ProtocolSpec,
     p: &SingleHopParams,
     table: &mut RateTable,
 ) {
     use SingleHopState::*;
-    let protocol: ProtocolSpec = protocol.into();
     table.protocol = protocol;
     table.entries.clear();
     let entries = &mut table.entries;
@@ -279,7 +268,6 @@ pub fn protocol_transitions_reference_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::Protocol;
     use SingleHopState::*;
 
     fn params() -> SingleHopParams {
@@ -289,7 +277,7 @@ mod tests {
     #[test]
     fn fast_path_rates_are_protocol_independent() {
         let p = params();
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             let t = protocol_transitions(proto, &p);
             assert!((t.rate(Setup1, Consistent) - (1.0 - p.loss) / p.delay).abs() < 1e-12);
             assert!((t.rate(Setup1, Setup2) - p.loss / p.delay).abs() < 1e-12);
@@ -303,27 +291,28 @@ mod tests {
         let p = params();
         let success = 1.0 - p.loss;
         assert!(
-            (slow_path_repair_rate(Protocol::Ss, &p) - success / p.refresh_timer).abs() < 1e-12
+            (slow_path_repair_rate(ProtocolSpec::SS, &p) - success / p.refresh_timer).abs() < 1e-12
         );
         assert!(
-            (slow_path_repair_rate(Protocol::SsRt, &p)
+            (slow_path_repair_rate(ProtocolSpec::SS_RT, &p)
                 - (1.0 / p.refresh_timer + 1.0 / p.retrans_timer) * success)
                 .abs()
                 < 1e-12
         );
         assert!(
-            (slow_path_repair_rate(Protocol::Hs, &p) - success / p.retrans_timer).abs() < 1e-12
+            (slow_path_repair_rate(ProtocolSpec::HS, &p) - success / p.retrans_timer).abs() < 1e-12
         );
         // Reliable-trigger protocols recover faster from a lost trigger.
         assert!(
-            slow_path_repair_rate(Protocol::SsRt, &p) > slow_path_repair_rate(Protocol::Ss, &p)
+            slow_path_repair_rate(ProtocolSpec::SS_RT, &p)
+                > slow_path_repair_rate(ProtocolSpec::SS, &p)
         );
     }
 
     #[test]
     fn removing2_exists_only_with_explicit_removal() {
         let p = params();
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             let t = protocol_transitions(proto, &p);
             let has_r2 = t.rate(Removing1, Removing2) > 0.0 || t.rate(Removing2, Absorbed) > 0.0;
             assert_eq!(has_r2, proto.uses_explicit_removal(), "{proto}");
@@ -333,9 +322,9 @@ mod tests {
     #[test]
     fn removal_delivery_uses_timeout_without_explicit_removal() {
         let p = params();
-        let ss = protocol_transitions(Protocol::Ss, &p);
+        let ss = protocol_transitions(ProtocolSpec::SS, &p);
         assert!((ss.rate(Removing1, Absorbed) - 1.0 / p.timeout_timer).abs() < 1e-12);
-        let sser = protocol_transitions(Protocol::SsEr, &p);
+        let sser = protocol_transitions(ProtocolSpec::SS_ER, &p);
         assert!((sser.rate(Removing1, Absorbed) - (1.0 - p.loss) / p.delay).abs() < 1e-12);
         // Explicit removal removes orphaned state much faster than timeout.
         assert!(sser.rate(Removing1, Absorbed) > ss.rate(Removing1, Absorbed));
@@ -344,9 +333,15 @@ mod tests {
     #[test]
     fn hs_false_removal_uses_external_signal_rate() {
         let p = params();
-        assert_eq!(false_removal_rate(Protocol::Hs, &p), p.false_signal_rate);
-        assert_eq!(false_removal_rate(Protocol::Ss, &p), p.false_removal_rate());
-        let hs = protocol_transitions(Protocol::Hs, &p);
+        assert_eq!(
+            false_removal_rate(ProtocolSpec::HS, &p),
+            p.false_signal_rate
+        );
+        assert_eq!(
+            false_removal_rate(ProtocolSpec::SS, &p),
+            p.false_removal_rate()
+        );
+        let hs = protocol_transitions(ProtocolSpec::HS, &p);
         assert!((hs.rate(Consistent, Setup2) - p.false_signal_rate).abs() < 1e-18);
     }
 
@@ -360,7 +355,7 @@ mod tests {
         p.timeout_timer = 2.0 * p.refresh_timer;
         let ss_rr = ProtocolSpec::soft_state("SS+RR").with_refresh(Some(RefreshMode::Reliable));
         let rr = false_removal_rate(ss_rr, &p);
-        let ss = false_removal_rate(Protocol::Ss, &p);
+        let ss = false_removal_rate(ProtocolSpec::SS, &p);
         assert!(
             rr < ss,
             "reliable refresh must cut λ_f ({rr} vs {ss}), matching the simulator"
@@ -372,15 +367,15 @@ mod tests {
     #[test]
     fn orphan_cleanup_rates() {
         let p = params();
-        assert_eq!(orphan_cleanup_rate(Protocol::Ss, &p), None);
-        assert_eq!(orphan_cleanup_rate(Protocol::SsRt, &p), None);
+        assert_eq!(orphan_cleanup_rate(ProtocolSpec::SS, &p), None);
+        assert_eq!(orphan_cleanup_rate(ProtocolSpec::SS_RT, &p), None);
         assert!(
-            (orphan_cleanup_rate(Protocol::SsEr, &p).unwrap() - 1.0 / p.timeout_timer).abs()
+            (orphan_cleanup_rate(ProtocolSpec::SS_ER, &p).unwrap() - 1.0 / p.timeout_timer).abs()
                 < 1e-12
         );
-        let rtr = orphan_cleanup_rate(Protocol::SsRtr, &p).unwrap();
+        let rtr = orphan_cleanup_rate(ProtocolSpec::SS_RTR, &p).unwrap();
         assert!((rtr - (1.0 / p.timeout_timer + (1.0 - p.loss) / p.retrans_timer)).abs() < 1e-12);
-        let hs = orphan_cleanup_rate(Protocol::Hs, &p).unwrap();
+        let hs = orphan_cleanup_rate(ProtocolSpec::HS, &p).unwrap();
         assert!((hs - (1.0 - p.loss) / p.retrans_timer).abs() < 1e-12);
         // SS+RTR can also fall back to timeout, so it cleans up at least as
         // fast as HS.
@@ -390,7 +385,7 @@ mod tests {
     #[test]
     fn absorbing_state_has_no_exit() {
         let p = params();
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             let t = protocol_transitions(proto, &p);
             assert_eq!(t.exit_rate(Absorbed), 0.0, "{proto}");
         }
@@ -400,7 +395,7 @@ mod tests {
     fn serialization_constraints_hold() {
         // No update, removal or false removal out of fast-path states.
         let p = params();
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             let t = protocol_transitions(proto, &p);
             assert_eq!(t.rate(Setup1, Absorbed), 0.0);
             assert_eq!(t.rate(Diff1, Removing1), 0.0);
@@ -413,7 +408,7 @@ mod tests {
     #[test]
     fn every_rate_is_positive_and_finite() {
         let p = params();
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             for e in protocol_transitions(proto, &p).entries {
                 assert!(e.rate.is_finite() && e.rate > 0.0, "{proto} {e:?}");
             }
@@ -423,7 +418,7 @@ mod tests {
     #[test]
     fn render_contains_protocol_and_states() {
         let p = params();
-        let table = protocol_transitions(Protocol::SsEr, &p);
+        let table = protocol_transitions(ProtocolSpec::SS_ER, &p);
         let text = table.render();
         assert!(text.contains("SS+ER"));
         assert!(text.contains("(1,0)_1"));
@@ -434,7 +429,7 @@ mod tests {
     fn zero_loss_removes_slow_path_entries() {
         let mut p = params();
         p.loss = 0.0;
-        let t = protocol_transitions(Protocol::Ss, &p);
+        let t = protocol_transitions(ProtocolSpec::SS, &p);
         assert_eq!(t.rate(Setup1, Setup2), 0.0);
         assert_eq!(t.rate(Diff1, Diff2), 0.0);
         // False removal disappears as well (p_l^(τ/T) = 0).

@@ -2,10 +2,11 @@
 //!
 //! Every analytic figure is a sweep — hundreds of `(ProtocolSpec, params)`
 //! points, each a stationary solve plus (single-hop) a mean-time-to-
-//! absorption solve.  The one-shot [`SingleHopModel`]/[`MultiHopModel`] path
-//! rebuilds everything per point: two `CtmcBuilder`s with their `HashMap`s,
-//! a `Ctmc` rate matrix, a generator clone, a transpose, a submatrix and a
-//! fresh Gaussian elimination working copy.  For the tiny chains of this
+//! absorption solve.  The one-shot
+//! [`SingleHopModel`](crate::SingleHopModel)/[`MultiHopModel`](crate::MultiHopModel)
+//! path rebuilds everything per point: two `CtmcBuilder`s with their
+//! `HashMap`s, a `Ctmc` rate matrix, a generator clone, a transpose, a
+//! submatrix and a fresh Gaussian elimination working copy.  For the tiny chains of this
 //! paper (8–42 states) those allocations dominate the flops.
 //!
 //! A [`SingleHopSweepSession`] / [`MultiHopSweepSession`] holds the rate
@@ -17,13 +18,13 @@
 //! exhaustively below and pinned end-to-end by the fig11a golden).
 //!
 //! ```
-//! use siganalytic::{Protocol, SingleHopModel, SingleHopParams};
+//! use siganalytic::{ProtocolSpec, SingleHopModel, SingleHopParams};
 //! use siganalytic::sweep::SingleHopSweepSession;
 //!
 //! let mut session = SingleHopSweepSession::new();
 //! let params = SingleHopParams::kazaa_defaults();
-//! let fast = session.solve(Protocol::Ss, params).unwrap();
-//! let slow = SingleHopModel::new(Protocol::Ss, params).unwrap().solve().unwrap();
+//! let fast = session.solve(ProtocolSpec::SS, params).unwrap();
+//! let slow = SingleHopModel::new(ProtocolSpec::SS, params).unwrap().solve().unwrap();
 //! assert_eq!(fast, slow); // not "close" — equal
 //! ```
 
@@ -226,8 +227,8 @@ const NO_STATE: usize = usize::MAX;
 /// `SingleHopModel::new(protocol, params)?.solve()` would, while keeping the
 /// matrices, LU workspace and state maps alive across points.
 ///
-/// Create one per thread and feed it a whole sweep ([`solve_sweep`]
-/// [`SingleHopSweepSession::solve_sweep`]); the structures are rebuilt only
+/// Create one per thread and feed it a whole sweep
+/// ([`SingleHopSweepSession::solve_sweep`]); the structures are rebuilt only
 /// when the protocol's chain shape actually changes (different used-state
 /// set), which protocol-major sweep orders make rare.
 #[derive(Debug, Clone)]
@@ -268,12 +269,15 @@ impl SingleHopSweepSession {
     /// Solves one `(protocol, params)` point, reusing the session's
     /// workspace.  Bit-identical to
     /// `SingleHopModel::new(protocol, params)?.solve()`.
+    // `#[inline]` compiles this body into the calling crate, next to its
+    // sweep loop; out of line, sigperf's analytic-spectrum sweeps ran about
+    // 8% slower.
+    #[inline]
     pub fn solve(
         &mut self,
-        protocol: impl Into<ProtocolSpec>,
+        protocol: ProtocolSpec,
         params: SingleHopParams,
     ) -> Result<SingleHopSolution, ModelError> {
-        let protocol = protocol.into();
         protocol.validate().map_err(ModelError::InvalidSpec)?;
         params.validate().map_err(ModelError::InvalidParams)?;
         protocol_transitions_into(protocol, &params, &mut self.table);
@@ -418,12 +422,13 @@ impl MultiHopSweepSession {
     /// Solves one `(protocol, params)` point, reusing the session's
     /// workspace.  Bit-identical to
     /// `MultiHopModel::new(protocol, params)?.solve()`.
+    // Inlined into the calling crate; see `SingleHopSweepSession::solve`.
+    #[inline]
     pub fn solve(
         &mut self,
-        protocol: impl Into<ProtocolSpec>,
+        protocol: ProtocolSpec,
         params: MultiHopParams,
     ) -> Result<MultiHopSolution, ModelError> {
-        let protocol = protocol.into();
         protocol.validate().map_err(ModelError::InvalidSpec)?;
         params.validate().map_err(ModelError::InvalidParams)?;
 
@@ -462,7 +467,6 @@ impl MultiHopSweepSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::Protocol;
     use crate::spec::RefreshMode;
     use crate::{MultiHopModel, SingleHopModel};
 
@@ -474,7 +478,7 @@ mod tests {
         // rebuild-on-structure-change path is exercised repeatedly.
         let mut session = SingleHopSweepSession::new();
         let base = SingleHopParams::kazaa_defaults();
-        for protocol in Protocol::ALL {
+        for protocol in ProtocolSpec::PAPER {
             for lifetime in [30.0, 600.0, 10_000.0] {
                 let params = base.with_mean_lifetime(lifetime);
                 let fast = session.solve(protocol, params).unwrap();
@@ -518,12 +522,12 @@ mod tests {
 
     #[test]
     fn single_hop_solve_sweep_matches_per_point_solves() {
-        let jobs: Vec<(ProtocolSpec, SingleHopParams)> = Protocol::ALL
+        let jobs: Vec<(ProtocolSpec, SingleHopParams)> = ProtocolSpec::PAPER
             .iter()
             .flat_map(|p| {
                 [1.0f64, 5.0, 20.0].into_iter().map(|t| {
                     (
-                        p.spec(),
+                        *p,
                         SingleHopParams::kazaa_defaults().with_refresh_timer_scaled_timeout(t),
                     )
                 })
@@ -547,7 +551,7 @@ mod tests {
         let mut bad = SingleHopParams::kazaa_defaults();
         bad.loss = 2.0;
         assert!(matches!(
-            session.solve(Protocol::Ss, bad),
+            session.solve(ProtocolSpec::SS, bad),
             Err(ModelError::InvalidParams(_))
         ));
         let incoherent = ProtocolSpec::hard_state("bad").with_state_timeout(true);
@@ -557,7 +561,7 @@ mod tests {
         ));
         // The session still works after a rejection.
         session
-            .solve(Protocol::Ss, SingleHopParams::kazaa_defaults())
+            .solve(ProtocolSpec::SS, SingleHopParams::kazaa_defaults())
             .unwrap();
     }
 
@@ -568,7 +572,7 @@ mod tests {
         // Interleave protocols (recovery state appears and disappears) and
         // hop counts (matrix shape changes) through one session.
         for hops in [2usize, 7, 20] {
-            for protocol in Protocol::MULTI_HOP {
+            for protocol in ProtocolSpec::PAPER_MULTI_HOP {
                 let params = base.with_hops(hops);
                 let fast = session.solve(protocol, params).unwrap();
                 let slow = MultiHopModel::new(protocol, params)
@@ -581,7 +585,7 @@ mod tests {
         // Refresh-timer sweep at fixed shape (the pure mutate-in-place path).
         for t in [1.0f64, 5.0, 50.0] {
             let params = base.with_refresh_timer_scaled_timeout(t);
-            for protocol in Protocol::MULTI_HOP {
+            for protocol in ProtocolSpec::PAPER_MULTI_HOP {
                 let fast = session.solve(protocol, params).unwrap();
                 let slow = MultiHopModel::new(protocol, params)
                     .unwrap()
@@ -594,15 +598,10 @@ mod tests {
 
     #[test]
     fn multi_hop_solve_sweep_matches_per_point_solves() {
-        let jobs: Vec<(ProtocolSpec, MultiHopParams)> = Protocol::MULTI_HOP
+        let jobs: Vec<(ProtocolSpec, MultiHopParams)> = ProtocolSpec::PAPER_MULTI_HOP
             .iter()
             .flat_map(|p| {
-                (2..=4).map(|k| {
-                    (
-                        p.spec(),
-                        MultiHopParams::reservation_defaults().with_hops(k),
-                    )
-                })
+                (2..=4).map(|k| (*p, MultiHopParams::reservation_defaults().with_hops(k)))
             })
             .collect();
         let mut session = MultiHopSweepSession::new();
@@ -623,12 +622,12 @@ mod tests {
         // solve and compare.
         let mut session = SingleHopSweepSession::new();
         let params = SingleHopParams::kazaa_defaults();
-        let first = session.solve(Protocol::SsRtr, params).unwrap();
-        session.solve(Protocol::Ss, params).unwrap();
+        let first = session.solve(ProtocolSpec::SS_RTR, params).unwrap();
+        session.solve(ProtocolSpec::SS, params).unwrap();
         session
-            .solve(Protocol::Hs, params.with_mean_lifetime(31.0))
+            .solve(ProtocolSpec::HS, params.with_mean_lifetime(31.0))
             .unwrap();
-        let again = session.solve(Protocol::SsRtr, params).unwrap();
+        let again = session.solve(ProtocolSpec::SS_RTR, params).unwrap();
         assert_eq!(first, again);
     }
 }

@@ -12,11 +12,11 @@ use criterion::{black_box, Criterion};
 use siganalytic::single_hop::transitions::{protocol_transitions, RateEntry, RateTable};
 use siganalytic::single_hop::SingleHopState;
 use signaling::{
-    Campaign, ExecutionPolicy, Protocol, SessionConfig, SingleHopModel, SingleHopParams,
+    Campaign, ExecutionPolicy, ProtocolSpec, SessionConfig, SingleHopModel, SingleHopParams,
 };
 use signet::LossModel;
 
-fn solve(protocol: Protocol, params: SingleHopParams) -> (f64, f64) {
+fn solve(protocol: ProtocolSpec, params: SingleHopParams) -> (f64, f64) {
     let s = SingleHopModel::new(protocol, params)
         .expect("valid params")
         .solve()
@@ -30,14 +30,17 @@ fn print_mechanism_ablation(label: &str, params: SingleHopParams) {
         "{:<44} {:>14} {:>14}",
         "configuration", "inconsistency", "msg rate M"
     );
-    let steps: [(&str, Protocol); 5] = [
-        ("baseline: pure soft state (SS)", Protocol::Ss),
-        ("+ explicit removal (SS+ER)", Protocol::SsEr),
-        ("+ reliable triggers only (SS+RT)", Protocol::SsRt),
-        ("+ reliable trigger & removal (SS+RTR)", Protocol::SsRtr),
-        ("hard state, no refresh/timeout (HS)", Protocol::Hs),
+    let steps: [(&str, ProtocolSpec); 5] = [
+        ("baseline: pure soft state (SS)", ProtocolSpec::SS),
+        ("+ explicit removal (SS+ER)", ProtocolSpec::SS_ER),
+        ("+ reliable triggers only (SS+RT)", ProtocolSpec::SS_RT),
+        (
+            "+ reliable trigger & removal (SS+RTR)",
+            ProtocolSpec::SS_RTR,
+        ),
+        ("hard state, no refresh/timeout (HS)", ProtocolSpec::HS),
     ];
-    let (base_i, base_m) = solve(Protocol::Ss, params);
+    let (base_i, base_m) = solve(ProtocolSpec::SS, params);
     for (name, protocol) in steps {
         let (i, m) = solve(protocol, params);
         println!(
@@ -62,10 +65,10 @@ fn print_timeout_ratio_ablation() {
         let mut params = SingleHopParams::kazaa_defaults();
         params.timeout_timer = ratio * params.refresh_timer;
         let row: Vec<f64> = [
-            Protocol::Ss,
-            Protocol::SsEr,
-            Protocol::SsRt,
-            Protocol::SsRtr,
+            ProtocolSpec::SS,
+            ProtocolSpec::SS_ER,
+            ProtocolSpec::SS_RT,
+            ProtocolSpec::SS_RTR,
         ]
         .iter()
         .map(|p| solve(*p, params).0)
@@ -95,7 +98,7 @@ fn print_burst_loss_ablation() {
         p_g2b: 0.05,
         p_b2g: 0.15,
     };
-    for protocol in Protocol::ALL {
+    for protocol in ProtocolSpec::PAPER {
         let independent = Campaign::new(SessionConfig::deterministic(protocol, params), 120, 7)
             .execution(ExecutionPolicy::auto())
             .run()
@@ -121,12 +124,45 @@ fn print_burst_loss_ablation() {
     println!();
 }
 
+/// The five paper protocols as a closed enum, the shape the protocol layer
+/// had before mechanism composition; the spec-dispatch ablation races a
+/// `match` on it against the [`ProtocolSpec`] path.
+#[derive(Debug, Clone, Copy)]
+enum PaperProtocol {
+    Ss,
+    SsEr,
+    SsRt,
+    SsRtr,
+    Hs,
+}
+
+impl PaperProtocol {
+    const ALL: [PaperProtocol; 5] = [
+        PaperProtocol::Ss,
+        PaperProtocol::SsEr,
+        PaperProtocol::SsRt,
+        PaperProtocol::SsRtr,
+        PaperProtocol::Hs,
+    ];
+
+    fn spec(self) -> ProtocolSpec {
+        match self {
+            PaperProtocol::Ss => ProtocolSpec::SS,
+            PaperProtocol::SsEr => ProtocolSpec::SS_ER,
+            PaperProtocol::SsRt => ProtocolSpec::SS_RT,
+            PaperProtocol::SsRtr => ProtocolSpec::SS_RTR,
+            PaperProtocol::Hs => ProtocolSpec::HS,
+        }
+    }
+}
+
 /// The pre-redesign transition builder: one `match` arm per protocol,
 /// transcribed from the closed-enum implementation this bench compares the
 /// mechanism-driven dispatch against.  Kept here (not in the library) so the
 /// spec-dispatch ablation has a faithful baseline to race and to
 /// equality-check.
-fn enum_match_transitions(protocol: Protocol, p: &SingleHopParams) -> RateTable {
+fn enum_match_transitions(protocol: PaperProtocol, p: &SingleHopParams) -> RateTable {
+    use PaperProtocol::{Hs, Ss, SsEr, SsRt, SsRtr};
     use SingleHopState::*;
     let mut entries: Vec<RateEntry> = Vec::new();
     let mut push = |from: SingleHopState, to: SingleHopState, rate: f64| {
@@ -139,14 +175,12 @@ fn enum_match_transitions(protocol: Protocol, p: &SingleHopParams) -> RateTable 
     let fast_delivery = success / p.delay;
     let fast_loss = p.loss / p.delay;
     let slow_repair = match protocol {
-        Protocol::Ss | Protocol::SsEr => success / p.refresh_timer,
-        Protocol::SsRt | Protocol::SsRtr => {
-            (1.0 / p.refresh_timer + 1.0 / p.retrans_timer) * success
-        }
-        Protocol::Hs => success / p.retrans_timer,
+        Ss | SsEr => success / p.refresh_timer,
+        SsRt | SsRtr => (1.0 / p.refresh_timer + 1.0 / p.retrans_timer) * success,
+        Hs => success / p.retrans_timer,
     };
     let lambda_f = match protocol {
-        Protocol::Hs => p.false_signal_rate,
+        Hs => p.false_signal_rate,
         _ => p.false_removal_rate(),
     };
 
@@ -166,17 +200,17 @@ fn enum_match_transitions(protocol: Protocol, p: &SingleHopParams) -> RateTable 
     push(Diff2, Setup2, lambda_f);
 
     let removal_delivery = match protocol {
-        Protocol::SsEr | Protocol::SsRtr | Protocol::Hs => success / p.delay,
-        Protocol::Ss | Protocol::SsRt => 1.0 / p.timeout_timer,
+        SsEr | SsRtr | Hs => success / p.delay,
+        Ss | SsRt => 1.0 / p.timeout_timer,
     };
     push(Removing1, Absorbed, removal_delivery);
     match protocol {
-        Protocol::Ss | Protocol::SsRt => {}
-        Protocol::SsEr => {
+        Ss | SsRt => {}
+        SsEr => {
             push(Removing1, Removing2, fast_loss);
             push(Removing2, Absorbed, 1.0 / p.timeout_timer);
         }
-        Protocol::SsRtr => {
+        SsRtr => {
             push(Removing1, Removing2, fast_loss);
             push(
                 Removing2,
@@ -184,7 +218,7 @@ fn enum_match_transitions(protocol: Protocol, p: &SingleHopParams) -> RateTable 
                 1.0 / p.timeout_timer + success / p.retrans_timer,
             );
         }
-        Protocol::Hs => {
+        Hs => {
             push(Removing1, Removing2, fast_loss);
             push(Removing2, Absorbed, success / p.retrans_timer);
         }
@@ -200,12 +234,12 @@ fn print_spec_dispatch_ablation(params: &SingleHopParams) {
     println!("== Ablation: enum-match vs mechanism-derived transition dispatch ==");
     // The two dispatch styles must agree bit for bit on every preset before
     // their timing comparison means anything.
-    for protocol in Protocol::ALL {
+    for protocol in PaperProtocol::ALL {
         let via_enum = enum_match_transitions(protocol, params);
-        let via_spec = protocol_transitions(protocol, params);
+        let via_spec = protocol_transitions(protocol.spec(), params);
         assert_eq!(
             via_enum, via_spec,
-            "{protocol}: spec-derived table diverged from the enum baseline"
+            "{protocol:?}: spec-derived table diverged from the enum baseline"
         );
     }
     println!("   all 5 preset transition tables bit-identical across dispatch styles\n");
@@ -229,25 +263,24 @@ fn main() {
     let mut c = Criterion::default().configure_from_args();
     c.bench_function("ablation/mechanism_table", |b| {
         b.iter(|| {
-            for protocol in Protocol::ALL {
+            for protocol in ProtocolSpec::PAPER {
                 black_box(solve(protocol, black_box(params)));
             }
         })
     });
     // Spec-dispatch ablation: building all five presets' transition tables
-    // through the closed-enum match vs. the mechanism-composition path
-    // (which also pays the Protocol → ProtocolSpec conversion), so the
-    // BENCH_COMPARE_DIR gate catches regressions in protocol dispatch.
+    // through the closed-enum match vs. the mechanism-composition path, so
+    // the BENCH_COMPARE_DIR gate catches regressions in protocol dispatch.
     c.bench_function("ablation/dispatch/enum_match", |b| {
         b.iter(|| {
-            for protocol in Protocol::ALL {
+            for protocol in PaperProtocol::ALL {
                 black_box(enum_match_transitions(protocol, black_box(&params)));
             }
         })
     });
     c.bench_function("ablation/dispatch/mechanism_spec", |b| {
         b.iter(|| {
-            for protocol in Protocol::ALL {
+            for protocol in ProtocolSpec::PAPER {
                 black_box(protocol_transitions(protocol, black_box(&params)));
             }
         })

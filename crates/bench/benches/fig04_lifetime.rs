@@ -7,7 +7,7 @@
 use criterion::{black_box, Criterion};
 use signaling::experiment::ExperimentOptions;
 use signaling::registry::Registry;
-use signaling::{Protocol, SingleHopModel, SingleHopParams};
+use signaling::{ProtocolSpec, SingleHopModel, SingleHopParams};
 
 fn main() {
     // Reproduction: print the regenerated series.
@@ -22,7 +22,7 @@ fn main() {
     c.bench_function("fig04/solve_all_protocols_one_lifetime", |b| {
         let params = SingleHopParams::kazaa_defaults().with_mean_lifetime(300.0);
         b.iter(|| {
-            for protocol in Protocol::ALL {
+            for protocol in ProtocolSpec::PAPER {
                 let s = SingleHopModel::new(protocol, black_box(params))
                     .unwrap()
                     .solve()

@@ -5,7 +5,7 @@
 //! with Criterion.
 
 use criterion::{black_box, Criterion};
-use signaling::{Protocol, SingleHopModel, SingleHopParams};
+use signaling::{ProtocolSpec, SingleHopModel, SingleHopParams};
 
 fn main() {
     // Reproduction: print the regenerated series.
@@ -18,7 +18,7 @@ fn main() {
         let mut params = SingleHopParams::kazaa_defaults();
         params.loss = 0.25;
         b.iter(|| {
-            for protocol in Protocol::ALL {
+            for protocol in ProtocolSpec::PAPER {
                 black_box(
                     SingleHopModel::new(protocol, black_box(params))
                         .unwrap()

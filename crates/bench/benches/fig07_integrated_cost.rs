@@ -5,7 +5,7 @@
 //! with Criterion.
 
 use criterion::{black_box, Criterion};
-use signaling::{integrated_cost, Protocol, SingleHopModel, SingleHopParams};
+use signaling::{integrated_cost, ProtocolSpec, SingleHopModel, SingleHopParams};
 
 fn main() {
     // Reproduction: print the regenerated series.
@@ -17,7 +17,7 @@ fn main() {
     c.bench_function("fig07/integrated_cost_single_point", |b| {
         let params = SingleHopParams::kazaa_defaults().with_refresh_timer_scaled_timeout(5.0);
         b.iter(|| {
-            let s = SingleHopModel::new(Protocol::SsEr, black_box(params))
+            let s = SingleHopModel::new(ProtocolSpec::SS_ER, black_box(params))
                 .unwrap()
                 .solve()
                 .unwrap();

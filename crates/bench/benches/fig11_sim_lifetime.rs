@@ -5,7 +5,7 @@
 //! with Criterion.
 
 use criterion::{black_box, Criterion};
-use signaling::{Protocol, SessionConfig, SimRng, SingleHopParams, SingleHopSession};
+use signaling::{ProtocolSpec, SessionConfig, SimRng, SingleHopParams, SingleHopSession};
 
 fn main() {
     // Reproduction: print the regenerated series.
@@ -16,7 +16,7 @@ fn main() {
 
     c.bench_function("fig11/single_simulated_session", |b| {
         let cfg = SessionConfig::deterministic(
-            Protocol::SsEr,
+            ProtocolSpec::SS_ER,
             SingleHopParams::kazaa_defaults().with_mean_lifetime(300.0),
         );
         let mut seed = 0u64;

@@ -5,7 +5,7 @@
 //! with Criterion.
 
 use criterion::{black_box, Criterion};
-use signaling::{Campaign, Protocol, SessionConfig, SingleHopParams};
+use signaling::{Campaign, ProtocolSpec, SessionConfig, SingleHopParams};
 
 fn main() {
     // Reproduction: print the regenerated series.
@@ -16,7 +16,7 @@ fn main() {
 
     c.bench_function("fig12/campaign_of_ten_sessions", |b| {
         let cfg = SessionConfig::deterministic(
-            Protocol::Ss,
+            ProtocolSpec::SS,
             SingleHopParams::kazaa_defaults()
                 .with_mean_lifetime(300.0)
                 .with_refresh_timer_scaled_timeout(5.0),

@@ -5,7 +5,7 @@
 //! with Criterion.
 
 use criterion::{black_box, Criterion};
-use signaling::{MultiHopModel, MultiHopParams, Protocol};
+use signaling::{MultiHopModel, MultiHopParams, ProtocolSpec};
 
 fn main() {
     // Reproduction: print the regenerated series.
@@ -17,7 +17,7 @@ fn main() {
     c.bench_function("fig17/solve_20_hop_chain", |b| {
         let params = MultiHopParams::reservation_defaults();
         b.iter(|| {
-            for protocol in Protocol::MULTI_HOP {
+            for protocol in ProtocolSpec::PAPER_MULTI_HOP {
                 black_box(
                     MultiHopModel::new(protocol, black_box(params))
                         .unwrap()

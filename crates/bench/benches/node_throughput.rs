@@ -30,7 +30,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use criterion::{black_box, Criterion};
-use signaling::{NodeConfig, NodeSim, Protocol, QueueKind, SingleHopParams};
+use signaling::{NodeConfig, NodeSim, ProtocolSpec, QueueKind, SingleHopParams};
 use std::time::Instant;
 
 /// Concurrent-session populations (the 10⁶ row is the headline).
@@ -55,7 +55,7 @@ const STEADY_SIZE: usize = 100_000;
 /// timeout timers with steady churn underneath.
 fn node_config(n: usize, kind: QueueKind) -> NodeConfig {
     let params = SingleHopParams::kazaa_defaults().with_mean_lifetime(600.0);
-    NodeConfig::new(Protocol::Ss, params, n).with_queue_kind(kind)
+    NodeConfig::new(ProtocolSpec::SS, params, n).with_queue_kind(kind)
 }
 
 /// Builds a warmed node at population `n`: every session has arrived and the

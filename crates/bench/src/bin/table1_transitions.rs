@@ -4,7 +4,7 @@
 
 use signaling::experiment::ExperimentOptions;
 use signaling::registry::Registry;
-use signaling::{Protocol, SingleHopParams};
+use signaling::{ProtocolSpec, SingleHopParams};
 
 fn main() {
     // Symbolic form (as printed in the paper).
@@ -80,7 +80,7 @@ fn main() {
     // A small sanity print of the resulting metrics at the defaults.
     println!("Metrics at the Kazaa defaults:");
     let params = SingleHopParams::kazaa_defaults();
-    for protocol in Protocol::ALL {
+    for protocol in ProtocolSpec::PAPER {
         let s = signaling::SingleHopModel::new(protocol, params)
             .expect("valid params")
             .solve()

@@ -20,8 +20,8 @@ use signaling::registry::{
 };
 use signaling::report::run_and_render;
 use signaling::{
-    ExperimentOutput, Metric, Point, Protocol, ProtocolSpec, RefreshMode, Scenario, Series,
-    SeriesSet, SingleHopModel, Sweep,
+    ExperimentOutput, Metric, Point, ProtocolSpec, RefreshMode, Scenario, Series, SeriesSet,
+    SingleHopModel, Sweep,
 };
 
 /// Reliable-refresh soft state — a design point on the hard/soft spectrum
@@ -116,7 +116,7 @@ pub fn register_extras(registry: &mut Registry) -> Result<(), RegistryError> {
             "BGP session keepalive: inconsistency vs channel loss rate",
         )
         .scenario(Scenario::bgp_session_keepalive())
-        .protocols(&[Protocol::Ss, Protocol::SsRt, Protocol::Hs])
+        .protocols(&[ProtocolSpec::SS, ProtocolSpec::SS_RT, ProtocolSpec::HS])
         .sweep(Sweep::loss_rate(), SweepTarget::LossRate)
         .metric(Metric::Inconsistency)
         .tag("extra")

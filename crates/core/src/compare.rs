@@ -6,7 +6,7 @@
 //! message rate differs by 5–15%.  [`compare_single_hop`] reproduces that
 //! methodology for any protocol and parameter set.
 
-use siganalytic::{Protocol, ProtocolSpec, SingleHopModel, SingleHopParams, SingleHopSolution};
+use siganalytic::{ProtocolSpec, SingleHopModel, SingleHopParams, SingleHopSolution};
 use sigproto::{Campaign, SessionConfig};
 use sigstats::Summary;
 use simcore::{ExecutionPolicy, TimerMode};
@@ -52,14 +52,6 @@ impl ComparisonRow {
         (self.analytic.normalized_message_rate - sim).abs() / sim
     }
 
-    /// Whether the analytic inconsistency falls within the simulation's 95%
-    /// confidence interval widened by `slack` (absolute).
-    pub fn inconsistency_within_ci(&self, slack: f64) -> bool {
-        let ci = self.simulated_inconsistency.ci95();
-        self.analytic.inconsistency >= ci.lower() - slack
-            && self.analytic.inconsistency <= ci.upper() + slack
-    }
-
     /// One-line human-readable rendering.
     pub fn display_line(&self) -> String {
         format!(
@@ -83,7 +75,7 @@ impl ComparisonRow {
 /// [`ExecutionPolicy::Serial`] here because it parallelizes one level up,
 /// across sweep points).
 pub fn compare_single_hop(
-    protocol: impl Into<ProtocolSpec>,
+    protocol: ProtocolSpec,
     params: SingleHopParams,
     timer_mode: TimerMode,
     replications: usize,
@@ -102,7 +94,7 @@ pub fn compare_single_hop(
 /// [`compare_single_hop`] with an explicit execution policy for the
 /// simulation campaign.
 pub fn compare_single_hop_with(
-    protocol: impl Into<ProtocolSpec>,
+    protocol: ProtocolSpec,
     params: SingleHopParams,
     timer_mode: TimerMode,
     replications: usize,
@@ -159,7 +151,7 @@ pub fn compare_all(
     replications: usize,
     seed: u64,
 ) -> Vec<ComparisonRow> {
-    Protocol::ALL
+    ProtocolSpec::PAPER
         .iter()
         .map(|p| compare_single_hop(*p, params, timer_mode, replications, seed))
         .collect()
@@ -178,7 +170,7 @@ mod tests {
     #[test]
     fn comparison_row_fields_are_consistent() {
         let row = compare_single_hop(
-            Protocol::SsEr,
+            ProtocolSpec::SS_ER,
             quick_params(),
             TimerMode::Exponential,
             60,
@@ -198,7 +190,7 @@ mod tests {
         // (exponential approximations, false removal ≈ p_l^(τ/T)) against a
         // simulation of the *deployed* protocol with deterministic timers.
         let row = compare_single_hop(
-            Protocol::Ss,
+            ProtocolSpec::SS,
             quick_params(),
             TimerMode::Deterministic,
             400,
@@ -227,7 +219,7 @@ mod tests {
         // protocol, so the fully exponential simulation sits strictly above
         // it for pure soft state — worth documenting as a model limitation.
         let row = compare_single_hop(
-            Protocol::Ss,
+            ProtocolSpec::SS,
             quick_params(),
             TimerMode::Exponential,
             100,
@@ -246,7 +238,7 @@ mod tests {
         // Figure 11's point: deterministic timers barely change the
         // inconsistency ratio.
         let det = compare_single_hop(
-            Protocol::SsEr,
+            ProtocolSpec::SS_ER,
             quick_params(),
             TimerMode::Deterministic,
             300,

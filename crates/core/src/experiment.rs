@@ -20,7 +20,7 @@ use siganalytic::{
 use sigproto::{LossModel, SessionConfig};
 use sigstats::{Point, Series, SeriesSet};
 use sigworkload::{Scenario, Sweep};
-use simcore::{Assignment, ExecutionPolicy, ReplicationEngine, TimerMode};
+use simcore::{ExecutionPolicy, ReplicationEngine, TimerMode};
 use std::cell::RefCell;
 
 /// Options controlling the simulation-backed experiments.
@@ -716,12 +716,12 @@ pub(crate) fn solve_multi(protocol: ProtocolSpec, params: MultiHopParams) -> Mul
 /// [`ReplicationEngine`] and returns one series per protocol, each solution
 /// mapped to a point by `point`.
 ///
-/// Work stealing by default, like the fig11/fig12 simulation fan-out: per-
-/// point costs vary with the chain structure, and the dynamic assignment
-/// writes into index slots, so the grid is bit-identical to a serial loop
-/// under every policy.  Each worker thread reuses its own sweep sessions
-/// (see [`solve_single`] and [`solve_multi`]), so the sweep is
-/// allocation-free past the first point per structure.
+/// Per-point costs vary with the chain structure; the engine's work
+/// stealing balances them and writes into index slots, so the grid is
+/// bit-identical to a serial loop under every policy.  Each worker thread
+/// reuses its own sweep sessions (see [`solve_single`] and
+/// [`solve_multi`]), so the sweep is allocation-free past the first point
+/// per structure.
 pub(crate) fn sweep_series<P, S: Send>(
     execution: ExecutionPolicy,
     protocols: &[ProtocolSpec],
@@ -734,12 +734,10 @@ pub(crate) fn sweep_series<P, S: Send>(
         .iter()
         .flat_map(|&p| sweep.values.iter().map(move |&x| (p, x)))
         .collect();
-    let solutions = ReplicationEngine::new(execution)
-        .with_assignment(Assignment::WorkStealing)
-        .run(jobs.len(), &|i: u64| {
-            let (protocol, x) = jobs[i as usize];
-            solve(protocol, make_params(x))
-        });
+    let solutions = ReplicationEngine::new(execution).run(jobs.len(), &|i: u64| {
+        let (protocol, x) = jobs[i as usize];
+        solve(protocol, make_params(x))
+    });
     // Indexed slicing (not `chunks`), so a degenerate empty sweep still
     // yields one (empty) series per protocol like the historical loops.
     let per = sweep.values.len();
@@ -778,25 +776,20 @@ pub(crate) fn simulated_series(
         .iter()
         .flat_map(|&p| xs_sim.iter().map(move |&x| (p, x)))
         .collect();
-    // Work stealing by default: campaign costs are skewed across the sweep
-    // (session length grows with the sweep point), and the dynamic
-    // assignment is bit-identical to serial execution anyway.
-    let rows = ReplicationEngine::new(options.execution)
-        .with_assignment(Assignment::WorkStealing)
-        .run(jobs.len(), &|i: u64| {
-            let (protocol, x) = jobs[i as usize];
-            compare_session(
-                SessionConfig {
-                    timer_mode,
-                    delay_mode: timer_mode,
-                    loss_model,
-                    ..SessionConfig::deterministic(protocol, make_params(x))
-                },
-                options.sim_replications,
-                options.seed,
-                ExecutionPolicy::Serial,
-            )
-        });
+    let rows = ReplicationEngine::new(options.execution).run(jobs.len(), &|i: u64| {
+        let (protocol, x) = jobs[i as usize];
+        compare_session(
+            SessionConfig {
+                timer_mode,
+                delay_mode: timer_mode,
+                loss_model,
+                ..SessionConfig::deterministic(protocol, make_params(x))
+            },
+            options.sim_replications,
+            options.seed,
+            ExecutionPolicy::Serial,
+        )
+    });
 
     let mut all = Vec::with_capacity(protocols.len());
     for (protocol_rows, &protocol) in rows.chunks(xs_sim.len().max(1)).zip(protocols) {
@@ -846,7 +839,6 @@ pub(crate) fn sim_grid(analytic: &[f64], lo: f64, hi: f64, count: usize) -> Vec<
 mod tests {
     use super::*;
     use crate::registry::Registry;
-    use siganalytic::Protocol;
 
     /// Runs a built-in by name with explicit options.
     fn run_with(name: &str, options: &ExperimentOptions) -> ExperimentOutput {
@@ -894,7 +886,7 @@ mod tests {
     #[test]
     fn table1_lists_all_protocols() {
         let text = run("table1").to_text();
-        for p in Protocol::ALL {
+        for p in ProtocolSpec::PAPER {
             assert!(text.contains(p.label()), "missing {p}");
         }
         assert!(text.contains("(1,0)_1"));

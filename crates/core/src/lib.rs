@@ -5,7 +5,7 @@
 //! protocols:
 //!
 //! * the mechanism-composition protocol layer ([`ProtocolSpec`] and its
-//!   five paper presets named by [`Protocol`]) and the model parameters
+//!   five paper presets, [`ProtocolSpec::PAPER`]) and the model parameters
 //!   ([`SingleHopParams`], [`MultiHopParams`]) — from `siganalytic`;
 //! * the analytic models ([`SingleHopModel`], [`MultiHopModel`]) and their
 //!   solutions;
@@ -30,15 +30,15 @@
 //! # Quick start
 //!
 //! ```
-//! use signaling::{Protocol, SingleHopModel, SingleHopParams};
+//! use signaling::{ProtocolSpec, SingleHopModel, SingleHopParams};
 //!
 //! // How inconsistent is pure soft state for a Kazaa-like workload?
 //! let params = SingleHopParams::kazaa_defaults();
-//! let solution = SingleHopModel::new(Protocol::Ss, params).unwrap().solve().unwrap();
+//! let solution = SingleHopModel::new(ProtocolSpec::SS, params).unwrap().solve().unwrap();
 //! assert!(solution.inconsistency > 0.0 && solution.inconsistency < 1.0);
 //!
 //! // And how much does adding explicit removal help?
-//! let with_removal = SingleHopModel::new(Protocol::SsEr, params).unwrap().solve().unwrap();
+//! let with_removal = SingleHopModel::new(ProtocolSpec::SS_ER, params).unwrap().solve().unwrap();
 //! assert!(with_removal.inconsistency < solution.inconsistency);
 //! ```
 
@@ -166,9 +166,7 @@ pub use sigproto::{
 };
 pub use sigstats::{ConfidenceInterval, OnlineStats, Point, Series, SeriesSet, Summary};
 pub use sigworkload::{MultiHopScenario, Scenario, Sweep};
-pub use simcore::{
-    Assignment, ExecutionPolicy, QueueKind, Replicate, ReplicationEngine, SimRng, TimerMode,
-};
+pub use simcore::{ExecutionPolicy, QueueKind, Replicate, ReplicationEngine, SimRng, TimerMode};
 
 #[cfg(test)]
 mod tests {
@@ -177,11 +175,12 @@ mod tests {
     #[test]
     fn facade_reexports_work_together() {
         let scenario = Scenario::kazaa_peer();
-        let analytic = SingleHopModel::new(Protocol::SsEr, scenario.params)
+        let analytic = SingleHopModel::new(ProtocolSpec::SS_ER, scenario.params)
             .unwrap()
             .solve()
             .unwrap();
-        let cfg = SessionConfig::for_scenario(Protocol::SsEr, &scenario, TimerMode::Exponential);
+        let cfg =
+            SessionConfig::for_scenario(ProtocolSpec::SS_ER, &scenario, TimerMode::Exponential);
         let mut rng = SimRng::new(1);
         let sim = SingleHopSession::run(&cfg, &mut rng);
         assert!(analytic.inconsistency >= 0.0);
@@ -191,11 +190,11 @@ mod tests {
     #[test]
     fn doc_example_holds() {
         let params = SingleHopParams::kazaa_defaults();
-        let ss = SingleHopModel::new(Protocol::Ss, params)
+        let ss = SingleHopModel::new(ProtocolSpec::SS, params)
             .unwrap()
             .solve()
             .unwrap();
-        let er = SingleHopModel::new(Protocol::SsEr, params)
+        let er = SingleHopModel::new(ProtocolSpec::SS_ER, params)
             .unwrap()
             .solve()
             .unwrap();

@@ -553,9 +553,9 @@ pub mod outage {
 /// retransmission cycle, and the wipe then forces the whole population to
 /// re-install at once.  Under the paper's fixed retransmission interval all
 /// those retries stay synchronized, so each wave lands on the receiver as
-/// one burst per `R` — and with a finite receiver [`CapacityModel`] those
-/// bursts overflow the signaling queue over and over instead of spreading
-/// out.
+/// one burst per `R` — and with a finite receiver
+/// [`CapacityModel`](sigproto::CapacityModel) those bursts overflow the
+/// signaling queue over and over instead of spreading out.
 ///
 /// The table runs every selected protocol × every [`RetryKind`] (fixed /
 /// capped exponential backoff / decorrelated jitter) — it sweeps the retry

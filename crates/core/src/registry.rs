@@ -693,10 +693,10 @@ impl ExperimentSpec {
         self
     }
 
-    /// Sets the protocol set: paper [`Protocol`](siganalytic::Protocol)
-    /// names and custom [`ProtocolSpec`]s mix freely.
-    pub fn protocols<P: Into<ProtocolSpec> + Copy>(mut self, protocols: &[P]) -> Self {
-        self.protocols = protocols.iter().map(|p| (*p).into()).collect();
+    /// Sets the protocol set: paper presets and custom [`ProtocolSpec`]s mix
+    /// freely.
+    pub fn protocols(mut self, protocols: &[ProtocolSpec]) -> Self {
+        self.protocols = protocols.to_vec();
         self
     }
 
@@ -912,7 +912,6 @@ impl Experiment for ExperimentSpec {
 mod tests {
     use super::*;
     use crate::experiment::ExperimentId;
-    use siganalytic::{Protocol, RefreshMode};
     use simcore::ExecutionPolicy;
 
     #[test]
@@ -973,7 +972,7 @@ mod tests {
             "BGP keepalive inconsistency vs loss rate",
         )
         .scenario(Scenario::bgp_session_keepalive())
-        .protocols(&[Protocol::Ss, Protocol::SsRt, Protocol::Hs])
+        .protocols(&[ProtocolSpec::SS, ProtocolSpec::SS_RT, ProtocolSpec::HS])
         .sweep(Sweep::loss_rate(), SweepTarget::LossRate)
         .metric(Metric::Inconsistency)
         .tag("custom");
@@ -1009,7 +1008,7 @@ mod tests {
             .sweep(Sweep::hop_count(), SweepTarget::HopCount)
             .run(&options);
         let multi = multi.as_figure().unwrap();
-        // Protocol::ALL filtered down to the paper's multi-hop trio.
+        // ProtocolSpec::PAPER filtered down to the paper's multi-hop trio.
         assert_eq!(multi.series.len(), 3);
     }
 
@@ -1017,7 +1016,7 @@ mod tests {
     fn sim_spec_runs_and_is_policy_independent() {
         let spec = ExperimentSpec::new("sim", "scenario simulation check")
             .scenario(Scenario::kazaa_peer())
-            .protocols(&[Protocol::Ss])
+            .protocols(&[ProtocolSpec::SS])
             .sweep(Sweep::session_length(), SweepTarget::MeanLifetime)
             .kind(SpecKind::AnalyticVsSim)
             .sim_range(30.0, 300.0);
@@ -1089,14 +1088,14 @@ mod tests {
         // Empty compositions.
         assert_eq!(
             ExperimentSpec::new("p", "no protocols")
-                .protocols::<Protocol>(&[])
+                .protocols(&[])
                 .validate(),
             Err(SpecError::NoProtocols)
         );
         assert_eq!(
             ExperimentSpec::new("m", "no multi-hop protocols")
                 .kind(SpecKind::AnalyticMultiHop)
-                .protocols(&[Protocol::SsEr])
+                .protocols(&[ProtocolSpec::SS_ER])
                 .validate(),
             Err(SpecError::NoProtocols)
         );

@@ -327,9 +327,9 @@ const MAX_BOUNDARIES: usize = 2 * MAX_FAULT_EVENTS;
 /// piecewise-constant timeline once: the sorted episode starts and ends cut
 /// time into segments, and each segment stores the [`LinkEffect`] the
 /// schedule gives at its left end.  [`FaultClock::link_effect`] is then a
-/// binary search over at most [`MAX_BOUNDARIES`] boundaries instead of a scan
-/// of every event slot.  Channels and `NodeSim` call it on every message, so
-/// the lookup is on the hot path of faulted runs.  Lookups are pure
+/// binary search over at most `2 ×` [`MAX_FAULT_EVENTS`] boundaries instead
+/// of a scan of every event slot.  Channels and `NodeSim` call it on every
+/// message, so the lookup is on the hot path of faulted runs.  Lookups are pure
 /// (`&self`), so they cannot depend on execution order, preserving the
 /// determinism contract.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -14,7 +14,7 @@ use crate::metrics::{MessageCounts, MultiHopRunMetrics, SessionMetrics};
 use crate::multi_hop::MultiHopSession;
 use crate::single_hop::SingleHopSession;
 use sigstats::{OnlineStats, RatioEstimator, Summary};
-use simcore::{Assignment, ExecutionPolicy, Replicate, ReplicationEngine, SimRng};
+use simcore::{ExecutionPolicy, Replicate, ReplicationEngine, SimRng};
 
 /// Aggregated results of a single-hop campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,12 +94,7 @@ impl Campaign {
             config: &self.config,
             seed: self.seed,
         };
-        // Work stealing by default: session lengths vary wildly between
-        // replications, and the dynamic assignment keeps every worker busy
-        // while remaining bit-identical to serial execution.
-        let metrics = ReplicationEngine::new(self.policy)
-            .with_assignment(Assignment::WorkStealing)
-            .run(self.replications, &task);
+        let metrics = ReplicationEngine::new(self.policy).run(self.replications, &task);
         self.aggregate(&metrics)
     }
 
@@ -195,9 +190,7 @@ impl MultiHopCampaign {
             config: &self.config,
             seed: self.seed,
         };
-        let runs = ReplicationEngine::new(self.policy)
-            .with_assignment(Assignment::WorkStealing)
-            .run(self.replications, &task);
+        let runs = ReplicationEngine::new(self.policy).run(self.replications, &task);
         let k = self.config.params.hops;
         let mut end_to_end = OnlineStats::new();
         let mut rate = OnlineStats::new();
@@ -224,9 +217,9 @@ impl MultiHopCampaign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siganalytic::{MultiHopParams, Protocol, SingleHopParams};
+    use siganalytic::{MultiHopParams, ProtocolSpec, SingleHopParams};
 
-    fn quick_config(protocol: Protocol) -> SessionConfig {
+    fn quick_config(protocol: ProtocolSpec) -> SessionConfig {
         SessionConfig::deterministic(
             protocol,
             SingleHopParams::kazaa_defaults()
@@ -237,7 +230,7 @@ mod tests {
 
     #[test]
     fn campaign_aggregates_replications() {
-        let result = Campaign::new(quick_config(Protocol::SsEr), 50, 1).run();
+        let result = Campaign::new(quick_config(ProtocolSpec::SS_ER), 50, 1).run();
         assert_eq!(result.replications, 50);
         assert_eq!(result.inconsistency.count, 50);
         assert!(result.inconsistency.mean >= 0.0);
@@ -249,17 +242,17 @@ mod tests {
 
     #[test]
     fn campaign_is_reproducible_for_fixed_seed() {
-        let a = Campaign::new(quick_config(Protocol::Ss), 20, 7).run();
-        let b = Campaign::new(quick_config(Protocol::Ss), 20, 7).run();
+        let a = Campaign::new(quick_config(ProtocolSpec::SS), 20, 7).run();
+        let b = Campaign::new(quick_config(ProtocolSpec::SS), 20, 7).run();
         assert_eq!(a, b);
-        let c = Campaign::new(quick_config(Protocol::Ss), 20, 8).run();
+        let c = Campaign::new(quick_config(ProtocolSpec::SS), 20, 8).run();
         assert_ne!(a, c);
     }
 
     #[test]
     fn parallel_and_serial_agree() {
-        let serial = Campaign::new(quick_config(Protocol::SsRtr), 24, 3).run();
-        let parallel = Campaign::new(quick_config(Protocol::SsRtr), 24, 3)
+        let serial = Campaign::new(quick_config(ProtocolSpec::SS_RTR), 24, 3).run();
+        let parallel = Campaign::new(quick_config(ProtocolSpec::SS_RTR), 24, 3)
             .execution(ExecutionPolicy::auto())
             .run();
         assert_eq!(serial, parallel);
@@ -269,11 +262,11 @@ mod tests {
     fn every_execution_policy_is_bit_identical() {
         // The engine contract: same seed ⇒ the same `CampaignResult`, bit
         // for bit, no matter how replications are scheduled.
-        let serial = Campaign::new(quick_config(Protocol::SsEr), 30, 17)
+        let serial = Campaign::new(quick_config(ProtocolSpec::SS_ER), 30, 17)
             .execution(ExecutionPolicy::Serial)
             .run();
         for n in [2, 3, 7, 16] {
-            let threaded = Campaign::new(quick_config(Protocol::SsEr), 30, 17)
+            let threaded = Campaign::new(quick_config(ProtocolSpec::SS_ER), 30, 17)
                 .execution(ExecutionPolicy::threads(n))
                 .run();
             assert_eq!(serial, threaded, "Threads({n}) diverged from Serial");
@@ -283,7 +276,7 @@ mod tests {
     #[test]
     fn multi_hop_execution_policies_agree() {
         let cfg = MultiHopSimConfig::deterministic(
-            Protocol::SsRt,
+            ProtocolSpec::SS_RT,
             MultiHopParams::reservation_defaults().with_hops(3),
         )
         .with_horizon(300.0);
@@ -296,14 +289,14 @@ mod tests {
 
     #[test]
     fn zero_replications_clamps_to_one() {
-        let result = Campaign::new(quick_config(Protocol::Hs), 0, 1).run();
+        let result = Campaign::new(quick_config(ProtocolSpec::HS), 0, 1).run();
         assert_eq!(result.replications, 1);
     }
 
     #[test]
     fn multi_hop_campaign_aggregates() {
         let cfg = MultiHopSimConfig::deterministic(
-            Protocol::Ss,
+            ProtocolSpec::SS,
             MultiHopParams::reservation_defaults().with_hops(4),
         )
         .with_horizon(400.0);

@@ -8,10 +8,8 @@ use simcore::TimerMode;
 
 /// Configuration of a single-hop signaling session simulation.
 ///
-/// The protocol is a mechanism-composition [`ProtocolSpec`]; every
-/// constructor accepts either a `siganalytic::Protocol` preset name or a
-/// custom spec, so paper call sites are unchanged and novel design points
-/// run through the same simulator.
+/// The protocol is a mechanism-composition [`ProtocolSpec`]: a paper preset
+/// or a custom spec, so novel design points run through the same simulator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionConfig {
     /// The signaling protocol (mechanism composition) to simulate.
@@ -50,9 +48,9 @@ pub struct SessionConfig {
 
 impl SessionConfig {
     /// Deterministic-timer configuration (what a deployed protocol would do).
-    pub fn deterministic(protocol: impl Into<ProtocolSpec>, params: SingleHopParams) -> Self {
+    pub fn deterministic(protocol: ProtocolSpec, params: SingleHopParams) -> Self {
         Self {
-            protocol: protocol.into(),
+            protocol,
             params,
             timer_mode: TimerMode::Deterministic,
             delay_mode: TimerMode::Deterministic,
@@ -65,7 +63,7 @@ impl SessionConfig {
 
     /// Fully exponential configuration (matches the analytic model's
     /// assumptions; used to validate the model itself).
-    pub fn exponential(protocol: impl Into<ProtocolSpec>, params: SingleHopParams) -> Self {
+    pub fn exponential(protocol: ProtocolSpec, params: SingleHopParams) -> Self {
         Self {
             timer_mode: TimerMode::Exponential,
             delay_mode: TimerMode::Exponential,
@@ -81,7 +79,7 @@ impl SessionConfig {
     /// user-defined scenario plugs into the simulator without touching any
     /// protocol code.
     pub fn for_scenario(
-        protocol: impl Into<ProtocolSpec>,
+        protocol: ProtocolSpec,
         scenario: &Scenario,
         timer_mode: TimerMode,
     ) -> Self {
@@ -165,9 +163,9 @@ pub struct MultiHopSimConfig {
 
 impl MultiHopSimConfig {
     /// Deterministic-timer configuration with a default two-hour horizon.
-    pub fn deterministic(protocol: impl Into<ProtocolSpec>, params: MultiHopParams) -> Self {
+    pub fn deterministic(protocol: ProtocolSpec, params: MultiHopParams) -> Self {
         Self {
-            protocol: protocol.into(),
+            protocol,
             params,
             timer_mode: TimerMode::Deterministic,
             delay_mode: TimerMode::Deterministic,
@@ -177,7 +175,7 @@ impl MultiHopSimConfig {
     }
 
     /// Exponential-timer configuration with a default two-hour horizon.
-    pub fn exponential(protocol: impl Into<ProtocolSpec>, params: MultiHopParams) -> Self {
+    pub fn exponential(protocol: ProtocolSpec, params: MultiHopParams) -> Self {
         Self {
             timer_mode: TimerMode::Exponential,
             delay_mode: TimerMode::Exponential,
@@ -212,14 +210,13 @@ impl MultiHopSimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siganalytic::Protocol;
 
     #[test]
     fn constructors_set_modes() {
-        let det = SessionConfig::deterministic(Protocol::Ss, SingleHopParams::default());
+        let det = SessionConfig::deterministic(ProtocolSpec::SS, SingleHopParams::default());
         assert_eq!(det.timer_mode, TimerMode::Deterministic);
         assert_eq!(det.delay_mode, TimerMode::Deterministic);
-        let exp = SessionConfig::exponential(Protocol::Hs, SingleHopParams::default());
+        let exp = SessionConfig::exponential(ProtocolSpec::HS, SingleHopParams::default());
         assert_eq!(exp.timer_mode, TimerMode::Exponential);
         assert_eq!(exp.delay_mode, TimerMode::Exponential);
         det.validate().unwrap();
@@ -228,7 +225,7 @@ mod tests {
 
     #[test]
     fn multi_hop_config_defaults_and_overrides() {
-        let c = MultiHopSimConfig::deterministic(Protocol::SsRt, MultiHopParams::default());
+        let c = MultiHopSimConfig::deterministic(ProtocolSpec::SS_RT, MultiHopParams::default());
         assert_eq!(c.horizon, 7200.0);
         let c = c.with_horizon(100.0);
         assert_eq!(c.horizon, 100.0);
@@ -242,9 +239,9 @@ mod tests {
             loss: 7.0,
             ..Default::default()
         };
-        let c = SessionConfig::deterministic(Protocol::Ss, p);
+        let c = SessionConfig::deterministic(ProtocolSpec::SS, p);
         assert_eq!(c.validate(), Err(ConfigError::LossOutOfRange(7.0)));
-        let m = MultiHopSimConfig::deterministic(Protocol::Ss, MultiHopParams::default());
+        let m = MultiHopSimConfig::deterministic(ProtocolSpec::SS, MultiHopParams::default());
         assert_eq!(
             m.with_horizon(-1.0).validate(),
             Err(ConfigError::NonPositiveHorizon)
@@ -254,7 +251,8 @@ mod tests {
     #[test]
     fn scenario_derived_config_carries_params_and_loss_model() {
         let scenario = Scenario::kazaa_peer();
-        let cfg = SessionConfig::for_scenario(Protocol::SsEr, &scenario, TimerMode::Deterministic);
+        let cfg =
+            SessionConfig::for_scenario(ProtocolSpec::SS_ER, &scenario, TimerMode::Deterministic);
         assert_eq!(cfg.params, scenario.params);
         assert_eq!(cfg.timer_mode, TimerMode::Deterministic);
         assert_eq!(cfg.loss_model, None);
@@ -266,7 +264,7 @@ mod tests {
             p_g2b: 0.02,
             p_b2g: 0.48,
         });
-        let cfg = SessionConfig::for_scenario(Protocol::Ss, &bursty, TimerMode::Exponential);
+        let cfg = SessionConfig::for_scenario(ProtocolSpec::SS, &bursty, TimerMode::Exponential);
         assert!(matches!(
             cfg.effective_loss_model(),
             LossModel::GilbertElliott { .. }
@@ -276,7 +274,7 @@ mod tests {
 
     #[test]
     fn loss_model_override() {
-        let base = SessionConfig::deterministic(Protocol::Ss, SingleHopParams::default());
+        let base = SessionConfig::deterministic(ProtocolSpec::SS, SingleHopParams::default());
         assert_eq!(
             base.effective_loss_model(),
             LossModel::Bernoulli {

@@ -456,14 +456,14 @@ impl<'a> MultiHopSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siganalytic::{MultiHopParams, Protocol, RefreshMode};
+    use siganalytic::{MultiHopParams, RefreshMode};
 
     fn quick_params(hops: usize) -> MultiHopParams {
         MultiHopParams::reservation_defaults().with_hops(hops)
     }
 
     fn run(
-        protocol: Protocol,
+        protocol: ProtocolSpec,
         params: MultiHopParams,
         horizon: f64,
         seed: u64,
@@ -475,7 +475,7 @@ mod tests {
 
     #[test]
     fn run_terminates_at_horizon_with_sane_metrics() {
-        for proto in Protocol::MULTI_HOP {
+        for proto in ProtocolSpec::PAPER_MULTI_HOP {
             let m = run(proto, quick_params(5), 600.0, 1);
             assert_eq!(m.duration, 600.0);
             assert_eq!(m.per_hop_inconsistency.len(), 5);
@@ -490,15 +490,15 @@ mod tests {
 
     #[test]
     fn deterministic_for_fixed_seed() {
-        let a = run(Protocol::SsRt, quick_params(4), 300.0, 42);
-        let b = run(Protocol::SsRt, quick_params(4), 300.0, 42);
+        let a = run(ProtocolSpec::SS_RT, quick_params(4), 300.0, 42);
+        let b = run(ProtocolSpec::SS_RT, quick_params(4), 300.0, 42);
         assert_eq!(a, b);
     }
 
     #[test]
     fn empty_fault_schedule_is_bit_identical() {
         let base =
-            MultiHopSimConfig::deterministic(Protocol::Ss, quick_params(4)).with_horizon(300.0);
+            MultiHopSimConfig::deterministic(ProtocolSpec::SS, quick_params(4)).with_horizon(300.0);
         let scheduled = base.with_fault_schedule(signet::FaultSchedule::none());
         let mut rng_a = SimRng::new(3);
         let mut rng_b = SimRng::new(3);
@@ -516,7 +516,7 @@ mod tests {
         let mut p = quick_params(5);
         p.loss = 0.0;
         let schedule = signet::FaultSchedule::outage(100.0, 60.0).unwrap();
-        let base = MultiHopSimConfig::deterministic(Protocol::Ss, p).with_horizon(400.0);
+        let base = MultiHopSimConfig::deterministic(ProtocolSpec::SS, p).with_horizon(400.0);
         let faulty = base.with_fault_schedule(schedule);
         let mut rng = SimRng::new(11);
         let control = MultiHopSession::run(&base, &mut rng);
@@ -532,7 +532,7 @@ mod tests {
 
     #[test]
     fn far_hops_are_more_inconsistent() {
-        let m = run(Protocol::Ss, quick_params(10), 4000.0, 7);
+        let m = run(ProtocolSpec::SS, quick_params(10), 4000.0, 7);
         let near = m.per_hop_inconsistency[0];
         let far = m.per_hop_inconsistency[9];
         assert!(
@@ -549,7 +549,7 @@ mod tests {
     fn lossless_chain_stays_consistent_between_updates() {
         let mut p = quick_params(6);
         p.loss = 0.0;
-        let m = run(Protocol::Ss, p, 2000.0, 3);
+        let m = run(ProtocolSpec::SS, p, 2000.0, 3);
         // Only the propagation delay of each update contributes: at most a
         // few tenths of a percent.
         assert!(
@@ -563,8 +563,8 @@ mod tests {
     fn reliable_triggers_reduce_multi_hop_inconsistency() {
         let mut p = quick_params(10);
         p.loss = 0.1;
-        let ss = run(Protocol::Ss, p, 4000.0, 11);
-        let ss_rt = run(Protocol::SsRt, p, 4000.0, 11);
+        let ss = run(ProtocolSpec::SS, p, 4000.0, 11);
+        let ss_rt = run(ProtocolSpec::SS_RT, p, 4000.0, 11);
         assert!(
             ss_rt.end_to_end_inconsistency < ss.end_to_end_inconsistency,
             "SS+RT ({}) should beat SS ({})",
@@ -575,8 +575,8 @@ mod tests {
 
     #[test]
     fn hard_state_sends_far_fewer_messages_than_soft_state() {
-        let ss = run(Protocol::Ss, quick_params(10), 2000.0, 5);
-        let hs = run(Protocol::Hs, quick_params(10), 2000.0, 5);
+        let ss = run(ProtocolSpec::SS, quick_params(10), 2000.0, 5);
+        let hs = run(ProtocolSpec::HS, quick_params(10), 2000.0, 5);
         assert!(hs.message_rate < 0.5 * ss.message_rate);
         assert_eq!(hs.messages.refresh, 0);
         assert!(ss.messages.refresh > 0);
@@ -584,8 +584,8 @@ mod tests {
 
     #[test]
     fn refresh_traffic_scales_with_hop_count() {
-        let short = run(Protocol::Ss, quick_params(2), 1000.0, 9);
-        let long = run(Protocol::Ss, quick_params(12), 1000.0, 9);
+        let short = run(ProtocolSpec::SS, quick_params(2), 1000.0, 9);
+        let long = run(ProtocolSpec::SS, quick_params(12), 1000.0, 9);
         assert!(
             long.messages.refresh as f64 > 3.0 * short.messages.refresh as f64,
             "refresh hop-transmissions must grow with the chain length"
@@ -594,11 +594,11 @@ mod tests {
 
     #[test]
     fn acks_flow_only_for_reliable_protocols() {
-        let ss = run(Protocol::Ss, quick_params(5), 1000.0, 2);
+        let ss = run(ProtocolSpec::SS, quick_params(5), 1000.0, 2);
         assert_eq!(ss.messages.trigger_ack, 0);
-        let rt = run(Protocol::SsRt, quick_params(5), 1000.0, 2);
+        let rt = run(ProtocolSpec::SS_RT, quick_params(5), 1000.0, 2);
         assert!(rt.messages.trigger_ack > 0);
-        let hs = run(Protocol::Hs, quick_params(5), 1000.0, 2);
+        let hs = run(ProtocolSpec::HS, quick_params(5), 1000.0, 2);
         assert!(hs.messages.trigger_ack > 0);
     }
 
@@ -607,7 +607,7 @@ mod tests {
         let mut p = quick_params(5);
         p.loss = 0.0;
         p.false_signal_rate = 0.005; // ~10 events per node per 2000 s
-        let m = run(Protocol::Hs, p, 2000.0, 13);
+        let m = run(ProtocolSpec::HS, p, 2000.0, 13);
         assert!(m.messages.external_signal > 0);
         assert!(m.messages.removal_notice > 0);
         // Recovery is quick (notification + re-trigger), so inconsistency
@@ -621,7 +621,8 @@ mod tests {
 
     #[test]
     fn exponential_timer_mode_runs() {
-        let cfg = MultiHopSimConfig::exponential(Protocol::Ss, quick_params(4)).with_horizon(500.0);
+        let cfg =
+            MultiHopSimConfig::exponential(ProtocolSpec::SS, quick_params(4)).with_horizon(500.0);
         let mut rng = SimRng::new(21);
         let m = MultiHopSession::run(&cfg, &mut rng);
         assert!((0.0..=1.0).contains(&m.end_to_end_inconsistency));
@@ -642,7 +643,7 @@ mod tests {
         assert!((0.0..=1.0).contains(&rr.end_to_end_inconsistency));
         // SS on the same channel sends no refresh ACKs and, with losses
         // unrepaired hop by hop, is more inconsistent at the far end.
-        let ss = run(Protocol::Ss, p, 1500.0, 23);
+        let ss = run(ProtocolSpec::SS, p, 1500.0, 23);
         assert_eq!(ss.messages.refresh_ack, 0);
         assert!(
             rr.per_hop_inconsistency[5] < ss.per_hop_inconsistency[5],
@@ -659,7 +660,7 @@ mod tests {
         let mut p = quick_params(8);
         p.loss = 0.5;
         p.update_rate = 1.0 / 300.0;
-        let m = run(Protocol::Ss, p, 3000.0, 17);
+        let m = run(ProtocolSpec::SS, p, 3000.0, 17);
         let far = m.per_hop_inconsistency[7];
         assert!(far > 0.2, "far hop inconsistency = {far}");
         let near = m.per_hop_inconsistency[0];

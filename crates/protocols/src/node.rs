@@ -11,7 +11,7 @@
 //! * **N sessions, one queue.**  Every session's timers live in one
 //!   [`EventQueue`] (heap- or calendar-ordered, [`QueueKind`]); events carry
 //!   only a session index, and per-session state is packed into a flat slab
-//!   of 40-byte [`SessionSlot`]s — three generation-tagged [`EventId`]s, a
+//!   of 40-byte `SessionSlot`s — three generation-tagged [`EventId`]s, a
 //!   lazy state-timeout deadline and a flag byte.  Cancelling a timer that
 //!   already fired is an O(1) inert no-op, so slots store plain ids with no
 //!   `Option` boxing; refreshes never cancel at all (they bump the deadline
@@ -24,7 +24,7 @@
 //!   timeouts ride two more lanes when the receiver's capacity is
 //!   unlimited: a session's installs then land one refresh interval apart,
 //!   so a timeout arm's delay is the timeout `τ` itself or `τ − T` almost
-//!   every time (see [`NodeSim::arm_timeout`]).  Later lifecycle draws,
+//!   every time (see `NodeSim::arm_timeout`).  Later lifecycle draws,
 //!   crashes, the external detector's signals and the timeouts off that
 //!   grid go to the ordering core.
 //! * **Phase-ordered sessions.**  Sessions are numbered in the order the
@@ -72,8 +72,8 @@ use signet::{
 };
 use sigstats::{BinnedMeter, LevelMeter, OnlineStats, RateMeter, Summary};
 use simcore::{
-    Assignment, EventId, EventQueue, ExecutionPolicy, Lane, QueueKind, Replicate,
-    ReplicationEngine, SimRng, SimTime,
+    EventId, EventQueue, ExecutionPolicy, Lane, QueueKind, Replicate, ReplicationEngine, SimRng,
+    SimTime,
 };
 // sigtidy: allow(wall-clock) — phase telemetry only; never feeds simulated results
 use std::time::Instant;
@@ -155,6 +155,10 @@ pub struct NodeConfig {
 impl NodeConfig {
     /// A node with `sessions` slots, a two-minute horizon, and a default
     /// vacancy of a quarter lifetime (steady-state alive fraction 0.8).
+    ///
+    /// `protocol` takes `impl Into<ProtocolSpec>` only so that the benchmark
+    /// package's `Protocol::Ss` call keeps compiling until that package
+    /// moves to the presets.
     pub fn new(
         protocol: impl Into<ProtocolSpec>,
         params: SingleHopParams,
@@ -1342,9 +1346,7 @@ impl NodeCampaign {
             config: &self.config,
             seed: self.seed,
         };
-        let outputs = ReplicationEngine::new(self.policy)
-            .with_assignment(Assignment::WorkStealing)
-            .run(self.replications, &task);
+        let outputs = ReplicationEngine::new(self.policy).run(self.replications, &task);
         let (result, phases, bytes) = Self::summarize(&outputs);
         let traces: Vec<RecoveryTrace> = outputs.into_iter().map(|o| o.3).collect();
         // sigtidy: allow(no-unwrap) — NodeCampaign::new clamps replications to at least 1
@@ -1414,7 +1416,6 @@ impl NodeCampaign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siganalytic::Protocol;
 
     /// Fast-churn parameters: short lifetimes so a two-minute horizon sees
     /// plenty of arrivals, departures and (under loss) false removals.
@@ -1422,7 +1423,7 @@ mod tests {
         SingleHopParams::kazaa_defaults().with_mean_lifetime(60.0)
     }
 
-    fn quick_config(protocol: Protocol, sessions: usize) -> NodeConfig {
+    fn quick_config(protocol: ProtocolSpec, sessions: usize) -> NodeConfig {
         NodeConfig::new(protocol, churn_params(), sessions)
             .with_horizon(90.0)
             .with_mean_vacancy(15.0)
@@ -1430,7 +1431,7 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        let cfg = quick_config(Protocol::Ss, 10);
+        let cfg = quick_config(ProtocolSpec::SS, 10);
         cfg.validate().unwrap();
         assert!(cfg.with_horizon(0.0).validate().is_err());
         for vacancy in [0.0, -1.0, f64::NAN, f64::INFINITY] {
@@ -1453,7 +1454,10 @@ mod tests {
             Err(ConfigError::TooManySessions(huge.sessions))
         );
         // Sessions clamp to at least one; a literal with none is refused.
-        assert_eq!(NodeConfig::new(Protocol::Ss, churn_params(), 0).sessions, 1);
+        assert_eq!(
+            NodeConfig::new(ProtocolSpec::SS, churn_params(), 0).sessions,
+            1
+        );
         let empty = NodeConfig { sessions: 0, ..cfg };
         assert_eq!(empty.validate(), Err(ConfigError::NoSessions));
         assert_eq!(
@@ -1465,7 +1469,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "more sessions than u32::MAX")]
     fn a_node_past_u32_sessions_is_refused_before_allocating() {
-        let mut cfg = quick_config(Protocol::Ss, 1);
+        let mut cfg = quick_config(ProtocolSpec::SS, 1);
         cfg.sessions = u32::MAX as usize + 1;
         NodeSim::new(cfg, 1);
     }
@@ -1479,7 +1483,7 @@ mod tests {
         let first_round_end = SimTime::from_secs(2.0 * params.refresh_timer);
         for kind in [QueueKind::Heap, QueueKind::Calendar] {
             for phase in [RefreshPhase::Staggered, RefreshPhase::Aligned] {
-                let cfg = NodeConfig::new(Protocol::Ss, params, sessions)
+                let cfg = NodeConfig::new(ProtocolSpec::SS, params, sessions)
                     .with_queue_kind(kind)
                     .with_refresh_phase(phase);
                 let mut sim = NodeSim::new(cfg, 2003);
@@ -1510,7 +1514,7 @@ mod tests {
 
     #[test]
     fn all_presets_produce_sane_aggregates() {
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             let mut sim = NodeSim::new(quick_config(proto, 64), 11);
             let m = sim.run();
             assert_eq!(m.sessions, 64);
@@ -1544,7 +1548,7 @@ mod tests {
     #[test]
     fn refresh_rate_tracks_population_over_refresh_timer() {
         // ~mean_active/T refreshes per second for pure soft state.
-        let cfg = quick_config(Protocol::Ss, 200);
+        let cfg = quick_config(ProtocolSpec::SS, 200);
         let m = NodeSim::new(cfg, 3).run();
         let expected = m.mean_active / cfg.params.refresh_timer;
         let ratio = m.refresh_rate / expected;
@@ -1558,7 +1562,7 @@ mod tests {
     #[test]
     fn churn_keeps_alive_population_near_the_renewal_fraction() {
         // lifetime 60 s, vacancy 15 s ⇒ alive fraction 0.8.
-        let m = NodeSim::new(quick_config(Protocol::SsEr, 400), 5).run();
+        let m = NodeSim::new(quick_config(ProtocolSpec::SS_ER, 400), 5).run();
         let fraction = m.mean_active / 400.0;
         assert!(
             (0.65..0.95).contains(&fraction),
@@ -1569,8 +1573,8 @@ mod tests {
     #[test]
     fn explicit_removal_cuts_the_stale_fraction() {
         // SS holds orphans for ~τ after departure; SS+ER only for ~Δ.
-        let ss = NodeSim::new(quick_config(Protocol::Ss, 300), 9).run();
-        let er = NodeSim::new(quick_config(Protocol::SsEr, 300), 9).run();
+        let ss = NodeSim::new(quick_config(ProtocolSpec::SS, 300), 9).run();
+        let er = NodeSim::new(quick_config(ProtocolSpec::SS_ER, 300), 9).run();
         assert!(
             ss.stale_fraction > 3.0 * er.stale_fraction,
             "SS {} vs SS+ER {}",
@@ -1589,7 +1593,7 @@ mod tests {
         let mut params = churn_params();
         params.loss = 0.5;
         params.timeout_timer = 2.0 * params.refresh_timer;
-        let cfg = NodeConfig::new(Protocol::Ss, params, 300)
+        let cfg = NodeConfig::new(ProtocolSpec::SS, params, 300)
             .with_horizon(90.0)
             .with_mean_vacancy(15.0);
         let m = NodeSim::new(cfg, 21).run();
@@ -1610,7 +1614,7 @@ mod tests {
         let mut params = churn_params();
         params.loss = 0.4;
         params.timeout_timer = 2.0 * params.refresh_timer;
-        let base = NodeConfig::new(Protocol::Ss, params, 200)
+        let base = NodeConfig::new(ProtocolSpec::SS, params, 200)
             .with_horizon(90.0)
             .with_mean_vacancy(15.0);
         let rr = NodeConfig::new(ss_rr, params, 200)
@@ -1633,7 +1637,7 @@ mod tests {
         let mut params = churn_params();
         params.loss = 0.0;
         params.false_signal_rate = 0.05; // several per session lifetime
-        let cfg = NodeConfig::new(Protocol::Hs, params, 100)
+        let cfg = NodeConfig::new(ProtocolSpec::HS, params, 100)
             .with_horizon(90.0)
             .with_mean_vacancy(15.0);
         let m = NodeSim::new(cfg, 13).run();
@@ -1650,7 +1654,7 @@ mod tests {
         // metric accumulation — shows up here as a literal diff.  Asserted
         // under both ordering cores and both execution policies, so the pin
         // also certifies queue-kind and policy independence.
-        let cfg = quick_config(Protocol::Ss, 256);
+        let cfg = quick_config(ProtocolSpec::SS, 256);
         for m in [
             NodeSim::new(cfg, 2003).run(),
             NodeSim::new(cfg.with_queue_kind(QueueKind::Calendar), 2003).run(),
@@ -1686,7 +1690,7 @@ mod tests {
         // the envelope peak sits near the mean; phase-aligned arrivals put
         // every refresh in the same per-second bin and the peak explodes
         // while the mean barely moves (same message count, bursty shape).
-        let cfg = quick_config(Protocol::Ss, 256);
+        let cfg = quick_config(ProtocolSpec::SS, 256);
         let staggered = NodeSim::new(cfg, 2003).run();
         let aligned = NodeSim::new(cfg.with_refresh_phase(RefreshPhase::Aligned), 2003).run();
         assert!(staggered.peak_bandwidth_bytes_per_sec >= staggered.bandwidth_bytes_per_sec);
@@ -1707,7 +1711,7 @@ mod tests {
         // next refresh-interval boundary, whose floating-point value can
         // differ by an ulp between sessions, so the event order hinges on
         // exact `(time, seq)` ties.  Asserted under both ordering cores.
-        let cfg = quick_config(Protocol::Ss, 256).with_refresh_phase(RefreshPhase::Aligned);
+        let cfg = quick_config(ProtocolSpec::SS, 256).with_refresh_phase(RefreshPhase::Aligned);
         for kind in [QueueKind::Heap, QueueKind::Calendar] {
             let m = NodeSim::new(cfg.with_queue_kind(kind), 2003).run();
             assert_eq!(format!("{m:?}"), PIN_ALIGNED, "{kind}");
@@ -1733,7 +1737,7 @@ mod tests {
 
     #[test]
     fn node_dispatch_is_table_derived_and_matches_predicates() {
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             let sim = NodeSim::new(quick_config(proto, 8), 7);
             assert_eq!(
                 sim.dispatch(),
@@ -1745,7 +1749,7 @@ mod tests {
 
     #[test]
     fn metrics_are_deterministic_for_fixed_seed() {
-        let cfg = quick_config(Protocol::SsRtr, 128);
+        let cfg = quick_config(ProtocolSpec::SS_RTR, 128);
         let a = NodeSim::new(cfg, 77).run();
         let b = NodeSim::new(cfg, 77).run();
         assert_eq!(a, b);
@@ -1757,7 +1761,7 @@ mod tests {
     fn metrics_identical_across_queue_kinds() {
         // Both ordering cores deliver the identical (time, seq) sequence, so
         // the RNG consumption — and every aggregate — matches bit for bit.
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             let heap_cfg = quick_config(proto, 96);
             let cal_cfg = heap_cfg.with_queue_kind(QueueKind::Calendar);
             let a = NodeSim::new(heap_cfg, 5).run();
@@ -1768,7 +1772,7 @@ mod tests {
 
     #[test]
     fn campaign_bit_identical_across_policies_and_kinds() {
-        let cfg = quick_config(Protocol::SsEr, 64);
+        let cfg = quick_config(ProtocolSpec::SS_ER, 64);
         let serial = NodeCampaign::new(cfg, 8, 42).run();
         for n in [2, 4] {
             let threaded = NodeCampaign::new(cfg, 8, 42)
@@ -1784,7 +1788,7 @@ mod tests {
 
     #[test]
     fn step_events_is_a_stationary_driver() {
-        let mut sim = NodeSim::new(quick_config(Protocol::Ss, 256), 1);
+        let mut sim = NodeSim::new(quick_config(ProtocolSpec::SS, 256), 1);
         // Warm to steady state, then stepping keeps processing events
         // (churn regenerates them indefinitely).
         assert_eq!(sim.step_events(2000), 2000);
@@ -1800,7 +1804,7 @@ mod tests {
         // `metrics` reports on the horizon.  A node stepped far past it
         // (as the throughput benchmarks drive it) must report the same
         // population levels as `run`, which stops there.
-        let cfg = quick_config(Protocol::Ss, 256);
+        let cfg = quick_config(ProtocolSpec::SS, 256);
         let ran = NodeSim::new(cfg, 2003).run();
         let mut sim = NodeSim::new(cfg, 2003);
         sim.step_events(3 * ran.events_processed);
@@ -1813,7 +1817,7 @@ mod tests {
 
     #[test]
     fn phase_timings_accumulate() {
-        let mut sim = NodeSim::new(quick_config(Protocol::Ss, 64), 2);
+        let mut sim = NodeSim::new(quick_config(ProtocolSpec::SS, 64), 2);
         sim.run();
         let p = sim.phase_timings();
         assert!(p.schedule >= 0.0 && p.fire >= 0.0 && p.metrics >= 0.0);
@@ -1830,7 +1834,7 @@ mod tests {
         // heap core and ≤ 384 on the calendar core (whose short sorted
         // buckets carry per-bucket `Vec` capacity slack), in steady state at
         // populations where the fixed overheads have amortized.
-        let cfg = quick_config(Protocol::Ss, 4096);
+        let cfg = quick_config(ProtocolSpec::SS, 4096);
         let mut sim = NodeSim::new(cfg, 6);
         sim.run();
         let b = sim.bytes_per_session();
@@ -1857,7 +1861,7 @@ mod tests {
         // Six seconds covers the full arrival stagger (one refresh interval)
         // plus the first refresh wave: every session is live and the queue
         // is at its steady-state occupancy.
-        let cfg = NodeConfig::new(Protocol::Ss, churn_params(), 1_000_000)
+        let cfg = NodeConfig::new(ProtocolSpec::SS, churn_params(), 1_000_000)
             .with_horizon(6.0)
             .with_mean_vacancy(15.0);
         let mut sim = NodeSim::new(cfg, 1);
@@ -1883,7 +1887,7 @@ mod tests {
         p
     }
 
-    fn faulted_config(protocol: impl Into<ProtocolSpec>, faults: FaultSchedule) -> NodeConfig {
+    fn faulted_config(protocol: ProtocolSpec, faults: FaultSchedule) -> NodeConfig {
         NodeConfig::new(protocol, quiet_params(), 256)
             .with_horizon(90.0)
             .with_mean_vacancy(15.0)
@@ -1899,8 +1903,8 @@ mod tests {
         // mode is the dual (removals lost during the outage leave stale
         // orphans behind).
         let faults = FaultSchedule::outage(30.0, 30.0).unwrap();
-        let ss = NodeSim::new(faulted_config(Protocol::Ss, faults), 17).run();
-        let hs = NodeSim::new(faulted_config(Protocol::Hs, faults), 17).run();
+        let ss = NodeSim::new(faulted_config(ProtocolSpec::SS, faults), 17).run();
+        let hs = NodeSim::new(faulted_config(ProtocolSpec::HS, faults), 17).run();
         assert!(
             ss.false_removals > 100,
             "SS avalanche: {}",
@@ -1914,7 +1918,7 @@ mod tests {
         // fell into the blackout leave orphans a lossless control never
         // shows.
         let hs_control =
-            NodeSim::new(faulted_config(Protocol::Hs, FaultSchedule::none()), 17).run();
+            NodeSim::new(faulted_config(ProtocolSpec::HS, FaultSchedule::none()), 17).run();
         assert!(
             hs_control.stale_fraction < 0.01,
             "lossless HS control should hold almost no stale state: {}",
@@ -1936,7 +1940,7 @@ mod tests {
         // ~2000-session pool is not.
         let faults = FaultSchedule::outage(30.0, 30.0).unwrap();
         let (_, _, _, trace) =
-            NodeCampaign::new(faulted_config(Protocol::Ss, faults), 8, 17).run_traced();
+            NodeCampaign::new(faulted_config(ProtocolSpec::SS, faults), 8, 17).run_traced();
         let m = RecoveryMetrics::derive(&trace, 30.0, 60.0, 0.05);
         // No loss ⇒ a zero pre-fault baseline, so the avalanche spike is
         // the pure injected signal.
@@ -1951,7 +1955,7 @@ mod tests {
         // *extra* messages; the reliable-trigger variant pays for the
         // outage in retransmissions.
         let (_, _, _, rtr_trace) =
-            NodeCampaign::new(faulted_config(Protocol::SsRtr, faults), 8, 17).run_traced();
+            NodeCampaign::new(faulted_config(ProtocolSpec::SS_RTR, faults), 8, 17).run_traced();
         let rtr = RecoveryMetrics::derive(&rtr_trace, 30.0, 60.0, 0.05);
         assert!(rtr.recovery_messages > 100.0, "{rtr:?}");
     }
@@ -1963,13 +1967,13 @@ mod tests {
             state_policy: signet::CrashStatePolicy::Wipe,
         }])
         .unwrap();
-        let run = |proto: Protocol| {
+        let run = |proto: ProtocolSpec| {
             let mut sim = NodeSim::new(faulted_config(proto, faults), 23);
             let m = sim.run();
             (m, sim.recovery_trace())
         };
-        let (ss, ss_t) = run(Protocol::Ss);
-        let (hs, hs_t) = run(Protocol::Hs);
+        let (ss, ss_t) = run(ProtocolSpec::SS);
+        let (hs, hs_t) = run(ProtocolSpec::HS);
         assert!(ss.crash_wipes > 100 && hs.crash_wipes > 100);
         // The wipe is silent: no protocol removal happened.
         assert_eq!(ss.false_removals, 0);
@@ -1990,8 +1994,12 @@ mod tests {
             state_policy: signet::CrashStatePolicy::Preserve,
         }])
         .unwrap();
-        let preserved = NodeSim::new(faulted_config(Protocol::SsEr, faults), 29).run();
-        let control = NodeSim::new(faulted_config(Protocol::SsEr, FaultSchedule::none()), 29).run();
+        let preserved = NodeSim::new(faulted_config(ProtocolSpec::SS_ER, faults), 29).run();
+        let control = NodeSim::new(
+            faulted_config(ProtocolSpec::SS_ER, FaultSchedule::none()),
+            29,
+        )
+        .run();
         assert_eq!(preserved.events_processed, control.events_processed + 1);
         assert_eq!(preserved.messages, control.messages);
         assert_eq!(preserved.stale_fraction, control.stale_fraction);
@@ -2020,7 +2028,7 @@ mod tests {
             },
         ])
         .unwrap();
-        let cfg = NodeConfig::new(Protocol::SsRtr, churn_params(), 96)
+        let cfg = NodeConfig::new(ProtocolSpec::SS_RTR, churn_params(), 96)
             .with_horizon(90.0)
             .with_mean_vacancy(15.0)
             .with_fault_schedule(faults);
@@ -2047,7 +2055,7 @@ mod tests {
     #[test]
     fn traced_run_matches_plain_run_bit_for_bit() {
         // The pooled trace is consistent with the scalar totals.
-        let cfg = quick_config(Protocol::SsEr, 64);
+        let cfg = quick_config(ProtocolSpec::SS_ER, 64);
         let (traced, _, _, trace) = NodeCampaign::new(cfg, 4, 42).run_traced();
         assert_eq!(
             trace.false_removals.iter().map(|&c| c as u64).sum::<u64>(),
@@ -2063,7 +2071,7 @@ mod tests {
     fn gilbert_elliott_override_keeps_the_mean_but_changes_the_stream() {
         let mut params = churn_params();
         params.loss = 0.05;
-        let base = NodeConfig::new(Protocol::Ss, params, 256)
+        let base = NodeConfig::new(ProtocolSpec::SS, params, 256)
             .with_horizon(90.0)
             .with_mean_vacancy(15.0);
         let bursty = base.with_loss_model(LossModel::bursty(0.05, 0.5, 8.0));
@@ -2115,7 +2123,7 @@ mod tests {
         // `Fixed` + `unlimited` consume no randomness and perturb no event
         // times, so spelling them out matches the plain config bit for bit
         // (the golden pin above certifies the absolute values).
-        let cfg = quick_config(Protocol::SsRtr, 128);
+        let cfg = quick_config(ProtocolSpec::SS_RTR, 128);
         let explicit = cfg
             .with_retry_policy(RetryPolicy::Fixed)
             .with_capacity(CapacityModel::unlimited());
@@ -2130,7 +2138,7 @@ mod tests {
         // Pure soft state sends on a fixed schedule with no receiver
         // feedback, so a capacity limit changes deliveries — and therefore
         // false removals — without changing a single send or RNG draw.
-        let cfg = NodeConfig::new(Protocol::Ss, quiet_params(), 256)
+        let cfg = NodeConfig::new(ProtocolSpec::SS, quiet_params(), 256)
             .with_horizon(90.0)
             .with_mean_vacancy(15.0);
         let tight = cfg.with_capacity(CapacityModel::limited(10.0, 8).unwrap());
@@ -2155,7 +2163,7 @@ mod tests {
         // retries under a capacity limit and a restart storm stay
         // bit-identical across execution policies and both queue kinds.
         for retry in [RetryPolicy::backoff(), RetryPolicy::jittered()] {
-            let cfg = NodeConfig::new(Protocol::SsRtr, churn_params(), 96)
+            let cfg = NodeConfig::new(ProtocolSpec::SS_RTR, churn_params(), 96)
                 .with_horizon(90.0)
                 .with_mean_vacancy(15.0)
                 .with_fault_schedule(restart_storm_faults())
@@ -2182,7 +2190,7 @@ mod tests {
         // for the whole outage, capped backoff a small constant per
         // session.  The storm experiment tabulates this as retry cost.
         let run = |retry: RetryPolicy| {
-            let cfg = NodeConfig::new(Protocol::SsRtr, quiet_params(), 256)
+            let cfg = NodeConfig::new(ProtocolSpec::SS_RTR, quiet_params(), 256)
                 .with_horizon(90.0)
                 .with_mean_vacancy(15.0)
                 .with_fault_schedule(restart_storm_faults())
@@ -2223,7 +2231,7 @@ mod tests {
             state_policy: signet::CrashStatePolicy::Preserve,
         }])
         .unwrap();
-        let cfg = NodeConfig::new(Protocol::Ss, quiet_params(), 256)
+        let cfg = NodeConfig::new(ProtocolSpec::SS, quiet_params(), 256)
             .with_horizon(90.0)
             .with_mean_vacancy(15.0)
             .with_capacity(CapacityModel::limited(10.0, 8).unwrap());

@@ -618,7 +618,7 @@ impl<'a> SingleHopSession<'a> {
 #[cfg(test)]
 mod reliable_refresh_tests {
     use super::*;
-    use siganalytic::{Protocol, ProtocolSpec, RefreshMode, SingleHopParams};
+    use siganalytic::{ProtocolSpec, RefreshMode, SingleHopParams};
 
     const SS_RR: ProtocolSpec =
         ProtocolSpec::soft_state("SS+RR").with_refresh(Some(RefreshMode::Reliable));
@@ -647,7 +647,7 @@ mod reliable_refresh_tests {
             let rr = run(SS_RR, seed);
             acked += rr.messages.refresh_ack;
             refreshes_rr += rr.messages.refresh;
-            let ss = run(Protocol::Ss.spec(), seed);
+            let ss = run(ProtocolSpec::SS, seed);
             assert_eq!(ss.messages.refresh_ack, 0, "SS never acks refreshes");
             refreshes_ss += ss.messages.refresh;
         }
@@ -696,7 +696,7 @@ mod reliable_refresh_tests {
         for seed in 0..30 {
             let mut rng = SimRng::new(seed);
             ss_false +=
-                SingleHopSession::run(&SessionConfig::deterministic(Protocol::Ss, p), &mut rng)
+                SingleHopSession::run(&SessionConfig::deterministic(ProtocolSpec::SS, p), &mut rng)
                     .false_removals;
             let mut rng = SimRng::new(seed);
             rr_false += SingleHopSession::run(&SessionConfig::deterministic(SS_RR, p), &mut rng)
@@ -714,7 +714,7 @@ mod reliable_refresh_tests {
 mod retry_capacity_tests {
     use super::*;
     use crate::retry::RetryPolicy;
-    use siganalytic::{Protocol, SingleHopParams};
+    use siganalytic::{ProtocolSpec, SingleHopParams};
     use signet::CapacityModel;
 
     fn lossy_params() -> SingleHopParams {
@@ -732,7 +732,7 @@ mod retry_capacity_tests {
             RetryPolicy::backoff(),
             RetryPolicy::jittered(),
         ] {
-            for proto in [Protocol::SsRt, Protocol::SsRtr, Protocol::Hs] {
+            for proto in [ProtocolSpec::SS_RT, ProtocolSpec::SS_RTR, ProtocolSpec::HS] {
                 let cfg =
                     SessionConfig::deterministic(proto, lossy_params()).with_retry_policy(policy);
                 for seed in 0..5u64 {
@@ -761,7 +761,7 @@ mod retry_capacity_tests {
         let mut backoff_triggers = 0u64;
         for seed in 0..20u64 {
             let base =
-                SessionConfig::deterministic(Protocol::SsRt, p).with_fault_schedule(schedule);
+                SessionConfig::deterministic(ProtocolSpec::SS_RT, p).with_fault_schedule(schedule);
             let mut rng = SimRng::new(seed);
             fixed_triggers += SingleHopSession::run(&base, &mut rng).messages.trigger;
             let backoff = base.with_retry_policy(RetryPolicy::backoff());
@@ -789,7 +789,7 @@ mod retry_capacity_tests {
         let mut unlimited_false = 0u64;
         let mut limited_false = 0u64;
         for seed in 0..20u64 {
-            let base = SessionConfig::deterministic(Protocol::Ss, p);
+            let base = SessionConfig::deterministic(ProtocolSpec::SS, p);
             let mut rng = SimRng::new(seed);
             unlimited_false += SingleHopSession::run(&base, &mut rng).false_removals;
             let capped = base.with_capacity(tight);
@@ -808,7 +808,7 @@ mod retry_capacity_tests {
 
     #[test]
     fn unlimited_capacity_config_is_bit_identical() {
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             let base = SessionConfig::deterministic(proto, lossy_params());
             let capped = base.with_capacity(CapacityModel::unlimited());
             for seed in 0..5u64 {
@@ -827,7 +827,7 @@ mod retry_capacity_tests {
 #[cfg(test)]
 mod fault_injection_tests {
     use super::*;
-    use siganalytic::{Protocol, SingleHopParams};
+    use siganalytic::{ProtocolSpec, SingleHopParams};
     use signet::{FaultEvent, FaultSchedule};
 
     fn quiet_params() -> SingleHopParams {
@@ -843,7 +843,7 @@ mod fault_injection_tests {
 
     #[test]
     fn empty_schedule_is_bit_identical_to_no_schedule() {
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             let base = SessionConfig::deterministic(proto, quiet_params());
             let scheduled = base.with_fault_schedule(FaultSchedule::none());
             for seed in 0..5u64 {
@@ -869,7 +869,7 @@ mod fault_injection_tests {
         let mut hs_false = 0u64;
         let mut sampled = 0u32;
         for seed in 0..30u64 {
-            let ss_cfg = SessionConfig::deterministic(Protocol::Ss, quiet_params())
+            let ss_cfg = SessionConfig::deterministic(ProtocolSpec::SS, quiet_params())
                 .with_fault_schedule(schedule);
             let mut rng = SimRng::new(seed);
             let ss = SingleHopSession::run(&ss_cfg, &mut rng);
@@ -878,7 +878,7 @@ mod fault_injection_tests {
             }
             sampled += 1;
             ss_false += ss.false_removals;
-            let hs_cfg = SessionConfig::deterministic(Protocol::Hs, quiet_params())
+            let hs_cfg = SessionConfig::deterministic(ProtocolSpec::HS, quiet_params())
                 .with_fault_schedule(schedule);
             let mut rng = SimRng::new(seed);
             hs_false += SingleHopSession::run(&hs_cfg, &mut rng).false_removals;
@@ -907,7 +907,7 @@ mod fault_injection_tests {
         let mut hs_inc = 0.0f64;
         let mut sampled = 0u32;
         for seed in 0..30u64 {
-            let ss_cfg = SessionConfig::deterministic(Protocol::Ss, quiet_params())
+            let ss_cfg = SessionConfig::deterministic(ProtocolSpec::SS, quiet_params())
                 .with_fault_schedule(schedule);
             let mut rng = SimRng::new(seed);
             let ss = SingleHopSession::run(&ss_cfg, &mut rng);
@@ -916,7 +916,7 @@ mod fault_injection_tests {
             }
             sampled += 1;
             ss_inc += ss.inconsistent_time;
-            let hs_cfg = SessionConfig::deterministic(Protocol::Hs, quiet_params())
+            let hs_cfg = SessionConfig::deterministic(ProtocolSpec::HS, quiet_params())
                 .with_fault_schedule(schedule);
             let mut rng = SimRng::new(seed);
             hs_inc += SingleHopSession::run(&hs_cfg, &mut rng).inconsistent_time;
@@ -937,7 +937,7 @@ mod fault_injection_tests {
                 state_policy: CrashStatePolicy::Preserve,
             })
             .unwrap();
-        for proto in [Protocol::Ss, Protocol::Hs] {
+        for proto in [ProtocolSpec::SS, ProtocolSpec::HS] {
             let base = SessionConfig::deterministic(proto, quiet_params());
             let crashed = base.with_fault_schedule(schedule);
             for seed in 0..5u64 {
@@ -956,7 +956,7 @@ mod fault_injection_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siganalytic::{Protocol, SingleHopParams};
+    use siganalytic::{ProtocolSpec, SingleHopParams};
     use sigstats::OnlineStats;
 
     fn lossless_params() -> SingleHopParams {
@@ -972,7 +972,7 @@ mod tests {
             .with_mean_update_interval(20.0)
     }
 
-    fn run_one(protocol: Protocol, params: SingleHopParams, seed: u64) -> SessionMetrics {
+    fn run_one(protocol: ProtocolSpec, params: SingleHopParams, seed: u64) -> SessionMetrics {
         let cfg = SessionConfig::deterministic(protocol, params);
         let mut rng = SimRng::new(seed);
         SingleHopSession::run(&cfg, &mut rng)
@@ -980,7 +980,7 @@ mod tests {
 
     #[test]
     fn session_dispatch_is_table_derived_and_matches_predicates() {
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             let cfg = SessionConfig::deterministic(proto, quick_params());
             let mut rng = SimRng::new(1);
             let session = SingleHopSession::new(&cfg, &mut rng, 0);
@@ -994,7 +994,7 @@ mod tests {
 
     #[test]
     fn session_terminates_and_reports_sane_metrics() {
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             for seed in 0..5u64 {
                 let m = run_one(proto, quick_params(), seed);
                 assert!((0.0..=1.0).contains(&m.inconsistency), "{proto}: {m:?}");
@@ -1007,10 +1007,10 @@ mod tests {
 
     #[test]
     fn deterministic_given_same_seed() {
-        let a = run_one(Protocol::SsEr, quick_params(), 99);
-        let b = run_one(Protocol::SsEr, quick_params(), 99);
+        let a = run_one(ProtocolSpec::SS_ER, quick_params(), 99);
+        let b = run_one(ProtocolSpec::SS_ER, quick_params(), 99);
         assert_eq!(a, b);
-        let c = run_one(Protocol::SsEr, quick_params(), 100);
+        let c = run_one(ProtocolSpec::SS_ER, quick_params(), 100);
         assert_ne!(
             a, c,
             "different seeds should explore different sample paths"
@@ -1021,7 +1021,7 @@ mod tests {
     fn lossless_channel_keeps_soft_state_nearly_consistent() {
         // With no loss and explicit removal, inconsistency is only the
         // propagation delay of setup/update/removal messages.
-        for proto in [Protocol::SsEr, Protocol::SsRtr, Protocol::Hs] {
+        for proto in [ProtocolSpec::SS_ER, ProtocolSpec::SS_RTR, ProtocolSpec::HS] {
             let mut stats = OnlineStats::new();
             for seed in 0..20u64 {
                 let m = run_one(proto, lossless_params().with_mean_lifetime(300.0), seed);
@@ -1044,7 +1044,7 @@ mod tests {
         for seed in 0..40u64 {
             ss.push(
                 run_one(
-                    Protocol::Ss,
+                    ProtocolSpec::SS,
                     lossless_params().with_mean_lifetime(120.0),
                     seed,
                 )
@@ -1052,7 +1052,7 @@ mod tests {
             );
             sser.push(
                 run_one(
-                    Protocol::SsEr,
+                    ProtocolSpec::SS_ER,
                     lossless_params().with_mean_lifetime(120.0),
                     seed,
                 )
@@ -1075,8 +1075,8 @@ mod tests {
 
     #[test]
     fn hard_state_sends_fewest_messages() {
-        let mut per_proto: Vec<(Protocol, f64)> = Vec::with_capacity(Protocol::ALL.len());
-        for proto in Protocol::ALL {
+        let mut per_proto: Vec<(ProtocolSpec, f64)> = Vec::with_capacity(ProtocolSpec::PAPER.len());
+        for proto in ProtocolSpec::PAPER {
             let mut total = 0u64;
             for seed in 0..10u64 {
                 total += run_one(proto, quick_params(), seed)
@@ -1087,11 +1087,11 @@ mod tests {
         }
         let hs = per_proto
             .iter()
-            .find(|(p, _)| *p == Protocol::Hs)
+            .find(|(p, _)| *p == ProtocolSpec::HS)
             .unwrap()
             .1;
         for (p, msgs) in &per_proto {
-            if *p != Protocol::Hs {
+            if *p != ProtocolSpec::HS {
                 assert!(
                     hs < *msgs,
                     "HS ({hs}) should send fewer messages than {p} ({msgs})"
@@ -1109,7 +1109,7 @@ mod tests {
         let mut refreshes = OnlineStats::new();
         let mut lifetimes = OnlineStats::new();
         for seed in 0..30u64 {
-            let m = run_one(Protocol::Ss, params, seed);
+            let m = run_one(ProtocolSpec::SS, params, seed);
             refreshes.push(m.messages.refresh as f64);
             lifetimes.push(m.sender_lifetime);
         }
@@ -1130,7 +1130,7 @@ mod tests {
         let mut triggers = 0u64;
         let mut updates = 0u64;
         for seed in 0..20u64 {
-            let m = run_one(Protocol::SsRt, p, seed);
+            let m = run_one(ProtocolSpec::SS_RT, p, seed);
             acks += m.messages.trigger_ack;
             triggers += m.messages.trigger;
             updates += m.updates;
@@ -1142,14 +1142,14 @@ mod tests {
             "triggers {triggers} vs updates {updates}"
         );
         // Best-effort SS never sends ACKs.
-        let m = run_one(Protocol::Ss, p, 7);
+        let m = run_one(ProtocolSpec::SS, p, 7);
         assert_eq!(m.messages.trigger_ack, 0);
         assert_eq!(m.messages.removal_ack, 0);
     }
 
     #[test]
     fn explicit_removal_is_sent_only_by_removal_protocols() {
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             let m = run_one(proto, quick_params(), 3);
             if proto.uses_explicit_removal() {
                 assert!(m.messages.removal >= 1, "{proto}");
@@ -1166,7 +1166,7 @@ mod tests {
         p.timeout_timer = 2.0 * p.refresh_timer;
         let mut false_removals = 0u64;
         for seed in 0..20u64 {
-            false_removals += run_one(Protocol::Ss, p, seed).false_removals;
+            false_removals += run_one(ProtocolSpec::SS, p, seed).false_removals;
         }
         assert!(
             false_removals > 0,
@@ -1181,7 +1181,7 @@ mod tests {
         let mut total_false = 0u64;
         let mut inconsistency = OnlineStats::new();
         for seed in 0..10u64 {
-            let m = run_one(Protocol::Hs, p, seed);
+            let m = run_one(ProtocolSpec::HS, p, seed);
             total_false += m.false_removals;
             inconsistency.push(m.inconsistency);
         }
@@ -1196,7 +1196,7 @@ mod tests {
 
     #[test]
     fn exponential_timer_mode_also_terminates() {
-        for proto in Protocol::ALL {
+        for proto in ProtocolSpec::PAPER {
             let cfg = SessionConfig::exponential(proto, quick_params());
             let mut rng = SimRng::new(17);
             let m = SingleHopSession::run(&cfg, &mut rng);
@@ -1207,7 +1207,7 @@ mod tests {
 
     #[test]
     fn trace_records_message_flow() {
-        let cfg = SessionConfig::deterministic(Protocol::SsEr, quick_params());
+        let cfg = SessionConfig::deterministic(ProtocolSpec::SS_ER, quick_params());
         let mut rng = SimRng::new(5);
         let (_, trace) = SingleHopSession::run_traced(&cfg, &mut rng, 10_000);
         assert!(trace.is_enabled());
@@ -1230,7 +1230,7 @@ mod tests {
         let mut params = quick_params().with_mean_lifetime(600.0);
         params.loss = 0.2;
         params.timeout_timer = 2.0 * params.refresh_timer;
-        let independent = SessionConfig::deterministic(Protocol::Ss, params);
+        let independent = SessionConfig::deterministic(ProtocolSpec::SS, params);
         // Mean loss = p_g2b/(p_g2b+p_b2g) * p_bad = 0.25 * 0.8 = 0.2, but
         // losses arrive in long runs.
         let bursty = independent.with_loss_model(LossModel::GilbertElliott {
@@ -1263,9 +1263,9 @@ mod tests {
         let mut ss_extra = OnlineStats::new();
         let mut er_extra = OnlineStats::new();
         for seed in 0..30u64 {
-            let ss = run_one(Protocol::Ss, params, seed);
+            let ss = run_one(ProtocolSpec::SS, params, seed);
             ss_extra.push(ss.receiver_lifetime - ss.sender_lifetime);
-            let er = run_one(Protocol::SsEr, params, seed);
+            let er = run_one(ProtocolSpec::SS_ER, params, seed);
             er_extra.push(er.receiver_lifetime - er.sender_lifetime);
         }
         // The timeout timer was last restarted by a refresh, so the orphan

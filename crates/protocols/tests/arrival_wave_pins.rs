@@ -8,7 +8,7 @@
 //! follow.  Any change to how the wave or the timeouts are filed that
 //! moved one delivered event, or one RNG draw, moves one of these numbers.
 
-use siganalytic::{Protocol, SingleHopParams};
+use siganalytic::{ProtocolSpec, SingleHopParams};
 use signet::{CapacityModel, CrashStatePolicy, FaultEvent, FaultSchedule};
 use sigproto::{NodeConfig, NodeSim, RecoveryTrace};
 use simcore::QueueKind;
@@ -40,7 +40,7 @@ fn faulted_in_wave() -> NodeConfig {
     ])
     .expect("valid schedule");
     let params = SingleHopParams::kazaa_defaults().with_mean_lifetime(60.0);
-    NodeConfig::new(Protocol::SsRtr, params, 512)
+    NodeConfig::new(ProtocolSpec::SS_RTR, params, 512)
         .with_horizon(30.0)
         .with_mean_vacancy(15.0)
         .with_fault_schedule(faults)
@@ -86,7 +86,7 @@ fn the_warm_up_past_the_wave_is_pinned() {
     let params = SingleHopParams::kazaa_defaults().with_mean_lifetime(600.0);
     let sessions = 10_000;
     for kind in KINDS {
-        let cfg = NodeConfig::new(Protocol::Ss, params, sessions).with_queue_kind(kind);
+        let cfg = NodeConfig::new(ProtocolSpec::SS, params, sessions).with_queue_kind(kind);
         let mut sim = NodeSim::new(cfg, 2003);
         assert_eq!(sim.step_events(4 * sessions as u64), 4 * sessions as u64);
         assert_eq!(sim.events_processed(), 40_000, "{kind}");
@@ -108,7 +108,7 @@ fn the_warm_up_of_an_out_of_cache_node_is_pinned() {
     let params = SingleHopParams::kazaa_defaults().with_mean_lifetime(600.0);
     let sessions = 100_000;
     for kind in KINDS {
-        let cfg = NodeConfig::new(Protocol::Ss, params, sessions).with_queue_kind(kind);
+        let cfg = NodeConfig::new(ProtocolSpec::SS, params, sessions).with_queue_kind(kind);
         let mut sim = NodeSim::new(cfg, 2003);
         assert_eq!(sim.step_events(4 * sessions as u64), 4 * sessions as u64);
         assert_eq!(sim.events_processed(), 400_000, "{kind}");
@@ -148,7 +148,7 @@ const PIN_OUT_OF_CACHE: &str = concat!(
 /// the expiries of the opening minute all stand behind these numbers.
 /// SS+RTR adds removal notices, whose repair arms fall off the
 /// retransmission grid.
-fn timeout_phase(protocol: Protocol, kind: QueueKind) -> NodeConfig {
+fn timeout_phase(protocol: ProtocolSpec, kind: QueueKind) -> NodeConfig {
     let params = SingleHopParams::kazaa_defaults().with_mean_lifetime(600.0);
     NodeConfig::new(protocol, params, 10_000)
         .with_horizon(60.0)
@@ -158,8 +158,8 @@ fn timeout_phase(protocol: Protocol, kind: QueueKind) -> NodeConfig {
 #[test]
 fn the_timeout_phase_is_pinned() {
     for (protocol, pin, events, pending) in [
-        (Protocol::Ss, PIN_TIMEOUT_SS, 277_843, 28_811),
-        (Protocol::SsRtr, PIN_TIMEOUT_SS_RTR, 277_810, 28_584),
+        (ProtocolSpec::SS, PIN_TIMEOUT_SS, 277_843, 28_811),
+        (ProtocolSpec::SS_RTR, PIN_TIMEOUT_SS_RTR, 277_810, 28_584),
     ] {
         for kind in KINDS {
             let mut sim = NodeSim::new(timeout_phase(protocol, kind), 2003);
@@ -182,14 +182,14 @@ fn the_timeout_phase_is_pinned() {
 fn the_timeout_phase_files_its_timeouts_on_lanes() {
     for (protocol, counts) in [
         (
-            Protocol::Ss,
+            ProtocolSpec::SS,
             [
                 (10_998, 57_547, 1_287, 12_286),
                 (10_998, 57_547, 1_287, 22_286),
             ],
         ),
         (
-            Protocol::SsRtr,
+            ProtocolSpec::SS_RTR,
             [
                 (10_987, 56_778, 1_151, 13_770),
                 (10_987, 56_778, 1_151, 23_770),
@@ -215,7 +215,7 @@ fn the_timeout_phase_files_its_timeouts_on_lanes() {
                 got.off_grid_timeouts <= got.timeout_arms * 3 / 100,
                 "{protocol:?} {kind}: {got:?}"
             );
-            if protocol == Protocol::Ss {
+            if protocol == ProtocolSpec::SS {
                 let wave = if kind == QueueKind::Calendar {
                     10_000
                 } else {
@@ -236,7 +236,7 @@ fn the_timeout_phase_files_its_timeouts_on_lanes() {
 #[test]
 fn a_finite_capacity_node_opens_no_timeout_lane() {
     let capacity = CapacityModel::limited(4_000.0, 64).unwrap();
-    let cfg = timeout_phase(Protocol::Ss, QueueKind::Heap).with_capacity(capacity);
+    let cfg = timeout_phase(ProtocolSpec::SS, QueueKind::Heap).with_capacity(capacity);
     let mut sim = NodeSim::new(cfg, 2003);
     sim.run();
     let got = sim.schedule_counts();

@@ -45,7 +45,7 @@ pub mod trace;
 pub use dist::{Dist, TimerMode};
 pub use queue::{EventId, EventQueue, Lane, QueueKind, ScheduledEvent};
 pub use rng::SimRng;
-pub use runner::{Assignment, ExecutionPolicy, Replicate, ReplicationEngine};
+pub use runner::{ExecutionPolicy, Replicate, ReplicationEngine};
 pub use time::SimTime;
 pub use timer::Timer;
 pub use trace::{Trace, TraceEntry};

@@ -914,6 +914,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops the next non-cancelled event, advancing the clock to its time.
+    // Inlined into the session and node event loops; see `Timer::arm`.
+    #[inline]
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         let (key, head) = self.next_live()?;
         Some(self.take(key, head))

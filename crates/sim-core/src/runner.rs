@@ -79,47 +79,22 @@ impl ExecutionPolicy {
     }
 }
 
-/// How replication indices are assigned to worker threads.
-///
-/// Both assignments return outputs in replication order, so results are
-/// bit-identical across assignments and policies; the assignment only
-/// changes *which worker* computes each index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Assignment {
-    /// Each worker takes one contiguous block of indices.  Lowest scheduling
-    /// overhead, but when per-replication costs are skewed (e.g. session
-    /// length grows with the sweep index) whole expensive regions land on
-    /// one worker.
-    #[default]
-    Contiguous,
-    /// Worker `w` of `W` takes indices `w, w + W, w + 2W, ...` (round-robin).
-    /// Skewed costs are spread across all workers, improving utilization at
-    /// high core counts — the first step toward work stealing.
-    Striped,
-    /// Workers claim the next unclaimed index from a shared atomic cursor
-    /// and write each result into its index slot.  No worker idles while
-    /// indices remain, so utilization is optimal under arbitrarily skewed
-    /// per-index costs; outputs are still returned in index order, so
-    /// results stay bit-identical to [`Assignment::Contiguous`] and
-    /// [`ExecutionPolicy::Serial`].  This is the default for the campaign
-    /// and sweep layers.
-    WorkStealing,
-}
-
 /// Runs replicable tasks under an [`ExecutionPolicy`].
+///
+/// Threaded runs use work stealing: workers claim the next unclaimed index
+/// from a shared atomic cursor and write each result into its index slot.
+/// No worker idles while indices remain, so utilization holds up under
+/// arbitrarily skewed per-index costs (session length growing with the sweep
+/// index, say), and outputs still come back in index order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplicationEngine {
     policy: ExecutionPolicy,
-    assignment: Assignment,
 }
 
 impl ReplicationEngine {
-    /// An engine with the given policy and contiguous index assignment.
+    /// An engine with the given policy.
     pub fn new(policy: ExecutionPolicy) -> Self {
-        Self {
-            policy,
-            assignment: Assignment::Contiguous,
-        }
+        Self { policy }
     }
 
     /// An engine using every available CPU.
@@ -127,94 +102,24 @@ impl ReplicationEngine {
         Self::new(ExecutionPolicy::auto())
     }
 
-    /// Overrides how indices are assigned to workers.
-    pub fn with_assignment(mut self, assignment: Assignment) -> Self {
-        self.assignment = assignment;
-        self
-    }
-
     /// The policy this engine schedules with.
     pub fn policy(&self) -> ExecutionPolicy {
         self.policy
     }
 
-    /// The index-to-worker assignment this engine uses.
-    pub fn assignment(&self) -> Assignment {
-        self.assignment
-    }
-
     /// Runs replications `0..count` of `task` and returns the outputs in
     /// replication order.
     ///
-    /// The output is a pure function of `task` and `count`: every policy and
-    /// every [`Assignment`] produce the identical `Vec`, because each
-    /// replication derives its own randomness from its index and outputs are
-    /// placed by index.
+    /// The output is a pure function of `task` and `count`: every policy
+    /// produces the identical `Vec`, because each replication derives its own
+    /// randomness from its index and outputs are placed by index.
     pub fn run<R: Replicate>(&self, count: usize, task: &R) -> Vec<R::Output> {
         let workers = self.policy.worker_count(count);
         if workers <= 1 || count <= 1 {
             return (0..count as u64).map(|i| task.replicate(i)).collect();
         }
-        match self.assignment {
-            Assignment::Contiguous => run_contiguous(workers, count, task),
-            Assignment::Striped => run_striped(workers, count, task),
-            Assignment::WorkStealing => run_work_stealing(workers, count, task),
-        }
+        run_work_stealing(workers, count, task)
     }
-}
-
-/// Contiguous blocks: worker `w` fills `results[w·chunk .. (w+1)·chunk]`.
-fn run_contiguous<R: Replicate>(workers: usize, count: usize, task: &R) -> Vec<R::Output> {
-    let mut results: Vec<Option<R::Output>> = Vec::with_capacity(count);
-    results.resize_with(count, || None);
-    let chunk_size = count.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (chunk_idx, chunk) in results.chunks_mut(chunk_size).enumerate() {
-            scope.spawn(move || {
-                let base = (chunk_idx * chunk_size) as u64;
-                for (offset, slot) in chunk.iter_mut().enumerate() {
-                    *slot = Some(task.replicate(base + offset as u64));
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        // sigtidy: allow(no-unwrap) — the scoped threads fill every chunk before the scope ends
-        .map(|r| r.expect("every replication slot is filled"))
-        .collect()
-}
-
-/// Round-robin stripes: worker `w` computes indices `w, w + W, ...` into a
-/// local vector; stripes are then interleaved back into index order.
-fn run_striped<R: Replicate>(workers: usize, count: usize, task: &R) -> Vec<R::Output> {
-    let stripes: Vec<Vec<R::Output>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    (w..count)
-                        .step_by(workers)
-                        .map(|i| task.replicate(i as u64))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // sigtidy: allow(no-unwrap) — join() only errs if a worker panicked; propagate it
-            .map(|h| h.join().expect("replication worker panicked"))
-            .collect()
-    });
-    let mut stripes: Vec<std::vec::IntoIter<R::Output>> =
-        stripes.into_iter().map(Vec::into_iter).collect();
-    (0..count)
-        .map(|i| {
-            stripes[i % workers]
-                .next()
-                // sigtidy: allow(no-unwrap) — stripe w holds exactly the indices ≡ w (mod workers)
-                .expect("stripe lengths cover every index")
-        })
-        .collect()
 }
 
 /// Work stealing: every worker claims the next unclaimed index from a shared
@@ -281,51 +186,11 @@ mod tests {
     }
 
     #[test]
-    fn striped_assignment_matches_serial_bit_for_bit() {
-        // The striped stress case: wildly skewed per-index costs (the output
-        // value doubles as a stand-in for cost) must still come back in index
-        // order, identical to serial, for worker counts that do and do not
-        // divide the replication count.
-        let task = |i: u64| {
-            let mut rng = SimRng::for_replication(7, i);
-            let work = (i % 13) as usize * 10;
-            (0..work).map(|_| rng.uniform()).sum::<f64>() + i as f64
-        };
-        let serial = ReplicationEngine::new(ExecutionPolicy::Serial).run(53, &task);
-        for n in [2, 3, 8, 64] {
-            let striped = ReplicationEngine::new(ExecutionPolicy::threads(n))
-                .with_assignment(Assignment::Striped)
-                .run(53, &task);
-            assert_eq!(serial, striped, "striped Threads({n}) diverged");
-            let contiguous = ReplicationEngine::new(ExecutionPolicy::threads(n)).run(53, &task);
-            assert_eq!(striped, contiguous, "assignments diverged at {n}");
-        }
-    }
-
-    #[test]
-    fn striped_every_index_runs_exactly_once() {
-        let counter = AtomicUsize::new(0);
-        let out = ReplicationEngine::new(ExecutionPolicy::threads(4))
-            .with_assignment(Assignment::Striped)
-            .run(101, &|i: u64| {
-                counter.fetch_add(1, Ordering::Relaxed);
-                i
-            });
-        assert_eq!(counter.load(Ordering::Relaxed), 101);
-        assert_eq!(out, (0..101u64).collect::<Vec<_>>());
-        // Degenerate sizes under striping.
-        let engine = ReplicationEngine::auto().with_assignment(Assignment::Striped);
-        assert!(engine.run(0, &|i: u64| i).is_empty());
-        assert_eq!(engine.run(1, &|i: u64| i), vec![0]);
-        assert_eq!(engine.assignment(), Assignment::Striped);
-    }
-
-    #[test]
-    fn work_stealing_matches_serial_and_striped_bit_for_bit() {
-        // The engine contract under the dynamic assignment: no matter how
-        // workers interleave their claims, outputs come back in index order,
-        // identical to Serial, Contiguous and Striped — including for worker
-        // counts that exceed, divide, and do not divide the count.
+    fn work_stealing_matches_serial_bit_for_bit() {
+        // The engine contract under wildly skewed per-index costs: no matter
+        // how workers interleave their claims, outputs come back in index
+        // order, identical to Serial — including for worker counts that
+        // exceed, divide, and do not divide the count.
         let task = |i: u64| {
             let mut rng = SimRng::for_replication(21, i);
             let work = (i % 17) as usize * 12;
@@ -333,33 +198,20 @@ mod tests {
         };
         let serial = ReplicationEngine::new(ExecutionPolicy::Serial).run(59, &task);
         for n in [2, 3, 8, 64] {
-            let stealing = ReplicationEngine::new(ExecutionPolicy::threads(n))
-                .with_assignment(Assignment::WorkStealing)
-                .run(59, &task);
-            assert_eq!(serial, stealing, "WorkStealing Threads({n}) diverged");
-            let striped = ReplicationEngine::new(ExecutionPolicy::threads(n))
-                .with_assignment(Assignment::Striped)
-                .run(59, &task);
-            assert_eq!(stealing, striped, "assignments diverged at {n}");
+            let stealing = ReplicationEngine::new(ExecutionPolicy::threads(n)).run(59, &task);
+            assert_eq!(serial, stealing, "Threads({n}) diverged");
         }
     }
 
     #[test]
     fn work_stealing_every_index_runs_exactly_once() {
         let counter = AtomicUsize::new(0);
-        let out = ReplicationEngine::new(ExecutionPolicy::threads(7))
-            .with_assignment(Assignment::WorkStealing)
-            .run(103, &|i: u64| {
-                counter.fetch_add(1, Ordering::Relaxed);
-                i
-            });
+        let out = ReplicationEngine::new(ExecutionPolicy::threads(7)).run(103, &|i: u64| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            i
+        });
         assert_eq!(counter.load(Ordering::Relaxed), 103);
         assert_eq!(out, (0..103u64).collect::<Vec<_>>());
-        // Degenerate sizes.
-        let engine = ReplicationEngine::auto().with_assignment(Assignment::WorkStealing);
-        assert!(engine.run(0, &|i: u64| i).is_empty());
-        assert_eq!(engine.run(1, &|i: u64| i), vec![0]);
-        assert_eq!(engine.assignment(), Assignment::WorkStealing);
     }
 
     #[test]

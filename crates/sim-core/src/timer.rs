@@ -63,6 +63,10 @@ impl Timer {
     /// re-arming in response to its own expiry without acknowledging it —
     /// fails a constant-time generation compare and cannot touch an event
     /// reusing the fired event's slot.
+    // `arm` and `EventQueue::pop` run on nearly every event of a session:
+    // `#[inline]` keeps them inlined into `SingleHopSession::run_traced`
+    // however the calling crate is split into codegen units.
+    #[inline]
     pub fn arm<E>(&mut self, queue: &mut EventQueue<E>, delay: f64, event: E) {
         self.pending = Some(match self.pending {
             Some(id) => queue.reschedule_in(id, delay, event),

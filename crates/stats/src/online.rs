@@ -85,15 +85,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance (`n` denominator); `0.0` when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Unbiased sample standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()

@@ -113,11 +113,6 @@ impl TimeWeighted {
         }
         self.positive_time_until(t) / span
     }
-
-    /// Total elapsed time from the start until `t`.
-    pub fn elapsed_until(&self, t: f64) -> f64 {
-        (t - self.start).max(0.0)
-    }
 }
 
 #[cfg(test)]

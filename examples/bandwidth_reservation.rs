@@ -12,7 +12,9 @@
 //! ```
 
 use hs_ss_signaling_repro::percent;
-use signaling::{MultiHopCampaign, MultiHopModel, MultiHopScenario, MultiHopSimConfig, Protocol};
+use signaling::{
+    MultiHopCampaign, MultiHopModel, MultiHopScenario, MultiHopSimConfig, ProtocolSpec,
+};
 
 fn main() {
     let scenario = MultiHopScenario::bandwidth_reservation();
@@ -24,7 +26,7 @@ fn main() {
     // ------------------------------------------------------------------
     println!("Analytic per-hop inconsistency (fraction of time hop i disagrees with the sender):");
     println!("{:>6} {:>12} {:>12} {:>12}", "hop", "SS", "SS+RT", "HS");
-    let solutions: Vec<_> = Protocol::MULTI_HOP
+    let solutions: Vec<_> = ProtocolSpec::PAPER_MULTI_HOP
         .iter()
         .map(|p| {
             MultiHopModel::new(*p, params)
@@ -58,7 +60,7 @@ fn main() {
     println!("{:>6} {:>12} {:>12} {:>12}", "hops", "SS", "SS+RT", "HS");
     for hops in [2usize, 5, 10, 20] {
         print!("{hops:>6}");
-        for protocol in Protocol::MULTI_HOP {
+        for protocol in ProtocolSpec::PAPER_MULTI_HOP {
             let s = MultiHopModel::new(protocol, params.with_hops(hops))
                 .expect("valid")
                 .solve()
@@ -73,7 +75,7 @@ fn main() {
     //    the paper, which evaluates multi-hop analytically only).
     // ------------------------------------------------------------------
     println!("\nSimulation cross-check (5 runs x 2 simulated hours, deterministic timers):");
-    for protocol in Protocol::MULTI_HOP {
+    for protocol in ProtocolSpec::PAPER_MULTI_HOP {
         let cfg = MultiHopSimConfig::deterministic(protocol, params).with_horizon(7200.0);
         let result = MultiHopCampaign::new(cfg, 5, 42).run();
         println!(

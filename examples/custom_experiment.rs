@@ -14,7 +14,7 @@
 
 use signaling::registry::{Experiment, ExperimentSpec, Registry, SweepTarget};
 use signaling::{
-    ExperimentOptions, ExperimentOutput, Metric, Point, Protocol, Scenario, Series, SeriesSet,
+    ExperimentOptions, ExperimentOutput, Metric, Point, ProtocolSpec, Scenario, Series, SeriesSet,
     SingleHopModel, SingleHopParams, Sweep,
 };
 
@@ -59,7 +59,7 @@ impl Experiment for KeepaliveTuning {
             sweep.parameter.clone(),
             "integrated cost",
         );
-        for protocol in [Protocol::Ss, Protocol::SsEr, Protocol::Hs] {
+        for protocol in [ProtocolSpec::SS, ProtocolSpec::SS_ER, ProtocolSpec::HS] {
             let mut series = Series::new(protocol.label());
             for &t in &sweep.values {
                 let params = scenario.params.with_refresh_timer_scaled_timeout(t);
@@ -92,7 +92,7 @@ fn main() {
                 "MQTT: inconsistency vs loss rate of the keepalive channel",
             )
             .scenario(mqtt_keepalive())
-            .protocols(&[Protocol::Ss, Protocol::SsRt, Protocol::Hs])
+            .protocols(&[ProtocolSpec::SS, ProtocolSpec::SS_RT, ProtocolSpec::HS])
             .sweep(Sweep::loss_rate(), SweepTarget::LossRate)
             .metric(Metric::Inconsistency)
             .tag("example")

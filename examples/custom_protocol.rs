@@ -19,8 +19,8 @@
 
 use signaling::registry::{ExperimentSpec, Registry, SweepTarget};
 use signaling::{
-    Campaign, ExperimentOptions, Metric, Protocol, ProtocolSpec, Removal, SessionConfig,
-    SingleHopModel, SingleHopParams, Sweep,
+    Campaign, ExperimentOptions, Metric, ProtocolSpec, Removal, SessionConfig, SingleHopModel,
+    SingleHopParams, Sweep,
 };
 
 /// Soft state + reliable removal, best-effort everything else.
@@ -36,7 +36,7 @@ fn main() {
     // --- Analytic: same chain builder as the paper presets. ---
     let params = SingleHopParams::kazaa_defaults().with_mean_lifetime(120.0);
     println!("analytic inconsistency at 120 s sessions (Kazaa defaults):");
-    for spec in [Protocol::Ss.spec(), Protocol::SsEr.spec(), SS_ERR] {
+    for spec in [ProtocolSpec::SS, ProtocolSpec::SS_ER, SS_ERR] {
         let s = SingleHopModel::new(spec, params)
             .expect("valid")
             .solve()
@@ -56,7 +56,7 @@ fn main() {
     let mut lossy = params;
     lossy.loss = 0.3;
     println!("\nsimulated receiver-orphan time beyond sender departure (30% loss):");
-    for spec in [Protocol::SsEr.spec(), SS_ERR] {
+    for spec in [ProtocolSpec::SS_ER, SS_ERR] {
         let result = Campaign::new(SessionConfig::deterministic(spec, lossy), 200, 42).run();
         let orphan = result.receiver_lifetime.mean - result.sender_lifetime.mean;
         println!(
@@ -76,7 +76,7 @@ fn main() {
                 "ss-err-lifetime",
                 "reliable-removal soft state vs the presets, over session length",
             )
-            .protocols(&[Protocol::Ss.spec(), Protocol::SsEr.spec(), SS_ERR])
+            .protocols(&[ProtocolSpec::SS, ProtocolSpec::SS_ER, SS_ERR])
             .sweep(Sweep::session_length(), SweepTarget::MeanLifetime)
             .metric(Metric::Inconsistency)
             .tag("example"),

@@ -15,7 +15,7 @@
 //! ```
 
 use hs_ss_signaling_repro::percent;
-use signaling::{integrated_cost, Protocol, Scenario, SingleHopModel, Sweep};
+use signaling::{integrated_cost, ProtocolSpec, Scenario, SingleHopModel, Sweep};
 
 fn main() {
     let scenario = Scenario::kazaa_peer();
@@ -34,7 +34,7 @@ fn main() {
     );
     for &lifetime in &Sweep::session_length().values {
         let mut costs = Vec::new();
-        for protocol in Protocol::ALL {
+        for protocol in ProtocolSpec::PAPER {
             let params = base.with_mean_lifetime(lifetime);
             let s = SingleHopModel::new(protocol, params)
                 .expect("valid params")
@@ -58,15 +58,15 @@ fn main() {
 
     // The paper's headline numbers at the default 1800 s sessions.
     println!("\nAt the default 1800 s sessions:");
-    let ss = SingleHopModel::new(Protocol::Ss, base)
+    let ss = SingleHopModel::new(ProtocolSpec::SS, base)
         .expect("valid")
         .solve()
         .expect("solvable");
-    let ss_er = SingleHopModel::new(Protocol::SsEr, base)
+    let ss_er = SingleHopModel::new(ProtocolSpec::SS_ER, base)
         .expect("valid")
         .solve()
         .expect("solvable");
-    let hs = SingleHopModel::new(Protocol::Hs, base)
+    let hs = SingleHopModel::new(ProtocolSpec::HS, base)
         .expect("valid")
         .solve()
         .expect("solvable");

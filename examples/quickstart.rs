@@ -8,8 +8,8 @@
 //! ```
 
 use signaling::{
-    Campaign, ExecutionPolicy, Protocol, SessionConfig, SimRng, SingleHopModel, SingleHopParams,
-    SingleHopSession,
+    Campaign, ExecutionPolicy, ProtocolSpec, SessionConfig, SimRng, SingleHopModel,
+    SingleHopParams, SingleHopSession,
 };
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
         "{:<8} {:>16} {:>16} {:>16}",
         "protocol", "inconsistency", "msg rate M", "cost (w=10)"
     );
-    for protocol in Protocol::ALL {
+    for protocol in ProtocolSpec::PAPER {
         let solution = SingleHopModel::new(protocol, params)
             .expect("valid parameters")
             .solve()
@@ -57,7 +57,7 @@ fn main() {
         "{:<8} {:>22} {:>16}",
         "protocol", "inconsistency (±95% CI)", "msg rate M"
     );
-    for protocol in Protocol::ALL {
+    for protocol in ProtocolSpec::PAPER {
         let cfg = SessionConfig::deterministic(protocol, params);
         let result = Campaign::new(cfg, 100, 7)
             .execution(ExecutionPolicy::auto())
@@ -76,7 +76,7 @@ fn main() {
     // ------------------------------------------------------------------
     println!("\nFirst 12 events of one simulated SS+ER session:");
     let cfg = SessionConfig::deterministic(
-        Protocol::SsEr,
+        ProtocolSpec::SS_ER,
         params
             .with_mean_lifetime(60.0)
             .with_mean_update_interval(20.0),

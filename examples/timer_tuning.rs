@@ -11,12 +11,12 @@
 //! cargo run --example timer_tuning
 //! ```
 
-use signaling::{CostWeights, Protocol, SingleHopModel, SingleHopParams, Sweep};
+use signaling::{CostWeights, ProtocolSpec, SingleHopModel, SingleHopParams, Sweep};
 
 /// Finds the refresh timer in `sweep` that minimizes the integrated cost for
 /// `protocol`, returning `(timer, cost)`.
 fn optimal_refresh_timer(
-    protocol: Protocol,
+    protocol: ProtocolSpec,
     base: SingleHopParams,
     weights: CostWeights,
     sweep: &Sweep,
@@ -49,7 +49,7 @@ fn main() {
         "{:<8} {:>18} {:>14}",
         "protocol", "best T (seconds)", "cost at best T"
     );
-    for protocol in Protocol::ALL {
+    for protocol in ProtocolSpec::PAPER {
         let (t, cost) = optimal_refresh_timer(protocol, base, weights, &sweep);
         if protocol.uses_refresh() {
             println!("{:<8} {:>18.2} {:>14.4}", protocol.label(), t, cost);
@@ -71,10 +71,10 @@ fn main() {
         "tau/T", "1.0", "2.0", "3.0", "5.0", "10.0"
     );
     for protocol in [
-        Protocol::Ss,
-        Protocol::SsEr,
-        Protocol::SsRt,
-        Protocol::SsRtr,
+        ProtocolSpec::SS,
+        ProtocolSpec::SS_ER,
+        ProtocolSpec::SS_RT,
+        ProtocolSpec::SS_RTR,
     ] {
         print!("{:<8}", protocol.label());
         for ratio in [1.0f64, 2.0, 3.0, 5.0, 10.0] {

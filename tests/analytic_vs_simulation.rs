@@ -4,7 +4,7 @@
 //! with deterministic timers.
 
 use signaling::compare::{compare_all, compare_single_hop};
-use signaling::{Protocol, SingleHopParams, TimerMode};
+use signaling::{ProtocolSpec, SingleHopParams, TimerMode};
 
 fn medium_params() -> SingleHopParams {
     // Medium-length sessions keep the simulation cheap while leaving every
@@ -16,7 +16,7 @@ fn medium_params() -> SingleHopParams {
 
 #[test]
 fn inconsistency_agrees_for_every_protocol() {
-    for protocol in Protocol::ALL {
+    for protocol in ProtocolSpec::PAPER {
         let row = compare_single_hop(protocol, medium_params(), TimerMode::Deterministic, 300, 17);
         // The paper reports <1% absolute difference; we allow 2 percentage
         // points to keep the test robust at 300 replications.
@@ -34,7 +34,7 @@ fn inconsistency_agrees_for_every_protocol() {
 fn message_rate_agrees_within_paper_tolerance() {
     // The paper reports 5–15% differences on the message rate between the
     // analytic model and the deterministic-timer simulation; we accept 25%.
-    for protocol in Protocol::ALL {
+    for protocol in ProtocolSpec::PAPER {
         let row = compare_single_hop(protocol, medium_params(), TimerMode::Deterministic, 300, 23);
         assert!(
             row.message_rate_relative_gap() < 0.25,
@@ -49,7 +49,7 @@ fn message_rate_agrees_within_paper_tolerance() {
 fn receiver_lifetime_agrees() {
     // The receiver keeps state for the sender lifetime plus the orphan
     // removal time; model and simulation must agree on that shape.
-    for protocol in [Protocol::Ss, Protocol::SsEr, Protocol::Hs] {
+    for protocol in [ProtocolSpec::SS, ProtocolSpec::SS_ER, ProtocolSpec::HS] {
         let row = compare_single_hop(protocol, medium_params(), TimerMode::Deterministic, 200, 5);
         let model = row.analytic.expected_lifetime;
         let sim = row.simulated_receiver_lifetime.mean;
@@ -66,20 +66,20 @@ fn protocol_ranking_is_preserved_by_the_simulator() {
     // Whatever the absolute gaps, the simulator must reproduce the paper's
     // ordering: SS worst, explicit removal a big win, SS+RTR ≈ HS best.
     let rows = compare_all(medium_params(), TimerMode::Deterministic, 300, 31);
-    let sim = |p: Protocol| {
+    let sim = |p: ProtocolSpec| {
         rows.iter()
             .find(|r| r.protocol == p)
             .expect("protocol present")
             .simulated_inconsistency
             .mean
     };
-    assert!(sim(Protocol::SsEr) < sim(Protocol::Ss));
-    assert!(sim(Protocol::SsRtr) < sim(Protocol::Ss));
-    assert!(sim(Protocol::Hs) < sim(Protocol::SsEr));
-    assert!(sim(Protocol::SsRtr) < sim(Protocol::SsEr));
+    assert!(sim(ProtocolSpec::SS_ER) < sim(ProtocolSpec::SS));
+    assert!(sim(ProtocolSpec::SS_RTR) < sim(ProtocolSpec::SS));
+    assert!(sim(ProtocolSpec::HS) < sim(ProtocolSpec::SS_ER));
+    assert!(sim(ProtocolSpec::SS_RTR) < sim(ProtocolSpec::SS_ER));
     // And on the overhead side HS stays the cheapest, soft state pays for
     // refreshes.
-    let sim_m = |p: Protocol| {
+    let sim_m = |p: ProtocolSpec| {
         rows.iter()
             .find(|r| r.protocol == p)
             .expect("protocol present")
@@ -87,13 +87,13 @@ fn protocol_ranking_is_preserved_by_the_simulator() {
             .mean
     };
     for p in [
-        Protocol::Ss,
-        Protocol::SsEr,
-        Protocol::SsRt,
-        Protocol::SsRtr,
+        ProtocolSpec::SS,
+        ProtocolSpec::SS_ER,
+        ProtocolSpec::SS_RT,
+        ProtocolSpec::SS_RTR,
     ] {
         assert!(
-            sim_m(Protocol::Hs) < sim_m(p),
+            sim_m(ProtocolSpec::HS) < sim_m(p),
             "HS should be cheaper than {p}"
         );
     }
@@ -107,22 +107,22 @@ fn loss_sensitivity_matches_between_model_and_simulation() {
     lossy.loss = 0.2;
     let clean = medium_params();
 
-    let model = |protocol: Protocol, params: SingleHopParams| {
+    let model = |protocol: ProtocolSpec, params: SingleHopParams| {
         signaling::SingleHopModel::new(protocol, params)
             .expect("valid")
             .solve()
             .expect("solvable")
             .inconsistency
     };
-    let sim = |protocol: Protocol, params: SingleHopParams| {
+    let sim = |protocol: ProtocolSpec, params: SingleHopParams| {
         compare_single_hop(protocol, params, TimerMode::Deterministic, 250, 41)
             .simulated_inconsistency
             .mean
     };
 
-    for eval in [model as fn(Protocol, SingleHopParams) -> f64, sim] {
-        let ss_increase = eval(Protocol::Ss, lossy) - eval(Protocol::Ss, clean);
-        let rtr_increase = eval(Protocol::SsRtr, lossy) - eval(Protocol::SsRtr, clean);
+    for eval in [model as fn(ProtocolSpec, SingleHopParams) -> f64, sim] {
+        let ss_increase = eval(ProtocolSpec::SS, lossy) - eval(ProtocolSpec::SS, clean);
+        let rtr_increase = eval(ProtocolSpec::SS_RTR, lossy) - eval(ProtocolSpec::SS_RTR, clean);
         assert!(
             ss_increase > 0.0,
             "loss must hurt SS (increase {ss_increase})"

@@ -5,20 +5,24 @@
 //! for the single-hop agreement tests (the analytic chain treats consistency
 //! as a prefix property and approximates timeout cascades).
 
-use signaling::{MultiHopCampaign, MultiHopModel, MultiHopParams, MultiHopSimConfig, Protocol};
+use signaling::{MultiHopCampaign, MultiHopModel, MultiHopParams, MultiHopSimConfig, ProtocolSpec};
 
 fn params(hops: usize) -> MultiHopParams {
     MultiHopParams::reservation_defaults().with_hops(hops)
 }
 
-fn simulate(protocol: Protocol, p: MultiHopParams, seed: u64) -> signaling::MultiHopCampaignResult {
+fn simulate(
+    protocol: ProtocolSpec,
+    p: MultiHopParams,
+    seed: u64,
+) -> signaling::MultiHopCampaignResult {
     let cfg = MultiHopSimConfig::deterministic(protocol, p).with_horizon(6000.0);
     MultiHopCampaign::new(cfg, 4, seed).run()
 }
 
 #[test]
 fn end_to_end_inconsistency_same_order_of_magnitude() {
-    for protocol in Protocol::MULTI_HOP {
+    for protocol in ProtocolSpec::PAPER_MULTI_HOP {
         let model = MultiHopModel::new(protocol, params(10))
             .expect("valid")
             .solve()
@@ -35,7 +39,7 @@ fn end_to_end_inconsistency_same_order_of_magnitude() {
 
 #[test]
 fn per_hop_profile_increases_in_both_model_and_simulation() {
-    let protocol = Protocol::Ss;
+    let protocol = ProtocolSpec::SS;
     let model = MultiHopModel::new(protocol, params(8))
         .expect("valid")
         .solve()
@@ -59,7 +63,7 @@ fn per_hop_profile_increases_in_both_model_and_simulation() {
 fn protocol_ordering_agrees_between_model_and_simulation() {
     let mut model_i = Vec::new();
     let mut sim_i = Vec::new();
-    for protocol in Protocol::MULTI_HOP {
+    for protocol in ProtocolSpec::PAPER_MULTI_HOP {
         model_i.push((
             protocol,
             MultiHopModel::new(protocol, params(12))
@@ -75,12 +79,12 @@ fn protocol_ordering_agrees_between_model_and_simulation() {
                 .mean,
         ));
     }
-    let rank = |rows: &[(Protocol, f64)], p: Protocol| {
+    let rank = |rows: &[(ProtocolSpec, f64)], p: ProtocolSpec| {
         rows.iter().find(|(q, _)| *q == p).expect("present").1
     };
     for rows in [&model_i, &sim_i] {
         assert!(
-            rank(rows, Protocol::Ss) > rank(rows, Protocol::SsRt),
+            rank(rows, ProtocolSpec::SS) > rank(rows, ProtocolSpec::SS_RT),
             "SS should be worse than SS+RT: {rows:?}"
         );
     }
@@ -90,7 +94,7 @@ fn protocol_ordering_agrees_between_model_and_simulation() {
 fn message_rate_agrees_roughly() {
     // Refreshes dominate the soft-state multi-hop load; model and simulation
     // should agree within ~30% on the total hop-transmission rate.
-    for protocol in Protocol::MULTI_HOP {
+    for protocol in ProtocolSpec::PAPER_MULTI_HOP {
         let model = MultiHopModel::new(protocol, params(10))
             .expect("valid")
             .solve()
@@ -105,17 +109,17 @@ fn message_rate_agrees_roughly() {
 
 #[test]
 fn hard_state_multi_hop_is_cheap_in_both_views() {
-    let ss_model = MultiHopModel::new(Protocol::Ss, params(10))
+    let ss_model = MultiHopModel::new(ProtocolSpec::SS, params(10))
         .expect("valid")
         .solve()
         .expect("solvable");
-    let hs_model = MultiHopModel::new(Protocol::Hs, params(10))
+    let hs_model = MultiHopModel::new(ProtocolSpec::HS, params(10))
         .expect("valid")
         .solve()
         .expect("solvable");
     assert!(hs_model.message_rate < 0.5 * ss_model.message_rate);
 
-    let ss_sim = simulate(Protocol::Ss, params(10), 13);
-    let hs_sim = simulate(Protocol::Hs, params(10), 13);
+    let ss_sim = simulate(ProtocolSpec::SS, params(10), 13);
+    let hs_sim = simulate(ProtocolSpec::HS, params(10), 13);
     assert!(hs_sim.message_rate.mean < 0.5 * ss_sim.message_rate.mean);
 }

@@ -4,7 +4,7 @@
 
 use signaling::experiment::ExperimentOptions;
 use signaling::registry::Registry;
-use signaling::{Protocol, SeriesSet};
+use signaling::{ProtocolSpec, SeriesSet};
 
 fn figure(name: &str) -> SeriesSet {
     Registry::with_builtins()
@@ -258,7 +258,7 @@ fn claim_multi_hop_inconsistency_grows_with_distance_and_hops() {
 fn protocol_labels_cover_all_five_protocols_in_single_hop_figures() {
     let fig = figure("fig6a");
     let labels = fig.labels();
-    for p in Protocol::ALL {
+    for p in ProtocolSpec::PAPER {
         assert!(labels.contains(&p.label()), "{p} missing from Fig 6(a)");
     }
 }

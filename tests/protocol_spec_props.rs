@@ -3,8 +3,8 @@
 //! Three guarantees:
 //!
 //! 1. **Preset fidelity** — for each paper protocol, the spec-derived
-//!    mechanism predicates equal the `Protocol` enum's paper-transcribed
-//!    answers, and every preset validates.
+//!    mechanism predicates equal the paper-transcribed Table I matrix, and
+//!    every preset validates.
 //! 2. **Total validation** — `ProtocolSpec::validate` never panics anywhere
 //!    in the full 72-point mechanism space (exhaustively) nor under random
 //!    parameter perturbation (proptest).
@@ -18,47 +18,66 @@ use signaling::{
     SingleHopParams, SingleHopSession,
 };
 
+/// The paper's mechanism matrix (Section II, Table I), transcribed: per
+/// protocol, its figure label and whether it uses refresh, a state timeout,
+/// explicit removal, reliable triggers, reliable removal and a removal
+/// notification.
+const TABLE_ONE: [(ProtocolSpec, &str, [bool; 6]); 5] = [
+    (
+        ProtocolSpec::SS,
+        "SS",
+        [true, true, false, false, false, false],
+    ),
+    (
+        ProtocolSpec::SS_ER,
+        "SS+ER",
+        [true, true, true, false, false, false],
+    ),
+    (
+        ProtocolSpec::SS_RT,
+        "SS+RT",
+        [true, true, false, true, false, true],
+    ),
+    (
+        ProtocolSpec::SS_RTR,
+        "SS+RTR",
+        [true, true, true, true, true, true],
+    ),
+    (
+        ProtocolSpec::HS,
+        "HS",
+        [false, false, true, true, true, true],
+    ),
+];
+
 #[test]
 fn preset_predicates_match_the_enum_ground_truth() {
-    for protocol in Protocol::ALL {
-        let spec = protocol.spec();
-        assert_eq!(spec.label(), protocol.label(), "{protocol}");
-        assert_eq!(spec.uses_refresh(), protocol.uses_refresh(), "{protocol}");
-        assert_eq!(
+    assert_eq!(TABLE_ONE.map(|(spec, ..)| spec), ProtocolSpec::PAPER);
+    for (spec, label, mechanisms) in TABLE_ONE {
+        assert_eq!(spec.label(), label, "{spec}");
+        let derived = [
+            spec.uses_refresh(),
             spec.uses_state_timeout(),
-            protocol.uses_state_timeout(),
-            "{protocol}"
-        );
-        assert_eq!(
             spec.uses_explicit_removal(),
-            protocol.uses_explicit_removal(),
-            "{protocol}"
-        );
-        assert_eq!(
             spec.reliable_triggers(),
-            protocol.reliable_triggers(),
-            "{protocol}"
-        );
-        assert_eq!(
             spec.reliable_removal(),
-            protocol.reliable_removal(),
-            "{protocol}"
-        );
-        assert_eq!(
             spec.notifies_on_removal(),
-            protocol.notifies_on_removal(),
-            "{protocol}"
-        );
+        ];
+        assert_eq!(derived, mechanisms, "{spec}");
         // No paper protocol has reliable refreshes.
-        assert!(!spec.reliable_refresh(), "{protocol}");
+        assert!(!spec.reliable_refresh(), "{spec}");
         // And every preset is a coherent composition.
-        spec.validate()
-            .unwrap_or_else(|e| panic!("{protocol}: {e}"));
-        // The enum round-trips through its spec (conversion + equality shims).
-        assert_eq!(ProtocolSpec::from(protocol), spec);
-        assert!(protocol == spec);
-        assert!(spec == protocol);
+        spec.validate().unwrap_or_else(|e| panic!("{spec}: {e}"));
     }
+    // The five-variant shim converts to the same presets.
+    let shim = [
+        Protocol::Ss,
+        Protocol::SsEr,
+        Protocol::SsRt,
+        Protocol::SsRtr,
+        Protocol::Hs,
+    ];
+    assert_eq!(shim.map(ProtocolSpec::from), ProtocolSpec::PAPER);
 }
 
 #[test]
@@ -209,8 +228,7 @@ mod proptests {
             loss in 0.0f64..0.9,
             refresh in 0.5f64..30.0,
         ) {
-            use signaling::Protocol::*;
-            let protocol = [Ss, SsEr, SsRt, SsRtr, Hs][proto_idx];
+            let protocol = ProtocolSpec::PAPER[proto_idx];
             let params = {
                 let mut p = SingleHopParams::kazaa_defaults()
                     .with_refresh_timer_scaled_timeout(refresh);
@@ -223,11 +241,12 @@ mod proptests {
             use siganalytic::single_hop::SingleHopState::{Consistent, Setup2};
             let slow = table.rate(Setup2, Consistent);
             let expected = match protocol {
-                Ss | SsEr => success / params.refresh_timer,
-                SsRt | SsRtr => {
+                ProtocolSpec::SS | ProtocolSpec::SS_ER => success / params.refresh_timer,
+                ProtocolSpec::SS_RT | ProtocolSpec::SS_RTR => {
                     (1.0 / params.refresh_timer + 1.0 / params.retrans_timer) * success
                 }
-                Hs => success / params.retrans_timer,
+                ProtocolSpec::HS => success / params.retrans_timer,
+                _ => unreachable!("{protocol} is not a paper preset"),
             };
             prop_assert_eq!(slow, expected, "{} slow-path repair", protocol);
         }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use signaling::{
-    ExecutionPolicy, MultiHopModel, MultiHopParams, Protocol, SessionConfig, SimRng,
+    ExecutionPolicy, MultiHopModel, MultiHopParams, ProtocolSpec, SessionConfig, SimRng,
     SingleHopModel, SingleHopParams, SingleHopSession, TimerMode,
 };
 
@@ -41,7 +41,7 @@ proptest! {
 
     #[test]
     fn analytic_model_is_well_behaved(params in single_hop_params()) {
-        for protocol in Protocol::ALL {
+        for protocol in ProtocolSpec::PAPER {
             let solution = SingleHopModel::new(protocol, params)
                 .expect("strategy produces valid params")
                 .solve()
@@ -68,7 +68,7 @@ proptest! {
             removal_rate: params.removal_rate.max(1.0 / 600.0),
             ..params
         };
-        for protocol in Protocol::ALL {
+        for protocol in ProtocolSpec::PAPER {
             let cfg = if deterministic {
                 SessionConfig::deterministic(protocol, params)
             } else {
@@ -88,20 +88,20 @@ proptest! {
         // Adding a best-effort removal message can only shorten the orphan
         // phase, so SS+ER must never be (meaningfully) worse than SS, and
         // SS+RTR never worse than SS+RT.
-        let i = |p: Protocol| {
+        let i = |p: ProtocolSpec| {
             SingleHopModel::new(p, params).unwrap().solve().unwrap().inconsistency
         };
-        prop_assert!(i(Protocol::SsEr) <= i(Protocol::Ss) * 1.0001 + 1e-12);
-        prop_assert!(i(Protocol::SsRtr) <= i(Protocol::SsRt) * 1.0001 + 1e-12);
+        prop_assert!(i(ProtocolSpec::SS_ER) <= i(ProtocolSpec::SS) * 1.0001 + 1e-12);
+        prop_assert!(i(ProtocolSpec::SS_RTR) <= i(ProtocolSpec::SS_RT) * 1.0001 + 1e-12);
     }
 
     #[test]
     fn reliable_triggers_never_hurt_consistency(params in single_hop_params()) {
-        let i = |p: Protocol| {
+        let i = |p: ProtocolSpec| {
             SingleHopModel::new(p, params).unwrap().solve().unwrap().inconsistency
         };
-        prop_assert!(i(Protocol::SsRt) <= i(Protocol::Ss) * 1.0001 + 1e-12);
-        prop_assert!(i(Protocol::SsRtr) <= i(Protocol::SsEr) * 1.0001 + 1e-12);
+        prop_assert!(i(ProtocolSpec::SS_RT) <= i(ProtocolSpec::SS) * 1.0001 + 1e-12);
+        prop_assert!(i(ProtocolSpec::SS_RTR) <= i(ProtocolSpec::SS_ER) * 1.0001 + 1e-12);
     }
 
     #[test]
@@ -122,7 +122,7 @@ proptest! {
             retrans_timer: 2.0 * delay,
             false_signal_rate: 1e-6,
         };
-        for protocol in Protocol::MULTI_HOP {
+        for protocol in ProtocolSpec::PAPER_MULTI_HOP {
             let s = MultiHopModel::new(protocol, params)
                 .expect("valid")
                 .solve()
@@ -151,7 +151,7 @@ fn timer_mode_changes_little_at_the_paper_defaults() {
     let params = SingleHopParams::kazaa_defaults()
         .with_mean_lifetime(400.0)
         .with_mean_update_interval(40.0);
-    for protocol in [Protocol::SsRtr, Protocol::Hs] {
+    for protocol in [ProtocolSpec::SS_RTR, ProtocolSpec::HS] {
         let run = |mode: TimerMode| {
             let cfg = SessionConfig {
                 timer_mode: mode,
