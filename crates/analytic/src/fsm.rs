@@ -560,87 +560,97 @@ pub fn each_multi_hop_row(
 
 /// The mechanism actions a single-hop event performs under one spec.
 fn single_hop_actions(spec: &ProtocolSpec, event: SingleHopEvent) -> Vec<Action> {
-    use SingleHopEvent::*;
     let mut actions = Vec::new();
+    each_single_hop_action(spec, event, &mut |action| actions.push(action));
+    actions
+}
+
+/// Feeds `sink` the mechanism actions a single-hop event performs under
+/// one spec, in table order, without collecting them.
+fn each_single_hop_action(
+    spec: &ProtocolSpec,
+    event: SingleHopEvent,
+    sink: &mut dyn FnMut(Action),
+) {
+    use SingleHopEvent::*;
     match event {
         TriggerDelivered => {
-            actions.push(Action::InstallReceiverState);
+            sink(Action::InstallReceiverState);
             if spec.uses_state_timeout() {
-                actions.push(Action::RestartStateTimeout);
+                sink(Action::RestartStateTimeout);
             }
             if spec.reliable_triggers() {
-                actions.push(Action::AckTrigger);
+                sink(Action::AckTrigger);
             } else if spec.reliable_refresh() {
-                actions.push(Action::AckRefresh);
+                sink(Action::AckRefresh);
             }
         }
         TriggerLost | RemovalLost => {}
         RepairDelivered => {
-            actions.push(Action::InstallReceiverState);
+            sink(Action::InstallReceiverState);
             if spec.uses_refresh() {
-                actions.push(Action::RepairByRefresh);
+                sink(Action::RepairByRefresh);
             }
             if spec.retransmits_repairs() {
-                actions.push(Action::RepairByRetransmit);
+                sink(Action::RepairByRetransmit);
             }
             if spec.uses_state_timeout() {
-                actions.push(Action::RestartStateTimeout);
+                sink(Action::RestartStateTimeout);
             }
             if spec.reliable_triggers() {
-                actions.push(Action::AckTrigger);
+                sink(Action::AckTrigger);
             }
             if spec.reliable_refresh() {
-                actions.push(Action::AckRefresh);
+                sink(Action::AckRefresh);
             }
         }
         SenderUpdate => {
-            actions.push(Action::SendTrigger);
+            sink(Action::SendTrigger);
             if spec.reliable_triggers() {
-                actions.push(Action::ArmTriggerRetransmit);
+                sink(Action::ArmTriggerRetransmit);
             } else if spec.reliable_refresh() {
-                actions.push(Action::TrackPendingRefresh);
+                sink(Action::TrackPendingRefresh);
             }
         }
         SenderRemoval => {
             if spec.uses_explicit_removal() {
-                actions.push(Action::SendRemoval);
+                sink(Action::SendRemoval);
             }
             if spec.reliable_removal() {
-                actions.push(Action::ArmRemovalRetransmit);
+                sink(Action::ArmRemovalRetransmit);
             }
         }
         FalseRemoval => {
             if spec.uses_state_timeout() {
-                actions.push(Action::ExpireStateTimeout);
+                sink(Action::ExpireStateTimeout);
             } else {
-                actions.push(Action::FalseExternalSignal);
+                sink(Action::FalseExternalSignal);
             }
-            actions.push(Action::DropReceiverState);
+            sink(Action::DropReceiverState);
             if spec.notifies_on_removal() {
-                actions.push(Action::NotifySender);
+                sink(Action::NotifySender);
             }
         }
         RemovalDelivered => {
-            actions.push(Action::DropReceiverState);
+            sink(Action::DropReceiverState);
             if spec.reliable_removal() {
-                actions.push(Action::AckRemoval);
+                sink(Action::AckRemoval);
             }
         }
         ReceiverTimeout => {
-            actions.push(Action::ExpireStateTimeout);
-            actions.push(Action::DropReceiverState);
+            sink(Action::ExpireStateTimeout);
+            sink(Action::DropReceiverState);
         }
         OrphanCleanup => {
-            actions.push(Action::DropReceiverState);
+            sink(Action::DropReceiverState);
             if spec.uses_state_timeout() {
-                actions.push(Action::ReclaimByTimeout);
+                sink(Action::ReclaimByTimeout);
             }
             if spec.reliable_removal() {
-                actions.push(Action::RetransmitRemoval);
+                sink(Action::RetransmitRemoval);
             }
         }
     }
-    actions
 }
 
 /// The mechanism actions a multi-hop event performs under one spec.
@@ -921,27 +931,55 @@ pub struct FsmDispatch {
 }
 
 impl FsmDispatch {
-    /// Derives the capability set from a generated table's actions alone
-    /// (no spec predicates consulted).
-    pub fn from_table(table: &TransitionTable) -> Self {
-        let has = |action: Action| table.rows.iter().any(|row| row.actions.contains(&action));
-        Self {
-            uses_refresh: has(Action::RepairByRefresh),
-            reliable_refresh: has(Action::AckRefresh),
-            uses_state_timeout: has(Action::RestartStateTimeout),
-            has_external_detector: has(Action::FalseExternalSignal),
-            uses_explicit_removal: has(Action::SendRemoval),
-            reliable_triggers: has(Action::AckTrigger),
-            reliable_removal: has(Action::ArmRemovalRetransmit),
-            notifies_on_removal: has(Action::NotifySender),
-            retransmits_repairs: has(Action::RepairByRetransmit),
+    /// The empty capability set, before any table action is folded in.
+    const NONE: Self = Self {
+        uses_refresh: false,
+        reliable_refresh: false,
+        uses_state_timeout: false,
+        has_external_detector: false,
+        uses_explicit_removal: false,
+        reliable_triggers: false,
+        reliable_removal: false,
+        notifies_on_removal: false,
+        retransmits_repairs: false,
+    };
+
+    /// Sets the capability one table action reveals, if any.
+    fn note(&mut self, action: Action) {
+        match action {
+            Action::RepairByRefresh => self.uses_refresh = true,
+            Action::AckRefresh => self.reliable_refresh = true,
+            Action::RestartStateTimeout => self.uses_state_timeout = true,
+            Action::FalseExternalSignal => self.has_external_detector = true,
+            Action::SendRemoval => self.uses_explicit_removal = true,
+            Action::AckTrigger => self.reliable_triggers = true,
+            Action::ArmRemovalRetransmit => self.reliable_removal = true,
+            Action::NotifySender => self.notifies_on_removal = true,
+            Action::RepairByRetransmit => self.retransmits_repairs = true,
+            _ => {}
         }
     }
 
-    /// Generates the table for `spec` and derives the capability set from
-    /// it — the constructor the simulators use.
+    /// Derives the capability set from a generated table's actions alone
+    /// (no spec predicates consulted).
+    pub fn from_table(table: &TransitionTable) -> Self {
+        let mut dispatch = Self::NONE;
+        for row in &table.rows {
+            row.actions.iter().for_each(|&action| dispatch.note(action));
+        }
+        dispatch
+    }
+
+    /// Derives the capability set from the actions of `spec`'s table rows —
+    /// the constructor the simulators use.  It visits the rows the table
+    /// would hold without building it, so it allocates nothing; it equals
+    /// [`FsmDispatch::from_table`] of [`TransitionTable::for_spec`].
     pub fn for_spec(spec: ProtocolSpec) -> Self {
-        Self::from_table(&TransitionTable::for_spec(spec))
+        let mut dispatch = Self::NONE;
+        each_single_hop_row(spec, &mut |_, event, _, _, _| {
+            each_single_hop_action(&spec, event, &mut |action| dispatch.note(action));
+        });
+        dispatch
     }
 
     /// The historical derivation straight from the spec predicates — kept
@@ -1123,6 +1161,11 @@ mod tests {
             assert_eq!(
                 FsmDispatch::for_spec(spec),
                 FsmDispatch::from_predicates(spec),
+                "{spec}"
+            );
+            assert_eq!(
+                FsmDispatch::for_spec(spec),
+                TransitionTable::for_spec(spec).dispatch(),
                 "{spec}"
             );
         }

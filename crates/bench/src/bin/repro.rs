@@ -54,8 +54,34 @@ use signaling::experiment::{ExperimentOptions, ExperimentOutput, LossKind, Retry
 use signaling::registry::{Experiment, Registry};
 use signaling::report::render_csv;
 use signaling::ExecutionPolicy;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::time::Instant;
+
+/// `print!` that ends the program instead of panicking when stdout fails:
+/// quietly with status 0 when the reader has gone away (`BrokenPipe`, as in
+/// `repro --list | head -1`), with an error and status 1 otherwise.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        if let Err(e) = io::stdout().write_fmt(format_args!($($arg)*)) {
+            stdout_failed(e)
+        }
+    };
+}
+
+/// `println!` with the error handling of `out!`.
+macro_rules! outln {
+    () => { out!("\n") };
+    ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) };
+}
+
+fn stdout_failed(e: io::Error) -> ! {
+    if e.kind() == io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("error: cannot write to stdout: {e}");
+    std::process::exit(1);
+}
 
 struct Args {
     quick: bool,
@@ -160,7 +186,7 @@ fn parse_args() -> Result<Args, String> {
                 args.csv_dir = Some(PathBuf::from(dir));
             }
             "--help" | "-h" => {
-                println!(
+                outln!(
                     "repro [--quick] [--fig NAME]... [--tag TAG]... [--csv DIR] \
                      [--protocols SS,HS,...] [--list | --list-md | --list-protocols] \
                      [--list-transitions LABEL] [--serial | --jobs N] [--timing] \
@@ -224,7 +250,7 @@ fn main() {
         // tables, the analytic builders and the simulators in agreement.
         let start = Instant::now();
         let report = sigfsm::check_all();
-        print!("{}", report.render());
+        out!("{}", report.render());
         let structural_elapsed = start.elapsed().as_secs_f64();
         if !report.passed() {
             eprintln!("repro: check-specs in {structural_elapsed:.2} s");
@@ -241,8 +267,8 @@ fn main() {
                 .with_timing(args.timing)
                 .with_retry_kind(args.retry),
         );
-        println!();
-        print!("{}", domination.render());
+        outln!();
+        out!("{}", domination.render());
         eprintln!(
             "repro: check-specs in {:.2} s (structural {structural_elapsed:.2} s, \
              domination {:.2} s)",
@@ -283,9 +309,9 @@ fn main() {
             );
             std::process::exit(2);
         };
-        print!("{}", siganalytic::TransitionTable::for_spec(spec).render());
-        println!();
-        print!(
+        out!("{}", siganalytic::TransitionTable::for_spec(spec).render());
+        outln!();
+        out!(
             "{}",
             siganalytic::MultiHopTransitionTable::for_spec(spec, sigfsm::CHECK_HOPS).render()
         );
@@ -297,16 +323,16 @@ fn main() {
                 &siganalytic::SingleHopParams::kazaa_defaults(),
                 sigfsm::CHECK_EPSILON,
             );
-            println!();
-            print!("{}", bound.render(&p));
+            outln!();
+            out!("{}", bound.render(&p));
         }
         return;
     }
 
     if args.list_protocols {
-        println!("{:<8} {:<90} used by", "name", "mechanisms");
+        outln!("{:<8} {:<90} used by", "name", "mechanisms");
         for entry in protocol_registry.iter() {
-            println!(
+            outln!(
                 "{:<8} {:<90} {}",
                 entry.spec.label(),
                 entry.spec.mechanism_summary(),
@@ -318,14 +344,14 @@ fn main() {
 
     if args.list_md {
         for line in sigbench::list_md_lines(&registry) {
-            println!("{line}");
+            outln!("{line}");
         }
         return;
     }
     if args.list {
         for exp in registry.iter() {
             let tags = exp.tags().join(", ");
-            println!("{:<20} [{}] {}", exp.name(), tags, exp.description());
+            outln!("{:<20} [{}] {}", exp.name(), tags, exp.description());
         }
         return;
     }
@@ -394,7 +420,7 @@ fn main() {
         let output = exp.run(&options);
         let solve_elapsed = solve_start.elapsed();
         let report_start = Instant::now();
-        print!(
+        out!(
             "== {} — {} ==\n{}\n",
             exp.name(),
             exp.description(),

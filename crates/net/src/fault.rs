@@ -413,6 +413,23 @@ impl FaultClock {
         self.effects[segment]
     }
 
+    /// The end of the blackout that contains `now`, or `None` when the link
+    /// is not blacked out at `now`.  Back-to-back outages count as one
+    /// blackout; the window stays half-open, so the link is no longer
+    /// blacked out at the returned instant.
+    pub fn blackout_end(&self, now: f64) -> Option<f64> {
+        let mut segment = self.boundaries[..self.len].partition_point(|&b| b <= now);
+        if self.effects[segment] != LinkEffect::Blackout {
+            return None;
+        }
+        // The last segment (after every boundary) is always up, so a
+        // blacked-out segment has a right boundary.
+        while self.effects[segment + 1] == LinkEffect::Blackout {
+            segment += 1;
+        }
+        Some(self.boundaries[segment])
+    }
+
     /// The scheduled crash–restart events `(at, state_policy)`, in insertion
     /// order.  Simulators turn these into crash events on their own queues;
     /// the channel layer ignores them.
@@ -452,6 +469,25 @@ fn scan_link_effect(schedule: &FaultSchedule, now: f64) -> LinkEffect {
         Some(loss) => LinkEffect::Degraded(loss),
         None => LinkEffect::Up,
     }
+}
+
+/// The end of the blackout containing `now` by the scan: the first episode
+/// boundary after `now` at which the link is no longer blacked out.
+#[cfg(test)]
+fn scan_blackout_end(schedule: &FaultSchedule, now: f64) -> Option<f64> {
+    if scan_link_effect(schedule, now) != LinkEffect::Blackout {
+        return None;
+    }
+    let mut boundaries: Vec<f64> = schedule
+        .events()
+        .filter_map(|e| e.link_window())
+        .flat_map(|(start, end)| [start, end])
+        .filter(|&b| b > now)
+        .collect();
+    boundaries.sort_by(f64::total_cmp);
+    boundaries
+        .into_iter()
+        .find(|&b| scan_link_effect(schedule, b) != LinkEffect::Blackout)
 }
 
 #[cfg(test)]
@@ -512,6 +548,7 @@ mod tests {
             let clock = FaultClock::new(schedule);
             for t in probe_times(&schedule, &extra) {
                 prop_assert_eq!(clock.link_effect(t), scan_link_effect(&schedule, t), "t = {}", t);
+                prop_assert_eq!(clock.blackout_end(t), scan_blackout_end(&schedule, t), "t = {}", t);
             }
         }
     }
@@ -574,6 +611,39 @@ mod tests {
         assert_eq!(clock.link_effect(60.0), LinkEffect::Blackout);
         assert_eq!(clock.link_effect(89.999), LinkEffect::Blackout);
         assert_eq!(clock.link_effect(90.0), LinkEffect::Up);
+    }
+
+    #[test]
+    fn back_to_back_outages_are_one_blackout() {
+        let schedule = FaultSchedule::from_events(&[
+            FaultEvent::Outage {
+                start: 10.0,
+                duration: 5.0,
+            },
+            FaultEvent::Outage {
+                start: 15.0,
+                duration: 5.0,
+            },
+            FaultEvent::Degrade {
+                start: 20.0,
+                duration: 5.0,
+                loss: 0.5,
+            },
+            FaultEvent::Outage {
+                start: 25.0,
+                duration: 1.0,
+            },
+        ])
+        .unwrap();
+        let clock = FaultClock::new(schedule);
+        assert_eq!(clock.blackout_end(9.999), None);
+        assert_eq!(clock.blackout_end(10.0), Some(20.0));
+        assert_eq!(clock.blackout_end(17.0), Some(20.0));
+        // Half-open: the degrade episode owns the boundary instant.
+        assert_eq!(clock.blackout_end(20.0), None);
+        assert_eq!(clock.blackout_end(24.0), None);
+        assert_eq!(clock.blackout_end(25.0), Some(26.0));
+        assert_eq!(clock.blackout_end(26.0), None);
     }
 
     #[test]

@@ -31,15 +31,20 @@ pub struct MessageCounts {
 impl MessageCounts {
     /// Records one sent message of the given kind.
     pub fn record(&mut self, kind: MsgKind) {
+        self.record_n(kind, 1);
+    }
+
+    /// Records `n` sent messages of the given kind.
+    pub fn record_n(&mut self, kind: MsgKind, n: u64) {
         match kind {
-            MsgKind::Trigger => self.trigger += 1,
-            MsgKind::Refresh => self.refresh += 1,
-            MsgKind::Removal => self.removal += 1,
-            MsgKind::TriggerAck => self.trigger_ack += 1,
-            MsgKind::RefreshAck => self.refresh_ack += 1,
-            MsgKind::RemovalAck => self.removal_ack += 1,
-            MsgKind::RemovalNotice => self.removal_notice += 1,
-            MsgKind::ExternalSignal => self.external_signal += 1,
+            MsgKind::Trigger => self.trigger += n,
+            MsgKind::Refresh => self.refresh += n,
+            MsgKind::Removal => self.removal += n,
+            MsgKind::TriggerAck => self.trigger_ack += n,
+            MsgKind::RefreshAck => self.refresh_ack += n,
+            MsgKind::RemovalAck => self.removal_ack += n,
+            MsgKind::RemovalNotice => self.removal_notice += n,
+            MsgKind::ExternalSignal => self.external_signal += n,
         }
     }
 

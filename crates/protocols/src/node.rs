@@ -67,8 +67,8 @@ use crate::retry::{RetryPolicy, RetryState};
 use crate::single_hop::RETRANS_SLACK;
 use siganalytic::{ConfigError, FsmDispatch, ProtocolSpec, SingleHopParams};
 use signet::{
-    Admission, CapacityModel, CapacityState, CrashStatePolicy, FaultClock, FaultSchedule,
-    LinkEffect, LossModel, LossState, MsgKind,
+    Admission, CapacityModel, CapacityState, CrashStatePolicy, FaultClock, FaultEvent,
+    FaultSchedule, LinkEffect, LossModel, LossState, MsgKind,
 };
 use sigstats::{BinnedMeter, LevelMeter, OnlineStats, RateMeter, Summary};
 use simcore::{
@@ -356,6 +356,15 @@ pub struct ScheduleCounts {
     /// Keys the event queue filed in its ordering core rather than a lane
     /// ([`EventQueue::core_filed_count`]).
     pub core_keys: u64,
+    /// Retransmission firings the blackout fast-forward credited without a
+    /// queue event of their own.  [`NodeMetrics::events_processed`]
+    /// counts them like popped events, so this is the events processed
+    /// less the queue's pops, plus the sentinel pop.
+    pub fast_forwarded: u64,
+    /// Events popped from the queue ([`EventQueue::popped_count`]),
+    /// including the one pop that makes the "no timer" sentinel, so
+    /// `pops + fast_forwarded` is one more than the events processed.
+    pub pops: u64,
 }
 
 /// Session flag bits.
@@ -382,6 +391,21 @@ struct SessionSlot {
     /// Per-cycle retransmission retry state (two bytes; rides in the
     /// padding the flag byte already paid for).
     retry: RetryState,
+}
+
+/// What the blackout fast-forward (`NodeSim::fast_forward`) keeps beyond
+/// the session slab.  A node holds one only when its fault schedule blacks
+/// the link out, its spec retransmits, and its retry policy draws no
+/// randomness; every other node, fault-free ones included, carries none of
+/// it and runs no fast-forward code.
+#[derive(Debug)]
+struct FastForward {
+    /// Each session's next lifecycle time: the time of its pending arrival
+    /// or departure, `+∞` when none is scheduled.
+    lifecycle_at: Vec<f64>,
+    /// True while `run` drives the event loop, the only place walks are
+    /// taken: `step_events` stays on the event path.
+    in_run: bool,
 }
 
 /// One event of the node loop: what happened, and to which session.
@@ -459,6 +483,8 @@ pub struct NodeSim {
     false_removal_bins: RateMeter,
     /// Backlog of the receiver's capacity server (inert when unlimited).
     capacity_state: CapacityState,
+    /// The blackout fast-forward's state, `None` where it cannot run.
+    fast_forward: Option<FastForward>,
     false_removals: u64,
     drops_random: u64,
     drops_injected: u64,
@@ -512,6 +538,17 @@ impl NodeSim {
                 (timeout - cfg.params.refresh_timer, queue.lane()),
             ]
         });
+        let blackouts = cfg
+            .faults
+            .events()
+            .any(|e| matches!(e, FaultEvent::Outage { .. }));
+        let retransmits =
+            dispatch.reliable_triggers || dispatch.reliable_refresh || dispatch.reliable_removal;
+        let fast_forward =
+            (blackouts && retransmits && !cfg.retry.draws_randomness()).then(|| FastForward {
+                lifecycle_at: vec![f64::INFINITY; n],
+                in_run: false,
+            });
         let mut sim = Self {
             dispatch,
             cfg,
@@ -546,6 +583,7 @@ impl NodeSim {
             loss_state: LossState::default(),
             false_removal_bins: RateMeter::new(cfg.horizon, ENVELOPE_BIN_SECS),
             capacity_state: CapacityState::default(),
+            fast_forward,
             false_removals: 0,
             drops_random: 0,
             drops_injected: 0,
@@ -585,10 +623,12 @@ impl NodeSim {
         let horizon = SimTime::from_secs(self.cfg.horizon);
         #[allow(clippy::disallowed_methods)]
         let t0 = Instant::now(); // sigtidy: allow(wall-clock) — fire-phase telemetry
+        self.set_in_run(true);
         while let Some(scheduled) = self.queue.pop_until(horizon) {
             self.events_processed += 1;
             self.handle(scheduled.time, scheduled.id, scheduled.event);
         }
+        self.set_in_run(false);
         self.phase.fire += t0.elapsed().as_secs_f64();
         #[allow(clippy::disallowed_methods)]
         let t1 = Instant::now(); // sigtidy: allow(wall-clock) — metrics-phase telemetry
@@ -613,6 +653,13 @@ impl NodeSim {
         }
         self.events_processed += n;
         n
+    }
+
+    /// Opens or closes `run`'s window for the blackout fast-forward.
+    fn set_in_run(&mut self, on: bool) {
+        if let Some(ff) = &mut self.fast_forward {
+            ff.in_run = on;
+        }
     }
 
     /// The aggregate metrics as of the configured horizon.
@@ -691,9 +738,16 @@ impl NodeSim {
         self.memory_bytes() as f64 / self.cfg.sessions as f64
     }
 
-    /// Bytes currently retained by the queue and the session slab.
+    /// Bytes currently retained by the queue, the session slab and, on a
+    /// node that can fast-forward through blackouts, its per-session
+    /// lifecycle times.
     pub fn memory_bytes(&self) -> usize {
-        self.queue.memory_bytes() + self.slots.capacity() * std::mem::size_of::<SessionSlot>()
+        let lifecycle = self.fast_forward.as_ref().map_or(0, |ff| {
+            ff.lifecycle_at.capacity() * std::mem::size_of::<f64>()
+        });
+        self.queue.memory_bytes()
+            + self.slots.capacity() * std::mem::size_of::<SessionSlot>()
+            + lifecycle
     }
 
     /// Live events currently pending in the shared queue.
@@ -708,6 +762,8 @@ impl NodeSim {
             timeout_arms: self.timeout_arms,
             off_grid_timeouts: self.off_grid_timeouts,
             core_keys: self.queue.core_filed_count(),
+            fast_forwarded: self.events_processed + 1 - self.queue.popped_count(),
+            pops: self.queue.popped_count(),
         }
     }
 
@@ -778,9 +834,18 @@ impl NodeSim {
         }
     }
 
-    /// [`NodeSim::schedule_after`] for a departure or vacancy draw, counted
-    /// in [`ScheduleCounts::lifecycle`] when it is scheduled.
-    fn schedule_lifecycle(&mut self, dt: f64, event: Event) {
+    /// [`NodeSim::schedule_after`] for session `i`'s departure or vacancy
+    /// draw, counted in [`ScheduleCounts::lifecycle`] when it is scheduled
+    /// and noted as the session's next lifecycle time where the node can
+    /// fast-forward.
+    fn schedule_lifecycle(&mut self, i: usize, dt: f64, event: Event) {
+        if let Some(ff) = &mut self.fast_forward {
+            ff.lifecycle_at[i] = if dt.is_finite() {
+                self.queue.now().after(dt).as_secs()
+            } else {
+                f64::INFINITY
+            };
+        }
         if dt.is_finite() {
             self.lifecycle_events += 1;
             self.queue.schedule_in(dt, event);
@@ -965,7 +1030,7 @@ impl NodeSim {
             // is no longer stale (presence-based consistency).
             self.stale_dec(t);
         }
-        self.send_install(i, true);
+        self.send_trigger(i);
         if self.dispatch.uses_refresh {
             let d = self.refresh_delay();
             self.slots[i].refresh = self.arm(self.refresh_lane, d, Event::RefreshFire(i as u32));
@@ -975,31 +1040,22 @@ impl NodeSim {
             self.slots[i].timeout = self.schedule_after(d, Event::Timeout(i as u32));
         }
         let lifetime = self.rng.exponential_rate(self.cfg.params.removal_rate);
-        self.schedule_lifecycle(lifetime, Event::Depart(i as u32));
+        self.schedule_lifecycle(i, lifetime, Event::Depart(i as u32));
     }
 
-    /// Sends the state announcement (a trigger on arrival/repair, a refresh
-    /// resend inside the reliable-refresh loop) and arms the retransmission
-    /// cycle where the composition is reliable.
-    fn send_install(&mut self, i: usize, trigger: bool) {
-        let arrival = if trigger {
-            Event::TriggerArrive(i as u32)
-        } else {
-            Event::RefreshArrive(i as u32)
-        };
-        let kind = if trigger {
-            MsgKind::Trigger
-        } else {
-            MsgKind::Refresh
-        };
-        self.send(kind, arrival);
+    /// Sends an arriving session's trigger and, where the composition is
+    /// reliable, opens its retransmission cycle (`on_arrive` has just
+    /// retired any earlier one).
+    // Out of line: inlined into `handle`, which runs on every event, it
+    // grows the dispatch by about 1 KB (docs/perf.md, "Blackout
+    // fast-forward").
+    #[inline(never)]
+    fn send_trigger(&mut self, i: usize) {
+        self.send(MsgKind::Trigger, Event::TriggerArrive(i as u32));
         if self.dispatch.reliable_triggers || self.dispatch.reliable_refresh {
             self.slots[i].flags |= PENDING;
-            if self.slots[i].retrans == self.dead {
-                let d = self.retrans_interval(i) + RETRANS_SLACK;
-                self.slots[i].retrans =
-                    self.arm(self.retrans_lane, d, Event::RetransFire(i as u32));
-            }
+            let d = self.retrans_interval(i) + RETRANS_SLACK;
+            self.slots[i].retrans = self.arm(self.retrans_lane, d, Event::RetransFire(i as u32));
         }
     }
 
@@ -1041,7 +1097,7 @@ impl NodeSim {
             }
         }
         let vacancy = self.rng.exponential_mean(self.cfg.mean_vacancy);
-        self.schedule_lifecycle(vacancy, Event::Arrive(i as u32));
+        self.schedule_lifecycle(i, vacancy, Event::Arrive(i as u32));
     }
 
     fn on_refresh_fire(&mut self, i: usize, id: EventId) {
@@ -1093,17 +1149,103 @@ impl NodeSim {
             return;
         }
         self.slots[i].retrans = self.dead;
-        if self.slots[i].flags & PENDING_REMOVAL != 0 {
-            self.send(MsgKind::Removal, Event::RemovalArrive(i as u32));
-            let d = self.retrans_interval(i) + RETRANS_SLACK;
-            self.slots[i].retrans = self.arm(self.retrans_lane, d, Event::RetransFire(i as u32));
+        let (kind, arrival) = if self.slots[i].flags & PENDING_REMOVAL != 0 {
+            (MsgKind::Removal, Event::RemovalArrive(i as u32))
         } else if self.slots[i].flags & (PENDING | ALIVE) == PENDING | ALIVE {
             // Resend the announcement: reliable triggers retransmit the
             // trigger itself; the reliable-refresh loop repairs with
             // refreshes.
-            let as_trigger = self.dispatch.reliable_triggers;
-            self.send_install(i, as_trigger);
+            if self.dispatch.reliable_triggers {
+                (MsgKind::Trigger, Event::TriggerArrive(i as u32))
+            } else {
+                (MsgKind::Refresh, Event::RefreshArrive(i as u32))
+            }
+        } else {
+            return;
+        };
+        let injected = self.drops_injected;
+        self.send(kind, arrival);
+        let d = self.retrans_interval(i) + RETRANS_SLACK;
+        // Walks run only inside `run`, from a firing inside a blackout.
+        // Such a firing's message is always an injected drop, so the drop
+        // count is a cheap first filter; `fast_forward` then tells a
+        // blackout from a degrade episode.
+        let in_run = self.fast_forward.as_ref().is_some_and(|ff| ff.in_run);
+        self.slots[i].retrans = if self.drops_injected != injected && in_run {
+            self.fast_forward(i, kind, d)
+        } else {
+            self.arm(self.retrans_lane, d, Event::RetransFire(i as u32))
+        };
+    }
+
+    /// Blackout fast-forward: files session `i`'s next retransmission
+    /// `d` seconds from now, after crediting in one loop the firings that
+    /// the blackout would drop one queue event at a time.
+    ///
+    /// Inside a blackout, a firing sends a message that is dropped without
+    /// a random draw and re-arms at an interval that (under `Fixed` and
+    /// `Backoff`) draws none either; nothing that reaches the session in
+    /// between can retire the cycle, since every ACK it would need is sent
+    /// into the same blackout.  So the firings form a fixed sequence, and
+    /// the loop walks it with the event path's own arithmetic — the same
+    /// `SimTime::after` additions and `RetryState` advances — crediting each
+    /// firing to `events_processed`, its message kind, the envelope bin of
+    /// its own time and `drops_injected`.  It files one key, in the ordering
+    /// core, at the first firing it may not take:
+    ///
+    /// * **Start rule.**  Walk only from a firing that is itself a blackout
+    ///   drop.  The last firing before a blackout still sends a message that
+    ///   can be delivered and ACKed, retiring the cycle.
+    /// * **Blackout rule.**  Take a firing only strictly before the
+    ///   blackout's end (back-to-back outages are one blackout, windows
+    ///   are half-open); the first firing after it draws a loss sample.
+    /// * **Lifecycle rule.**  Take a firing only strictly before the
+    ///   session's next lifecycle time.  An arrival or departure cancels or
+    ///   replaces the cycle, and at a tie its key, scheduled long before,
+    ///   has the older sequence number and fires first.
+    /// * **Horizon rule.**  Take a firing only at or before the horizon,
+    ///   as `pop_until` does.  Walks are taken only inside `run`:
+    ///   `step_events` has no horizon and counts every event it handles
+    ///   against its limit, so it stays on the event path, which `run`
+    ///   with walks matches event for event.
+    ///
+    /// **Tie argument.**  The filed key takes its sequence number now,
+    /// earlier than the event path would, so it sorts before any key that
+    /// the event path would have filed for the same instant in between.
+    /// Such a key would need the same float time, which in practice means
+    /// another chain in lockstep: one that fired at this same instant with
+    /// the same interval sequence.  Chains in lockstep keep their relative
+    /// order.  The one that fires first walks first and files first; the
+    /// later one walks to the same stopping firing, because the blackout's
+    /// end and the horizon are shared, and files after it.  A chain cut
+    /// short by its own lifecycle time is cancelled there and never fires
+    /// again.  The equivalence proptest and the pins cover the rest.
+    #[inline(never)]
+    fn fast_forward(&mut self, i: usize, kind: MsgKind, d: f64) -> EventId {
+        let first = self.queue.now().after(d);
+        let (Some(ff), Some(end)) = (&self.fast_forward, self.faults.blackout_end(self.now)) else {
+            return self.arm(self.retrans_lane, d, Event::RetransFire(i as u32));
+        };
+        let stop = ff.lifecycle_at[i].min(end);
+        let horizon = self.cfg.horizon;
+        let (policy, base) = (self.cfg.retry, self.cfg.params.retrans_timer);
+        let mut retry = self.slots[i].retry;
+        let (mut at, mut steps) = (first, 0u64);
+        while at.as_secs() < stop && at.as_secs() <= horizon {
+            self.envelope.record(at.as_secs());
+            steps += 1;
+            at = at.after(policy.next_interval(base, &mut retry, &mut self.rng) + RETRANS_SLACK);
         }
+        if steps == 0 {
+            return self.arm(self.retrans_lane, d, Event::RetransFire(i as u32));
+        }
+        self.slots[i].retry = retry;
+        self.counts.record_n(kind, steps);
+        self.drops_injected += steps;
+        self.events_processed += steps;
+        // The ordering core, not the retransmission lane: a key this far
+        // ahead would make the lane refuse every ordinary re-arm behind it.
+        self.queue.schedule_at(at, Event::RetransFire(i as u32))
     }
 
     fn on_install_arrive(&mut self, i: usize, t: f64, trigger: bool) {
@@ -2240,5 +2382,210 @@ mod tests {
         // Preserve leaves the backlog alone: identical overload stream.
         assert_eq!(preserved.drops_overload, control.drops_overload);
         assert_eq!(preserved.messages, control.messages);
+    }
+
+    // ------------------------------------------------------------------
+    // Blackout fast-forward: the walk against the event path.
+    // ------------------------------------------------------------------
+
+    use proptest::prelude::*;
+    use siganalytic::{RefreshMode, Removal};
+
+    impl NodeSim {
+        /// The same node with the blackout fast-forward switched off, so
+        /// every retransmission firing is a queue event: the oracle the
+        /// walk is checked against.  Test builds only; users get no knob.
+        fn without_fast_forward(mut self) -> Self {
+            self.fast_forward = None;
+            self
+        }
+    }
+
+    /// Specs with every retransmission cycle the walk can meet: reliable
+    /// refresh, reliable triggers, reliable removal, and mixes of them.
+    fn retransmitting_specs() -> [ProtocolSpec; 6] {
+        let ss_rr = ProtocolSpec::soft_state("SS+RR").with_refresh(Some(RefreshMode::Reliable));
+        [
+            ss_rr,
+            ss_rr
+                .with_label("SS+RR+RR")
+                .with_removal(Removal::Reliable)
+                .with_notify_on_removal(true),
+            ProtocolSpec::SS
+                .with_label("SS+RER")
+                .with_removal(Removal::Reliable),
+            ProtocolSpec::SS_RT,
+            ProtocolSpec::SS_RTR,
+            ProtocolSpec::HS,
+        ]
+    }
+
+    /// Up to three outages laid out one after another from `layout`:
+    /// `(shape, gap, duration)` with shape 0 a free-standing outage, 1 an
+    /// outage back to back with the previous episode, 2 an outage right
+    /// behind a degrade episode, 3 one right before a degrade episode and
+    /// 4 one that starts before `horizon` and ends after it.  A
+    /// crash-restart may be added.
+    fn outage_schedule(
+        layout: &[(u8, f64, f64)],
+        crash_at: Option<f64>,
+        horizon: f64,
+    ) -> FaultSchedule {
+        let mut events = Vec::new();
+        let mut cursor: f64 = 1.0;
+        for &(shape, gap, duration) in layout {
+            let start = match shape {
+                1 => cursor,
+                4 => cursor.max(horizon - gap),
+                _ => cursor + gap,
+            };
+            let duration = if shape == 4 {
+                (horizon - start).max(0.0) + duration
+            } else {
+                duration
+            };
+            if shape == 2 {
+                events.push(FaultEvent::Degrade {
+                    start,
+                    duration: 1.0,
+                    loss: 0.5,
+                });
+                events.push(FaultEvent::Outage {
+                    start: start + 1.0,
+                    duration,
+                });
+                cursor = start + 1.0 + duration;
+            } else {
+                events.push(FaultEvent::Outage { start, duration });
+                cursor = start + duration;
+                if shape == 3 {
+                    events.push(FaultEvent::Degrade {
+                        start: cursor,
+                        duration: 1.0,
+                        loss: 0.5,
+                    });
+                    cursor += 1.0;
+                }
+            }
+        }
+        if let Some(at) = crash_at {
+            events.push(FaultEvent::CrashRestart {
+                at,
+                state_policy: signet::CrashStatePolicy::Wipe,
+            });
+        }
+        FaultSchedule::from_events(&events).unwrap()
+    }
+
+    /// Asserts that the walk changes nothing: `run` with and without it,
+    /// and `step_events` in random batches of 1–16 events up to `run`'s
+    /// event count, all end in the same metrics, trace and pending events.
+    fn assert_fast_forward_is_exact(cfg: NodeConfig, seed: u64, batches: u64) {
+        let mut walked = NodeSim::new(cfg, seed);
+        let mut stepped = NodeSim::new(cfg, seed);
+        let mut oracle = NodeSim::new(cfg, seed).without_fast_forward();
+        let m = walked.run();
+        let expected = oracle.run();
+        assert_eq!(format!("{m:?}"), format!("{expected:?}"), "{cfg:?}");
+        assert_eq!(walked.recovery_trace(), oracle.recovery_trace(), "{cfg:?}");
+        assert_eq!(walked.events_processed(), oracle.events_processed());
+        assert_eq!(walked.pending_events(), oracle.pending_events());
+        assert_eq!(oracle.schedule_counts().fast_forwarded, 0);
+
+        let mut rng = SimRng::new(batches);
+        while stepped.events_processed() < m.events_processed {
+            let left = m.events_processed - stepped.events_processed();
+            let batch = (1 + rng.index(16) as u64).min(left);
+            assert_eq!(stepped.step_events(batch), batch, "{cfg:?}");
+        }
+        assert_eq!(
+            format!("{:?}", stepped.metrics()),
+            format!("{m:?}"),
+            "{cfg:?}"
+        );
+        assert_eq!(stepped.recovery_trace(), walked.recovery_trace(), "{cfg:?}");
+        assert_eq!(stepped.pending_events(), walked.pending_events(), "{cfg:?}");
+        // `step_events` stays on the event path.
+        assert_eq!(stepped.schedule_counts().fast_forwarded, 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Small faulted nodes under every retransmitting spec, both
+        // deterministic retry policies, finite and unlimited capacity,
+        // both refresh phasings (aligned refreshes start retransmission
+        // cycles in lockstep, the tie case) and both queue kinds.
+        #[test]
+        fn prop_fast_forward_matches_the_event_path(
+            choice in (0usize..6, 0usize..2, any::<bool>(), any::<bool>(), any::<bool>()),
+            sessions in 16usize..513,
+            layout in proptest::collection::vec((0u8..5, 0.0f64..6.0, 0.05f64..6.0), 1..4),
+            crash in (any::<bool>(), 0.0f64..25.0),
+            seeds in (0u64..1_000, any::<u64>()),
+        ) {
+            let (spec, retry, limited, aligned, calendar) = choice;
+            let mut params = SingleHopParams::kazaa_defaults().with_mean_lifetime(20.0);
+            params.loss = 0.05;
+            let horizon = 25.0;
+            let faults = outage_schedule(&layout, crash.0.then_some(crash.1), horizon);
+            let mut cfg = NodeConfig::new(retransmitting_specs()[spec], params, sessions)
+                .with_horizon(horizon)
+                .with_mean_vacancy(5.0)
+                .with_fault_schedule(faults)
+                .with_retry_policy([RetryPolicy::Fixed, RetryPolicy::backoff()][retry]);
+            if limited {
+                let rate = 0.5 * sessions as f64;
+                cfg = cfg.with_capacity(CapacityModel::limited(rate, 32).unwrap());
+            }
+            if aligned {
+                cfg = cfg.with_refresh_phase(RefreshPhase::Aligned);
+            }
+            if calendar {
+                cfg = cfg.with_queue_kind(QueueKind::Calendar);
+            }
+            assert_fast_forward_is_exact(cfg, seeds.0, seeds.1);
+        }
+    }
+
+    #[test]
+    fn the_walk_needs_a_blackout_a_retransmitting_spec_and_a_fixed_sequence() {
+        let outage = FaultSchedule::outage(5.0, 5.0).unwrap();
+        let cfg = NodeConfig::new(ProtocolSpec::SS_RTR, churn_params(), 64)
+            .with_horizon(20.0)
+            .with_fault_schedule(outage);
+        let walks = |cfg: NodeConfig| {
+            let mut sim = NodeSim::new(cfg, 3);
+            sim.run();
+            (
+                sim.fast_forward.is_some(),
+                sim.schedule_counts().fast_forwarded,
+            )
+        };
+        let (open, credited) = walks(cfg);
+        assert!(open && credited > 0, "{credited}");
+        assert!(walks(cfg.with_retry_policy(RetryPolicy::backoff())).1 > 0);
+        // Jittered re-arms draw from the node-wide RNG.
+        assert_eq!(
+            walks(cfg.with_retry_policy(RetryPolicy::jittered())),
+            (false, 0)
+        );
+        // Nothing retransmits under SS; a degrade episode is no blackout.
+        let ss = NodeConfig {
+            protocol: ProtocolSpec::SS,
+            ..cfg
+        };
+        assert_eq!(walks(ss), (false, 0));
+        let degrade = FaultSchedule::from_events(&[FaultEvent::Degrade {
+            start: 5.0,
+            duration: 5.0,
+            loss: 1.0,
+        }])
+        .unwrap();
+        assert_eq!(walks(cfg.with_fault_schedule(degrade)), (false, 0));
+        assert_eq!(
+            walks(cfg.with_fault_schedule(FaultSchedule::none())),
+            (false, 0)
+        );
     }
 }

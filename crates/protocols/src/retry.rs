@@ -116,6 +116,13 @@ impl RetryPolicy {
         }
     }
 
+    /// Whether [`RetryPolicy::next_interval`] ever draws from the RNG: only
+    /// `Jittered` does.  Under the other two, a cycle's retransmission
+    /// times are a fixed sequence once the cycle has started.
+    pub fn draws_randomness(&self) -> bool {
+        matches!(self, RetryPolicy::Jittered { .. })
+    }
+
     /// Short label for tables and flags.
     pub fn label(&self) -> &'static str {
         match self {
@@ -201,6 +208,7 @@ mod tests {
         assert_eq!(state, RetryState::default());
         // The RNG stream was never advanced.
         assert_eq!(rng.uniform(), probe.uniform());
+        assert!(!policy.draws_randomness());
     }
 
     #[test]
@@ -214,6 +222,7 @@ mod tests {
             .collect();
         assert_eq!(intervals, vec![1.0, 2.0, 4.0, 8.0, 8.0, 8.0]);
         assert_eq!(rng.uniform(), probe.uniform(), "backoff must not draw");
+        assert!(!policy.draws_randomness());
         state.reset();
         assert_eq!(policy.next_interval(1.0, &mut state, &mut rng), 1.0);
     }
@@ -252,6 +261,7 @@ mod tests {
             probe.uniform();
         }
         assert_eq!(rng.uniform(), probe.uniform());
+        assert!(policy.draws_randomness());
     }
 
     #[test]
