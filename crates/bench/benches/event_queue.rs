@@ -20,10 +20,11 @@
 //!   This is where the heap pays O(log n) sifts through cache-cold levels
 //!   and the calendar stays O(1); the crossover is documented in
 //!   `docs/perf.md`.
-//! * **pop-heavy on a lane** — the same hold on a fixed-interval timer: the
-//!   backlog sits in one FIFO lane and every replacement is armed a
-//!   constant delay ahead, so it always joins the lane and neither core
-//!   ever orders a key.
+//! * **pop-heavy on a lane** — the same hold on a fixed-interval timer, in
+//!   the [`PackedQueue`] the node simulation runs on: the backlog sits in
+//!   one FIFO lane and every replacement is armed a constant delay ahead,
+//!   so it always joins the lane, neither core ever orders a key, and no
+//!   payload slab is read.
 //! * **hold on a small backlog** — the same hold at the 2–16 keys a single
 //!   Fig 11/12 session keeps pending, with a session-sized payload (one
 //!   32-byte [`SignalMessage`]), on the default heap core, which keeps a
@@ -42,7 +43,7 @@
 
 use criterion::{black_box, Criterion};
 use signet::{MsgKind, SignalMessage};
-use simcore::{EventQueue, QueueKind, SimRng, SimTime, Timer};
+use simcore::{EventQueue, PackedQueue, QueueKind, SimRng, SimTime, Timer};
 
 /// Pending-event backlog sizes for each mix (the paper's campaigns sit in
 /// the small end — a node of the restart-storm experiment peaks at about
@@ -123,7 +124,7 @@ fn main() {
             c.bench_function(&format!("event_queue/pop_heavy_lane/{kind}/{n}"), |b| {
                 // `n` keys spread evenly over one interval, in time order,
                 // as a population of fixed-interval timers leaves them.
-                let mut q = EventQueue::with_kind(kind);
+                let mut q = PackedQueue::with_capacity_and_kind(0, kind);
                 let lane = q.lane();
                 for i in 0..n {
                     let at = 1.0 + LANE_INTERVAL * i as f64 / n as f64;

@@ -50,38 +50,13 @@
 // list in clippy.toml guards result-path code, not the timer around it.
 #![allow(clippy::disallowed_methods)]
 
+use sigbench::{out, outln};
 use signaling::experiment::{ExperimentOptions, ExperimentOutput, LossKind, RetryKind};
 use signaling::registry::{Experiment, Registry};
 use signaling::report::render_csv;
 use signaling::ExecutionPolicy;
-use std::io::{self, Write};
 use std::path::PathBuf;
 use std::time::Instant;
-
-/// `print!` that ends the program instead of panicking when stdout fails:
-/// quietly with status 0 when the reader has gone away (`BrokenPipe`, as in
-/// `repro --list | head -1`), with an error and status 1 otherwise.
-macro_rules! out {
-    ($($arg:tt)*) => {
-        if let Err(e) = io::stdout().write_fmt(format_args!($($arg)*)) {
-            stdout_failed(e)
-        }
-    };
-}
-
-/// `println!` with the error handling of `out!`.
-macro_rules! outln {
-    () => { out!("\n") };
-    ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) };
-}
-
-fn stdout_failed(e: io::Error) -> ! {
-    if e.kind() == io::ErrorKind::BrokenPipe {
-        std::process::exit(0);
-    }
-    eprintln!("error: cannot write to stdout: {e}");
-    std::process::exit(1);
-}
 
 struct Args {
     quick: bool,

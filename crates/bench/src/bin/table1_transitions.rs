@@ -2,16 +2,24 @@
 //! rates of the unified single-hop Markov model), both symbolically and
 //! evaluated at the paper's default parameters.
 
+use sigbench::outln;
 use signaling::experiment::ExperimentOptions;
 use signaling::registry::Registry;
 use signaling::{ProtocolSpec, SingleHopParams};
 
+// Output goes through `outln!`, so a reader that has gone away
+// (`table1_transitions | head -1`) ends the program quietly.
 fn main() {
     // Symbolic form (as printed in the paper).
-    println!("Symbolic Table I (rates per protocol)\n");
-    println!(
+    outln!("Symbolic Table I (rates per protocol)\n");
+    outln!(
         "{:<28} {:<14} {:<14} {:<22} {:<22} {:<14}",
-        "transition", "SS", "SS+ER", "SS+RT", "SS+RTR", "HS"
+        "transition",
+        "SS",
+        "SS+ER",
+        "SS+RT",
+        "SS+RTR",
+        "HS"
     );
     let rows = [
         (
@@ -65,9 +73,9 @@ fn main() {
         ),
     ];
     for (name, ss, sser, ssrt, ssrtr, hs) in rows {
-        println!("{name:<28} {ss:<14} {sser:<14} {ssrt:<22} {ssrtr:<22} {hs:<14}");
+        outln!("{name:<28} {ss:<14} {sser:<14} {ssrt:<22} {ssrtr:<22} {hs:<14}");
     }
-    println!(
+    outln!(
         "\n(p = p_l, D = Delta; common transitions at lambda_u, lambda_r, lambda_f per Figure 3)\n"
     );
 
@@ -75,17 +83,17 @@ fn main() {
     let table1 = Registry::with_builtins()
         .run("table1", &ExperimentOptions::default())
         .expect("table1 is a built-in experiment");
-    println!("{}", table1.to_text());
+    outln!("{}", table1.to_text());
 
     // A small sanity print of the resulting metrics at the defaults.
-    println!("Metrics at the Kazaa defaults:");
+    outln!("Metrics at the Kazaa defaults:");
     let params = SingleHopParams::kazaa_defaults();
     for protocol in ProtocolSpec::PAPER {
         let s = signaling::SingleHopModel::new(protocol, params)
             .expect("valid params")
             .solve()
             .expect("solvable");
-        println!(
+        outln!(
             "  {:<7} I = {:.6}   M = {:.6}   C(w=10) = {:.6}",
             protocol.label(),
             s.inconsistency,

@@ -24,6 +24,37 @@ use signaling::{
     SingleHopModel, Sweep,
 };
 
+/// `print!` that ends the program instead of panicking when stdout fails
+/// (see [`stdout_failed`]); the binaries print their reports through it.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        if let Err(e) =
+            ::std::io::Write::write_fmt(&mut ::std::io::stdout(), format_args!($($arg)*))
+        {
+            $crate::stdout_failed(e)
+        }
+    };
+}
+
+/// `println!` with the error handling of [`out!`].
+#[macro_export]
+macro_rules! outln {
+    () => { $crate::out!("\n") };
+    ($($arg:tt)*) => { $crate::out!("{}\n", format_args!($($arg)*)) };
+}
+
+/// Ends the program after a failed write to stdout: quietly with status 0
+/// when the reader has gone away (`BrokenPipe`, as in `repro --list | head
+/// -1`), with an error and status 1 otherwise.
+pub fn stdout_failed(e: std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("error: cannot write to stdout: {e}");
+    std::process::exit(1);
+}
+
 /// Reliable-refresh soft state — a design point on the hard/soft spectrum
 /// the paper never evaluates: refreshes are acknowledged and retransmitted
 /// (so a lost refresh is repaired in `R` rather than waiting a full refresh

@@ -1,4 +1,4 @@
-//! FIFO lanes in front of the event queue's ordering core.
+//! FIFO lanes in front of a [`PackedQueue`](crate::PackedQueue)'s ordering core.
 //!
 //! A timer armed at `now + d` for a constant `d` expires in the order it was
 //! armed, because `now` never decreases: such keys arrive already sorted, so
@@ -176,16 +176,6 @@ impl Lanes {
             state.head_pos = 0;
             self.free.push(block);
         }
-    }
-
-    /// Empties every lane, returning all blocks to the pool.
-    pub(crate) fn clear(&mut self) {
-        for lane in &mut self.lanes {
-            *lane = LaneState::EMPTY;
-        }
-        self.free.clear();
-        self.free.extend(0..self.blocks.len() as u32);
-        self.keys = 0;
     }
 
     /// A block from the free list, or a newly allocated one.

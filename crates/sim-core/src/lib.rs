@@ -43,7 +43,9 @@ pub mod timer;
 pub mod trace;
 
 pub use dist::{Dist, TimerMode};
-pub use queue::{EventId, EventQueue, Lane, QueueKind, ScheduledEvent};
+pub use queue::{
+    EventId, EventQueue, Lane, PackedEvent, PackedQueue, QueueKind, ScheduledEvent, SequencedEvent,
+};
 pub use rng::SimRng;
 pub use runner::{ExecutionPolicy, Replicate, ReplicationEngine};
 pub use time::SimTime;

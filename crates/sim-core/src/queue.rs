@@ -1,14 +1,16 @@
-//! The future event list.
+//! The future event lists.
 //!
 //! This is the hottest data structure in the workspace — every simulated
 //! session schedules, cancels and pops its events through it, the fig11/fig12
 //! sweeps pop millions of timer events per campaign, and the population-scale
 //! node simulation keeps *millions of timers pending at once* — so it is
-//! built for the hot path:
+//! built for the hot path.  Two queues share one ordering machinery:
+//! [`EventQueue`], which stores any payload and cancels in O(1), and
+//! [`PackedQueue`], whose keys are the events themselves.
 //!
-//! * **Slab arena of event slots.**  Payloads live in a flat `Vec` of slots
-//!   reused through a free list, so steady-state timer churn allocates
-//!   nothing and payloads never move once stored.
+//! * **Slab arena of event slots.**  An [`EventQueue`]'s payloads live in a
+//!   flat `Vec` of slots reused through a free list, so steady-state timer
+//!   churn allocates nothing and payloads never move once stored.
 //! * **Generation-tagged ids.**  An [`EventId`] is `{slot, generation}`; a
 //!   slot's generation is bumped every time it is vacated (delivered or
 //!   cancelled), so a stale id can never reach a reused slot.  `cancel` is a
@@ -30,13 +32,22 @@
 //!   in place.  Past 16 keys the core becomes a heap (until it shrinks to
 //!   8), where finding a key would take a full scan, so a re-arm cancels
 //!   and schedules as above.
+//!
+//! A [`PackedQueue`] holds events of eight bytes ([`PackedEvent`]) in the
+//! key bytes where an [`EventQueue`] keeps `(slot, generation)`, and names
+//! each event by its sequence number.  A pop reads the key and nothing
+//! else: at 10⁶ pending events the slab lookup of an [`EventQueue`] pop is
+//! a cache miss.  It has no `cancel`; its caller keeps each timer's
+//! sequence number and discards a key that no longer matches when it pops.
+//! It adds two ways to skip the ordering core:
+//!
 //! * **FIFO lanes in front of the core.**  Keys of fixed-interval timers
-//!   arrive already sorted; [`EventQueue::schedule_in_lane`] appends them to
-//!   a FIFO [`Lane`] in O(1), and every pop takes the minimum over the core's
-//!   top and the lane heads.  A key that would break its lane's order goes
-//!   to the core instead, so the delivered order never depends on the
-//!   caller (see `lanes.rs`).
-//! * **Batches sorted once.**  [`EventQueue::schedule_batch`] files many
+//!   arrive already sorted; [`PackedQueue::schedule_in_lane`] appends them
+//!   to a FIFO [`Lane`] in O(1), and every pop takes the minimum over the
+//!   core's top and the lane heads.  A key that would break its lane's
+//!   order goes to the core instead, so the delivered order never depends
+//!   on the caller (see `lanes.rs`).
+//! * **Batches sorted once.**  [`PackedQueue::schedule_batch`] files many
 //!   events at once: into an empty heap queue it sorts them in the core's
 //!   own key buffer and appends them to a lane, so a wave of 10⁶ random
 //!   times costs one sort instead of 10⁶ sifts in and out of a cold heap.
@@ -74,7 +85,7 @@ impl EventId {
     }
 }
 
-/// Handle of one FIFO lane of an [`EventQueue`], from [`EventQueue::lane`].
+/// Handle of one FIFO lane of a [`PackedQueue`], from [`PackedQueue::lane`].
 ///
 /// Keys scheduled through a lane whose times never decrease (a timer armed
 /// at `now + d` for a constant `d`) are ordered in O(1); any other key is
@@ -159,6 +170,24 @@ impl HeapKey {
         self.rank() < other.rank()
     }
 
+    /// A [`PackedQueue`] key: the event's eight bytes `bits` ride where an
+    /// [`EventQueue`] key keeps `(slot, generation)`, low half first.
+    #[inline]
+    fn packed(time: SimTime, seq: u64, bits: u64) -> HeapKey {
+        HeapKey {
+            time,
+            seq,
+            slot: bits as u32,
+            generation: (bits >> 32) as u32,
+        }
+    }
+
+    /// The eight event bytes of a [`PackedQueue`] key.
+    #[inline]
+    fn payload(&self) -> u64 {
+        (self.generation as u64) << 32 | self.slot as u64
+    }
+
     /// The id of the event this key was filed for.
     #[inline]
     fn id(&self) -> EventId {
@@ -214,10 +243,6 @@ struct HeapCore {
 }
 
 impl HeapCore {
-    fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
     fn with_capacity(capacity: usize) -> Self {
         Self {
             heap: Vec::with_capacity(capacity),
@@ -448,7 +473,7 @@ fn min_index(keys: &[HeapKey], len: usize) -> usize {
     best.0
 }
 
-/// The ordering core behind an [`EventQueue`], dispatched by [`QueueKind`].
+/// The ordering core behind both queues, dispatched by [`QueueKind`].
 /// Both variants store the same keys and return the same `(time, seq)`
 /// minima; `peek_min` takes `&mut self` because the calendar core advances
 /// its day cursor while searching.
@@ -459,6 +484,21 @@ enum KeyStore {
 }
 
 impl KeyStore {
+    /// An empty core of the given kind; `capacity` pre-sizes a heap.
+    fn with_capacity_and_kind(capacity: usize, kind: QueueKind) -> Self {
+        match kind {
+            QueueKind::Heap => KeyStore::Heap(HeapCore::with_capacity(capacity)),
+            QueueKind::Calendar => KeyStore::Calendar(CalendarCore::new()),
+        }
+    }
+
+    fn kind(&self) -> QueueKind {
+        match self {
+            KeyStore::Heap(_) => QueueKind::Heap,
+            KeyStore::Calendar(_) => QueueKind::Calendar,
+        }
+    }
+
     fn len(&self) -> usize {
         match self {
             KeyStore::Heap(h) => h.len(),
@@ -512,14 +552,6 @@ impl KeyStore {
     }
 }
 
-/// Where the queue's minimum key sits: the ordering core's top, or the head
-/// of one lane.
-#[derive(Debug, Clone, Copy)]
-enum Head {
-    Store,
-    Lane(usize),
-}
-
 /// A future event list: events are scheduled at absolute virtual times and
 /// popped in non-decreasing time order.  Simultaneous events preserve their
 /// scheduling order (FIFO), which keeps simulations deterministic.
@@ -540,14 +572,6 @@ enum Head {
 /// 4-ary heap, or a calendar queue for very large pending backlogs.  The
 /// delivered event sequence is identical under both.
 ///
-/// FIFO lanes ([`EventQueue::lane`]) sit in front of the core: keys
-/// scheduled through a lane in non-decreasing time order are appended and
-/// popped in O(1).  `pop` and `peek_time` take the minimum over the core's
-/// top and every lane head, so the delivered sequence is the same as if
-/// every key had gone to the core.  [`EventQueue::schedule_batch`] sorts a
-/// batch of events in arbitrary time order into a lane, delivering them as
-/// one `schedule_at` each would, with payloads numbered in firing order.
-///
 /// The `seq` tie-breaker and [`EventQueue::popped_count`] are `u64`, so
 /// multi-day runs popping 10¹⁰⁺ events cannot wrap them; pre-size with
 /// [`EventQueue::with_capacity`] (audited via [`EventQueue::key_capacity`] /
@@ -557,8 +581,6 @@ enum Head {
 pub struct EventQueue<E> {
     /// Ordering keys, heap- or calendar-organized.
     keys: KeyStore,
-    /// FIFO lanes of already-sorted keys, in front of `keys`.
-    lanes: Lanes,
     /// Slab arena of payload slots, indexed by `HeapKey::slot`.
     slots: Vec<Slot<E>>,
     /// Vacated slot indices available for reuse.
@@ -568,8 +590,6 @@ pub struct EventQueue<E> {
     now: SimTime,
     next_seq: u64,
     popped: u64,
-    /// Keys filed in `keys` rather than a lane.
-    core_filed: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -600,30 +620,20 @@ impl<E> EventQueue<E> {
     /// calendar core sizes its buckets adaptively, so `capacity` pre-sizes
     /// the key store only under [`QueueKind::Heap`].)
     pub fn with_capacity_and_kind(capacity: usize, kind: QueueKind) -> Self {
-        let keys = match kind {
-            QueueKind::Heap if capacity > 0 => KeyStore::Heap(HeapCore::with_capacity(capacity)),
-            QueueKind::Heap => KeyStore::Heap(HeapCore::new()),
-            QueueKind::Calendar => KeyStore::Calendar(CalendarCore::new()),
-        };
         Self {
-            keys,
-            lanes: Lanes::default(),
+            keys: KeyStore::with_capacity_and_kind(capacity, kind),
             slots: Vec::with_capacity(capacity),
             free: Vec::new(),
             live: 0,
             now: SimTime::ZERO,
             next_seq: 0,
             popped: 0,
-            core_filed: 0,
         }
     }
 
     /// Which ordering core this queue runs on.
     pub fn kind(&self) -> QueueKind {
-        match self.keys {
-            KeyStore::Heap(_) => QueueKind::Heap,
-            KeyStore::Calendar(_) => QueueKind::Calendar,
-        }
+        self.keys.kind()
     }
 
     /// Current virtual time (time of the last popped event, or zero).
@@ -648,28 +658,19 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// Total number of keys filed in the ordering core so far: every
-    /// schedule no lane took, including in-place re-arms and lane keys
-    /// refused for breaking their lane's order.  Deterministic, like
-    /// [`EventQueue::popped_count`]: it counts where keys went, so a
-    /// caller can check that its fixed-interval timers stay on the lanes.
-    pub fn core_filed_count(&self) -> u64 {
-        self.core_filed
-    }
-
     /// Number of stale keys left behind by cancellations and not yet
     /// discarded (diagnostics; each is 24 bytes, holds no payload, and is
     /// freed when it surfaces as the minimum in `pop`/`peek_time`).
     pub fn cancelled_backlog(&self) -> usize {
-        self.keys.len() + self.lanes.len() - self.live
+        self.keys.len() - self.live
     }
 
-    /// Pending-key capacity of the ordering core and the lanes' block pool:
-    /// how many keys (live + stale) they can hold before allocating.
-    /// Together with [`EventQueue::slot_capacity`] this audits that a
-    /// pre-sized queue's steady-state churn stays reallocation free.
+    /// Pending-key capacity of the ordering core: how many keys (live +
+    /// stale) it can hold before allocating.  Together with
+    /// [`EventQueue::slot_capacity`] this audits that a pre-sized queue's
+    /// steady-state churn stays reallocation free.
     pub fn key_capacity(&self) -> usize {
-        self.keys.capacity() + self.lanes.capacity()
+        self.keys.capacity()
     }
 
     /// Payload-slot capacity of the slab arena.
@@ -677,12 +678,11 @@ impl<E> EventQueue<E> {
         self.slots.capacity()
     }
 
-    /// Bytes currently retained by the queue (ordering keys, lane blocks,
-    /// payload slab, free list) — the denominator material for a
-    /// bytes-per-session budget.
+    /// Bytes currently retained by the queue (ordering keys, payload slab,
+    /// free list) — the denominator material for a bytes-per-session
+    /// budget.
     pub fn memory_bytes(&self) -> usize {
         self.keys.memory_bytes()
-            + self.lanes.memory_bytes()
             + self.slots.capacity() * std::mem::size_of::<Slot<E>>()
             + self.free.capacity() * std::mem::size_of::<u32>()
     }
@@ -696,120 +696,19 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Adds a FIFO lane and returns its handle (see [`Lane`]).
-    pub fn lane(&mut self) -> Lane {
-        Lane(self.lanes.add())
-    }
-
     /// Schedules `event` at the absolute time `time`.
     ///
     /// Scheduling in the past is clamped to "now" (this can only arise from
     /// floating-point rounding of zero-length delays).
     pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventId {
         let key = self.store(time, event);
-        self.file_in_core(key);
+        self.keys.push(key);
         key.id()
     }
 
     /// Schedules `event` after a delay of `delay` seconds from now.
     pub fn schedule_in(&mut self, delay: f64, event: E) -> EventId {
         self.schedule_at(self.now.after(delay), event)
-    }
-
-    /// Schedules `event` at the absolute time `time` through `lane`: O(1)
-    /// when `time` is no earlier than the lane's last key, otherwise (or
-    /// when `lane` belongs to another queue) exactly like
-    /// [`EventQueue::schedule_at`].  Either way the event is delivered in
-    /// the same `(time, seq)` order.
-    pub fn schedule_at_lane(&mut self, lane: Lane, time: SimTime, event: E) -> EventId {
-        let key = self.store(time, event);
-        if !self.lanes.push(lane.0, key) {
-            self.file_in_core(key);
-        }
-        key.id()
-    }
-
-    /// Files `key` in the ordering core.
-    #[inline]
-    fn file_in_core(&mut self, key: HeapKey) {
-        self.core_filed += 1;
-        self.keys.push(key);
-    }
-
-    /// Schedules `event` after a delay of `delay` seconds from now through
-    /// `lane` (see [`EventQueue::schedule_at_lane`]).  With a constant
-    /// `delay`, every key fits the lane.
-    pub fn schedule_in_lane(&mut self, lane: Lane, delay: f64, event: E) -> EventId {
-        self.schedule_at_lane(lane, self.now.after(delay), event)
-    }
-
-    /// Schedules a batch of events, the `i`-th at the `i`-th time `times`
-    /// yields, and gives the `k`-th of them to be delivered the payload
-    /// `event(k)`.  Delivery order is by time, ties by index, and before
-    /// or after any other event exactly as one [`EventQueue::schedule_at`]
-    /// per event in index order would put it; `len`, `popped_count` and
-    /// `cancelled_backlog` match that loop's too.  Only which payload rides
-    /// which time differs from that loop: payloads are numbered in delivery
-    /// order, so a caller that names its entities by `k` numbers them in
-    /// the order the batch fires.
-    ///
-    /// The batch is sorted once by `(time, index)`, with times clamped to
-    /// now.  When the heap core and `lane` are both empty, the sort runs in
-    /// the core's own key buffer and the keys are appended to `lane`,
-    /// handing out sequence numbers and payload slots in firing order: one
-    /// sort, then O(1) per key to file and to pop, where `schedule_at`
-    /// would push every key into the core and later sift it out.
-    /// Otherwise (a non-empty core or lane, or the calendar core, which
-    /// keeps no flat key buffer) the batch is sorted in a buffer of its own
-    /// and scheduled with `schedule_at` in sorted order.
-    ///
-    /// `times` is consumed in index order and `event` is called for
-    /// `k = 0, 1, …` in turn.  The batch's ids are not returned; schedule
-    /// an event on its own to be able to cancel it.
-    pub fn schedule_batch<T>(&mut self, lane: Lane, times: T, mut event: impl FnMut(usize) -> E)
-    where
-        T: IntoIterator<Item = SimTime>,
-    {
-        let mut batch = match &mut self.keys {
-            KeyStore::Heap(core) if core.len() == 0 && self.lanes.is_empty_lane(lane.0) => {
-                std::mem::take(&mut core.heap)
-            }
-            _ => {
-                for (k, sorted) in self.sorted(Vec::new(), times).iter().enumerate() {
-                    self.schedule_at(sorted.time, event(k));
-                }
-                return;
-            }
-        };
-        batch = self.sorted(batch, times);
-        for (k, sorted) in batch.iter().enumerate() {
-            let key = self.store(sorted.time, event(k));
-            // Ranks rise strictly along the sorted batch, so an empty lane
-            // takes every key; a refused one would be lost.
-            let filed = self.lanes.push(lane.0, key);
-            assert!(filed, "a sorted batch fits an empty lane");
-        }
-        batch.clear();
-        if let KeyStore::Heap(core) = &mut self.keys {
-            core.heap = batch;
-        }
-    }
-
-    /// `batch` with one key per time appended, clamped to now, and sorted
-    /// by `(time, index)`.  Until a key is filed, its `seq` holds the
-    /// event's index.
-    fn sorted<T>(&self, mut batch: Vec<HeapKey>, times: T) -> Vec<HeapKey>
-    where
-        T: IntoIterator<Item = SimTime>,
-    {
-        batch.extend(times.into_iter().enumerate().map(|(index, time)| HeapKey {
-            time: self.not_before_now(time),
-            seq: index as u64,
-            slot: 0,
-            generation: 0,
-        }));
-        batch.sort_unstable_by_key(HeapKey::rank);
-        batch
     }
 
     /// Stores `event` in a slot and returns its key, with `time` clamped to
@@ -854,7 +753,7 @@ impl<E> EventQueue<E> {
     /// [`SMALL`] keys), the key is found by a short scan and overwritten in
     /// place, so no stale key is left behind and the slot never passes
     /// through the free list.  Anywhere else — an ordered heap, where a
-    /// key's position is unknown, the calendar core, a lane — and for an id
+    /// key's position is unknown, or the calendar core — and for an id
     /// that is no longer live, it cancels and schedules.
     pub(crate) fn reschedule_in(&mut self, id: EventId, delay: f64, event: E) -> EventId {
         if self.is_pending(id) {
@@ -871,7 +770,6 @@ impl<E> EventQueue<E> {
                         generation: slot.generation,
                     };
                     self.next_seq += 1;
-                    self.core_filed += 1;
                     core.replace(index, key);
                     return key.id();
                 }
@@ -914,70 +812,49 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops the next non-cancelled event, advancing the clock to its time.
-    // Inlined into the session and node event loops; see `Timer::arm`.
+    // Inlined into the session event loops; see `Timer::arm`.
     #[inline]
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let (key, head) = self.next_live()?;
-        Some(self.take(key, head))
+        let key = self.next_live()?;
+        Some(self.take(key))
     }
 
     /// Pops the next non-cancelled event if it fires at or before `limit`;
     /// otherwise leaves it pending and returns `None`.  One selection of
     /// the minimum, where `peek_time` followed by `pop` makes two.
     pub fn pop_until(&mut self, limit: SimTime) -> Option<ScheduledEvent<E>> {
-        let (key, head) = self.next_live()?;
+        let key = self.next_live()?;
         if key.time > limit {
             return None;
         }
-        Some(self.take(key, head))
+        Some(self.take(key))
     }
 
     /// Peeks at the time of the next non-cancelled event without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.next_live().map(|(key, _)| key.time)
+        self.next_live().map(|key| key.time)
     }
 
-    /// The smallest key of the core's top and the lane heads, and where it
-    /// sits.
+    /// The minimum live key.  Stale keys of cancelled events that surface
+    /// first are discarded on the way.
     #[inline]
-    fn min_head(&mut self) -> Option<(HeapKey, Head)> {
-        let store = self.keys.peek_min().map(|key| (key, Head::Store));
-        match self.lanes.min_head() {
-            Some((key, lane)) if store.is_none_or(|(top, _)| key.precedes(&top)) => {
-                Some((key, Head::Lane(lane)))
-            }
-            _ => store,
-        }
-    }
-
-    /// Removes the minimum key from where [`EventQueue::min_head`] found it.
-    #[inline]
-    fn remove_head(&mut self, head: Head) {
-        match head {
-            Head::Store => {
-                self.keys.remove_min();
-            }
-            Head::Lane(lane) => self.lanes.pop_front(lane),
-        }
-    }
-
-    /// The minimum live key and where it sits.  Stale keys of cancelled
-    /// events that surface first are discarded on the way.
-    #[inline]
-    fn next_live(&mut self) -> Option<(HeapKey, Head)> {
+    fn next_live(&mut self) -> Option<HeapKey> {
         loop {
-            let (key, head) = self.min_head()?;
+            let key = self.keys.peek_min()?;
             if self.slots[key.slot as usize].generation == key.generation {
-                return Some((key, head));
+                return Some(key);
             }
-            self.remove_head(head);
+            self.keys.remove_min();
         }
     }
 
     /// Removes the live minimum `key` and delivers its payload.
-    #[inline]
-    fn take(&mut self, key: HeapKey, head: Head) -> ScheduledEvent<E> {
-        self.remove_head(head);
+    // Always inlined into `pop` and `pop_until`: with a plain `#[inline]`
+    // the `event_queue` bench kept it out of line, and its small-backlog
+    // holds ran 5–19% slower (docs/perf.md, "Packed keys").
+    #[inline(always)]
+    fn take(&mut self, key: HeapKey) -> ScheduledEvent<E> {
+        self.keys.remove_min();
         let slot = &mut self.slots[key.slot as usize];
         // sigtidy: allow(no-unwrap) — generation equality guarantees a live, un-taken event
         let event = slot.event.take().expect("current generation implies live");
@@ -999,7 +876,6 @@ impl<E> EventQueue<E> {
     /// before the `clear` remain inert against slots reused after it.
     pub fn clear(&mut self) {
         self.keys.clear();
-        self.lanes.clear();
         for (index, slot) in self.slots.iter_mut().enumerate() {
             if slot.event.take().is_some() {
                 slot.generation = slot.generation.wrapping_add(1);
@@ -1007,6 +883,318 @@ impl<E> EventQueue<E> {
             }
         }
         self.live = 0;
+    }
+}
+
+/// An event that packs into eight bytes, so that a [`PackedQueue`] can
+/// carry it in its ordering key.
+pub trait PackedEvent: Copy {
+    /// The event's eight bytes.
+    fn pack(self) -> u64;
+    /// The event whose [`PackedEvent::pack`] gave `bits`.
+    fn unpack(bits: u64) -> Self;
+}
+
+impl PackedEvent for u64 {
+    fn pack(self) -> u64 {
+        self
+    }
+
+    fn unpack(bits: u64) -> Self {
+        bits
+    }
+}
+
+/// An event popped from a [`PackedQueue`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SequencedEvent<E> {
+    /// When the event fires.
+    pub time: SimTime,
+    /// The sequence number the event was scheduled under: its id.
+    pub seq: u64,
+    /// The event payload.
+    pub event: E,
+}
+
+/// Where a [`PackedQueue`]'s minimum key sits: the ordering core's top, or
+/// the head of one lane.
+#[derive(Debug, Clone, Copy)]
+enum Head {
+    Store,
+    Lane(usize),
+}
+
+/// A future event list whose 24-byte ordering keys are the events: each key
+/// carries its [`PackedEvent`] where an [`EventQueue`] key keeps the slot
+/// and generation of its payload, so there is no payload slab and a pop
+/// touches nothing but the key.  Events are popped in the same total
+/// `(time, seq)` order as from an [`EventQueue`], on either [`QueueKind`].
+///
+/// An event's id is its sequence number, returned by every `schedule_*`
+/// call and unique for the life of the queue.  There is no `cancel`: a
+/// caller that may retire a timer keeps the timer's sequence number and,
+/// when a key pops under a number it no longer holds, discards it.  Such a
+/// stale key stays counted in [`PackedQueue::len`] and
+/// [`PackedQueue::popped_count`] until then, since the queue cannot tell
+/// it from a live one.
+///
+/// FIFO lanes ([`PackedQueue::lane`]) sit in front of the core: keys
+/// scheduled through a lane in non-decreasing time order are appended and
+/// popped in O(1).  `pop` and `peek_time` take the minimum over the core's
+/// top and every lane head, so the delivered sequence is the same as if
+/// every key had gone to the core.  [`PackedQueue::schedule_batch`] sorts
+/// a batch of events in arbitrary time order into a lane, delivering them
+/// as one `schedule_at` each would, with payloads numbered in firing order.
+#[derive(Debug)]
+pub struct PackedQueue<E> {
+    /// Ordering keys, heap- or calendar-organized.
+    keys: KeyStore,
+    /// FIFO lanes of already-sorted keys, in front of `keys`.
+    lanes: Lanes,
+    now: SimTime,
+    next_seq: u64,
+    popped: u64,
+    /// Keys filed in `keys` rather than a lane.
+    core_filed: u64,
+    event: std::marker::PhantomData<E>,
+}
+
+impl<E: PackedEvent> PackedQueue<E> {
+    /// Creates an empty queue at time zero with the given ordering core and,
+    /// under [`QueueKind::Heap`], room for `capacity` keys in the core
+    /// before any reallocation.
+    pub fn with_capacity_and_kind(capacity: usize, kind: QueueKind) -> Self {
+        Self {
+            keys: KeyStore::with_capacity_and_kind(capacity, kind),
+            lanes: Lanes::default(),
+            now: SimTime::ZERO,
+            next_seq: 0,
+            popped: 0,
+            core_filed: 0,
+            event: std::marker::PhantomData,
+        }
+    }
+
+    /// Current virtual time (time of the last popped key, or zero).
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Number of keys held, stale ones included.
+    pub fn len(&self) -> usize {
+        self.keys.len() + self.lanes.len()
+    }
+
+    /// Whether no key is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total number of keys popped so far, stale ones included.
+    pub fn popped_count(&self) -> u64 {
+        self.popped
+    }
+
+    /// Total number of keys filed in the ordering core so far: every
+    /// schedule no lane took, including lane keys refused for breaking
+    /// their lane's order.  Deterministic, like
+    /// [`PackedQueue::popped_count`]: it counts where keys went, so a
+    /// caller can check that its fixed-interval timers stay on the lanes.
+    pub fn core_filed_count(&self) -> u64 {
+        self.core_filed
+    }
+
+    /// Key capacity of the ordering core and the lanes' block pool: how
+    /// many keys they can hold before allocating.
+    pub fn key_capacity(&self) -> usize {
+        self.keys.capacity() + self.lanes.capacity()
+    }
+
+    /// Bytes currently retained by the queue (ordering keys and lane
+    /// blocks).
+    pub fn memory_bytes(&self) -> usize {
+        self.keys.memory_bytes() + self.lanes.memory_bytes()
+    }
+
+    /// Adds a FIFO lane and returns its handle (see [`Lane`]).
+    pub fn lane(&mut self) -> Lane {
+        Lane(self.lanes.add())
+    }
+
+    /// Schedules `event` at the absolute time `time`, clamped to now, and
+    /// returns its sequence number.
+    pub fn schedule_at(&mut self, time: SimTime, event: E) -> u64 {
+        let key = self.key(time, event);
+        self.file_in_core(key);
+        key.seq
+    }
+
+    /// Schedules `event` after a delay of `delay` seconds from now.
+    pub fn schedule_in(&mut self, delay: f64, event: E) -> u64 {
+        self.schedule_at(self.now.after(delay), event)
+    }
+
+    /// Schedules `event` at the absolute time `time` through `lane`: O(1)
+    /// when `time` is no earlier than the lane's last key, otherwise (or
+    /// when `lane` belongs to another queue) exactly like
+    /// [`PackedQueue::schedule_at`].  Either way the event is delivered in
+    /// the same `(time, seq)` order.
+    pub fn schedule_at_lane(&mut self, lane: Lane, time: SimTime, event: E) -> u64 {
+        let key = self.key(time, event);
+        if !self.lanes.push(lane.0, key) {
+            self.file_in_core(key);
+        }
+        key.seq
+    }
+
+    /// Schedules `event` after a delay of `delay` seconds from now through
+    /// `lane` (see [`PackedQueue::schedule_at_lane`]).  With a constant
+    /// `delay`, every key fits the lane.
+    pub fn schedule_in_lane(&mut self, lane: Lane, delay: f64, event: E) -> u64 {
+        self.schedule_at_lane(lane, self.now.after(delay), event)
+    }
+
+    /// Files `key` in the ordering core.
+    #[inline]
+    fn file_in_core(&mut self, key: HeapKey) {
+        self.core_filed += 1;
+        self.keys.push(key);
+    }
+
+    /// The key of `event` at `time`, clamped to now, under the next
+    /// sequence number; the caller files it.
+    #[inline]
+    fn key(&mut self, time: SimTime, event: E) -> HeapKey {
+        let time = if time < self.now { self.now } else { time };
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        HeapKey::packed(time, seq, event.pack())
+    }
+
+    /// Schedules a batch of events, the `i`-th at the `i`-th time `times`
+    /// yields, and gives the `k`-th of them to be delivered the payload
+    /// `event(k)`.  Delivery order is by time, ties by index, and before
+    /// or after any other event exactly as one [`PackedQueue::schedule_at`]
+    /// per event in index order would put it; `len` and `popped_count`
+    /// match that loop's too.  Only which payload rides which time differs
+    /// from that loop: payloads are numbered in delivery order, so a caller
+    /// that names its entities by `k` numbers them in the order the batch
+    /// fires.
+    ///
+    /// The batch is sorted once by `(time, index)`, and times before now
+    /// are clamped to now as they are filed.  When the heap core and `lane`
+    /// are both empty, the sort runs in the core's own key buffer and the
+    /// keys are appended to `lane`, handing out sequence numbers in firing
+    /// order: one sort, then O(1) per key to file and to pop, where
+    /// `schedule_at` would push every key into the core and later sift it
+    /// out.  Otherwise (a non-empty core or lane, or the calendar core,
+    /// which keeps no flat key buffer) the batch is sorted in a buffer of
+    /// its own and scheduled with `schedule_at` in sorted order.
+    ///
+    /// `times` is consumed in index order and `event` is called for
+    /// `k = 0, 1, …` in turn.  The batch's sequence numbers are not
+    /// returned.
+    pub fn schedule_batch<T>(&mut self, lane: Lane, times: T, mut event: impl FnMut(usize) -> E)
+    where
+        T: IntoIterator<Item = SimTime>,
+    {
+        let mut batch = match &mut self.keys {
+            KeyStore::Heap(core) if core.len() == 0 && self.lanes.is_empty_lane(lane.0) => {
+                std::mem::take(&mut core.heap)
+            }
+            _ => {
+                for (k, sorted) in Self::sorted(Vec::new(), times).iter().enumerate() {
+                    self.schedule_at(sorted.time, event(k));
+                }
+                return;
+            }
+        };
+        batch = Self::sorted(batch, times);
+        for (k, sorted) in batch.iter().enumerate() {
+            let key = self.key(sorted.time, event(k));
+            // Ranks rise strictly along the sorted batch, so an empty lane
+            // takes every key; a refused one would be lost.
+            let filed = self.lanes.push(lane.0, key);
+            assert!(filed, "a sorted batch fits an empty lane");
+        }
+        batch.clear();
+        if let KeyStore::Heap(core) = &mut self.keys {
+            core.heap = batch;
+        }
+    }
+
+    /// `batch` with one key per time appended and sorted by `(time,
+    /// index)`.  Until a key is filed, its `seq` holds the event's index.
+    /// Times before now sort first and are clamped to now when filed, so
+    /// they fire at now, ahead of the rest, as they would if clamped here.
+    fn sorted<T>(mut batch: Vec<HeapKey>, times: T) -> Vec<HeapKey>
+    where
+        T: IntoIterator<Item = SimTime>,
+    {
+        batch.extend(
+            times
+                .into_iter()
+                .enumerate()
+                .map(|(index, time)| HeapKey::packed(time, index as u64, 0)),
+        );
+        batch.sort_unstable_by_key(HeapKey::rank);
+        batch
+    }
+
+    /// Pops the next key, advancing the clock to its time.
+    // Inlined into the node event loop, which pops every key through it.
+    #[inline]
+    pub fn pop(&mut self) -> Option<SequencedEvent<E>> {
+        let (key, head) = self.min_head()?;
+        Some(self.take(key, head))
+    }
+
+    /// Pops the next key if it fires at or before `limit`; otherwise leaves
+    /// it pending and returns `None`.
+    #[inline]
+    pub fn pop_until(&mut self, limit: SimTime) -> Option<SequencedEvent<E>> {
+        let (key, head) = self.min_head()?;
+        if key.time > limit {
+            return None;
+        }
+        Some(self.take(key, head))
+    }
+
+    /// Peeks at the time of the next key without popping it.
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.min_head().map(|(key, _)| key.time)
+    }
+
+    /// The smallest key of the core's top and the lane heads, and where it
+    /// sits.
+    #[inline]
+    fn min_head(&mut self) -> Option<(HeapKey, Head)> {
+        let store = self.keys.peek_min().map(|key| (key, Head::Store));
+        match self.lanes.min_head() {
+            Some((key, lane)) if store.is_none_or(|(top, _)| key.precedes(&top)) => {
+                Some((key, Head::Lane(lane)))
+            }
+            _ => store,
+        }
+    }
+
+    /// Removes the minimum `key` from where [`PackedQueue::min_head`] found
+    /// it and delivers its event.
+    #[inline]
+    fn take(&mut self, key: HeapKey, head: Head) -> SequencedEvent<E> {
+        match head {
+            Head::Store => {
+                self.keys.remove_min();
+            }
+            Head::Lane(lane) => self.lanes.pop_front(lane),
+        }
+        self.now = key.time;
+        self.popped += 1;
+        SequencedEvent {
+            time: key.time,
+            seq: key.seq,
+            event: E::unpack(key.payload()),
+        }
     }
 }
 
@@ -1362,38 +1550,44 @@ mod tests {
         }
     }
 
+    /// An empty [`PackedQueue`] of `u64` events.
+    fn packed(kind: QueueKind) -> PackedQueue<u64> {
+        PackedQueue::with_capacity_and_kind(0, kind)
+    }
+
     #[test]
     fn in_order_lane_keys_stay_in_the_lane_and_others_fall_back() {
         for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
+            let mut q = packed(kind);
             let lane = q.lane();
-            for i in 0..3 * crate::lanes::BLOCK {
+            let block = crate::lanes::BLOCK as u64;
+            for i in 0..3 * block {
                 q.schedule_in_lane(lane, 5.0, i);
             }
             assert_eq!((q.lanes.len(), q.keys.len()), (3 * crate::lanes::BLOCK, 0));
             // Earlier than the lane's tail: the key store takes it, and it
             // still pops first.
-            q.schedule_at_lane(lane, SimTime::from_secs(1.0), usize::MAX);
+            q.schedule_at_lane(lane, SimTime::from_secs(1.0), u64::MAX);
             // A handle this queue never issued falls back too.
-            q.schedule_at_lane(Lane(7), SimTime::from_secs(6.0), usize::MAX - 1);
+            q.schedule_at_lane(Lane(7), SimTime::from_secs(6.0), u64::MAX - 1);
             assert_eq!(q.keys.len(), 2);
             assert_eq!(q.core_filed_count(), 2, "{kind}");
-            assert_eq!(q.pop().unwrap().event, usize::MAX, "{kind}");
-            let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-            let mut want: Vec<usize> = (0..3 * crate::lanes::BLOCK).collect();
-            want.push(usize::MAX - 1);
+            assert_eq!(q.pop().unwrap().event, u64::MAX, "{kind}");
+            let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+            let mut want: Vec<u64> = (0..3 * block).collect();
+            want.push(u64::MAX - 1);
             assert_eq!(order, want, "{kind}");
-            assert_eq!((q.lanes.len(), q.cancelled_backlog()), (0, 0));
+            assert_eq!((q.lanes.len(), q.len()), (0, 0));
         }
     }
 
     #[test]
     fn lane_blocks_count_toward_capacity_and_memory_and_are_reused() {
-        let mut q = EventQueue::new();
+        let mut q = packed(QueueKind::Heap);
         let lane = q.lane();
         let empty_bytes = q.memory_bytes();
         for round in 0..4 {
-            for i in 0..2 * crate::lanes::BLOCK {
+            for i in 0..2 * crate::lanes::BLOCK as u64 {
                 q.schedule_in_lane(lane, 1.0, i);
             }
             let capacity = q.key_capacity();
@@ -1407,18 +1601,15 @@ mod tests {
                 assert!(capacity <= 3 * crate::lanes::BLOCK, "{capacity}");
             }
         }
-        q.schedule_in_lane(lane, 1.0, 0);
-        q.clear();
-        assert_eq!((q.len(), q.cancelled_backlog()), (0, 0));
-        assert!(q.pop().is_none());
+        assert!(q.is_empty());
+        assert_eq!(q.popped_count(), 4 * 2 * crate::lanes::BLOCK as u64);
     }
 
     #[test]
     fn pop_until_leaves_later_events_pending() {
         for kind in KINDS {
             let mut q = EventQueue::with_kind(kind);
-            let lane = q.lane();
-            q.schedule_in_lane(lane, 2.0, "lane");
+            q.schedule_in(2.0, "later");
             q.schedule_in(1.0, "store");
             let a = q.schedule_in(0.5, "cancelled");
             q.cancel(a);
@@ -1426,7 +1617,17 @@ mod tests {
             assert_eq!(q.pop_until(limit).unwrap().event, "store", "{kind}");
             assert!(q.pop_until(limit).is_none());
             assert_eq!((q.len(), q.now().as_secs()), (1, 1.0));
-            assert_eq!(q.pop_until(SimTime::from_secs(2.0)).unwrap().event, "lane");
+            assert_eq!(q.pop_until(SimTime::from_secs(2.0)).unwrap().event, "later");
+            assert!(q.pop_until(SimTime::from_secs(9.0)).is_none());
+            // The same on a packed queue, with the later key in a lane.
+            let mut q = packed(kind);
+            let lane = q.lane();
+            q.schedule_in_lane(lane, 2.0, 2);
+            q.schedule_in(1.0, 1);
+            assert_eq!(q.pop_until(limit).map(|e| (e.seq, e.event)), Some((1, 1)));
+            assert!(q.pop_until(limit).is_none());
+            assert_eq!((q.len(), q.now().as_secs()), (1, 1.0));
+            assert_eq!(q.pop_until(SimTime::from_secs(2.0)).unwrap().seq, 0);
             assert!(q.pop_until(SimTime::from_secs(9.0)).is_none());
         }
     }
@@ -1495,21 +1696,15 @@ mod tests {
     fn rescheduling_outside_an_unsorted_core_cancels_and_schedules() {
         // In place: no stale key, nothing moves through the free list.
         let mut q = EventQueue::new();
-        let lane = q.lane();
         let id = q.schedule_in(3.0, "core");
         let rearmed = q.reschedule_in(id, 1.0, "core again");
         assert_eq!((q.len(), q.cancelled_backlog(), q.free.len()), (1, 0, 0));
         assert!(!q.is_pending(id) && q.is_pending(rearmed));
-        // A key in a lane cannot be found by the core's scan.
-        let id = q.schedule_in_lane(lane, 2.0, "lane");
-        let moved = q.reschedule_in(id, 4.0, "lane, moved");
-        assert_eq!((q.len(), q.cancelled_backlog()), (2, 1));
-        assert!(!q.is_pending(id) && q.is_pending(moved));
         // A dead id only schedules.
         let fresh = q.reschedule_in(id, 5.0, "fresh");
-        assert_eq!((q.len(), q.cancelled_backlog()), (3, 1));
+        assert_eq!((q.len(), q.cancelled_backlog()), (2, 0));
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-        assert_eq!(order, ["core again", "lane, moved", "fresh"]);
+        assert_eq!(order, ["core again", "fresh"]);
         assert!(!q.is_pending(fresh));
         // An ordered heap and a calendar core fall back too.
         for kind in KINDS {
@@ -1528,65 +1723,139 @@ mod tests {
         assert_eq!(std::mem::size_of::<HeapKey>(), 24);
     }
 
-    /// The id of the pending event carrying `payload`.
-    fn id_of(q: &EventQueue<u32>, payload: u32) -> EventId {
-        let (slot, held) = q
-            .slots
-            .iter()
-            .enumerate()
-            .find(|(_, held)| held.event == Some(payload))
-            .expect("the payload is pending");
-        EventId {
-            slot: slot as u32,
-            generation: held.generation,
-        }
+    /// A delivered event as `(time, seq, payload)`.
+    type Triple = (SimTime, u64, u64);
+
+    /// The payload of the event numbered `seq`: bits in both halves of the
+    /// key bytes it rides in.
+    fn payload_of(seq: u64) -> u64 {
+        seq.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
-    /// Schedules `times` as one batch in `q` and records each event's id in
-    /// `q` and in `plain`, the reference, which gets one `schedule_at` per
-    /// event in index order.  Payloads count up from `next` in delivery
-    /// order: the event with the `k`-th smallest `(time clamped to now,
-    /// index)` carries `next + k` in both queues.
-    fn batch_both(
-        q: &mut EventQueue<u32>,
-        plain: &mut EventQueue<u32>,
-        lane: Lane,
-        times: &[SimTime],
-        next: &mut u32,
-        ids: &mut Vec<(EventId, EventId)>,
-    ) {
-        let first = *next;
-        q.schedule_batch(lane, times.iter().copied(), |k| first + k as u32);
-        let clamped = |i: usize| times[i].as_secs().max(plain.now().as_secs());
-        let mut by_delivery: Vec<usize> = (0..times.len()).collect();
-        by_delivery.sort_by(|&a, &b| clamped(a).total_cmp(&clamped(b)).then(a.cmp(&b)));
-        let mut payload = vec![0; times.len()];
-        for (k, &index) in by_delivery.iter().enumerate() {
-            payload[index] = first + k as u32;
+    /// A [`PackedQueue`] driven in step with a lane-free [`EventQueue`],
+    /// the reference, which gets one `schedule_at` per event: a lane
+    /// schedule's time, a plain one's, and each event of a batch in the
+    /// batch's firing order.  The reference carries each event's sequence
+    /// number next to its payload, so the two deliver the same
+    /// `(time, seq, payload)` triples when the packed queue is right.
+    /// The payload of the event numbered `seq` is [`payload_of`]`(seq)`.
+    struct Twin {
+        q: PackedQueue<u64>,
+        plain: EventQueue<(u64, u64)>,
+        /// Events scheduled so far: the next sequence number.
+        scheduled: u64,
+    }
+
+    impl Twin {
+        fn new(kind: QueueKind) -> Self {
+            Self {
+                q: packed(kind),
+                plain: EventQueue::with_kind(kind),
+                scheduled: 0,
+            }
         }
-        for (&time, &payload) in times.iter().zip(&payload) {
-            ids.push((id_of(q, payload), plain.schedule_at(time, payload)));
+
+        /// Files the event the packed queue numbered `seq` at `time` in
+        /// the reference.
+        fn mirror(&mut self, seq: u64, time: SimTime) {
+            assert_eq!(seq, self.scheduled, "sequence numbers count schedules");
+            self.plain.schedule_at(time, (seq, payload_of(seq)));
+            self.scheduled += 1;
         }
-        *next += times.len() as u32;
+
+        fn schedule_at(&mut self, time: SimTime) {
+            let seq = self.q.schedule_at(time, payload_of(self.scheduled));
+            self.mirror(seq, time);
+        }
+
+        fn schedule_at_lane(&mut self, lane: Lane, time: SimTime) {
+            let seq = self
+                .q
+                .schedule_at_lane(lane, time, payload_of(self.scheduled));
+            self.mirror(seq, time);
+        }
+
+        fn schedule_in_lane(&mut self, lane: Lane, delay: f64) {
+            let seq = self
+                .q
+                .schedule_in_lane(lane, delay, payload_of(self.scheduled));
+            self.mirror(seq, self.plain.now().after(delay));
+        }
+
+        /// Batches `times` in the packed queue, and files them in the
+        /// reference in firing order: by time clamped to now, ties by
+        /// index.
+        fn batch(&mut self, lane: Lane, times: &[SimTime]) {
+            let first = self.scheduled;
+            let mut calls = 0;
+            self.q.schedule_batch(lane, times.iter().copied(), |k| {
+                assert_eq!(k, calls, "payloads are asked for in order");
+                calls += 1;
+                payload_of(first + k as u64)
+            });
+            assert_eq!(calls, times.len());
+            let now = self.plain.now();
+            let clamped = |i: usize| if times[i] < now { now } else { times[i] };
+            let mut firing: Vec<usize> = (0..times.len()).collect();
+            firing.sort_by_key(|&i| (clamped(i), i));
+            for (k, &i) in firing.iter().enumerate() {
+                self.mirror(first + k as u64, times[i]);
+            }
+        }
+
+        fn pop(&mut self) -> (Option<Triple>, Option<Triple>) {
+            let got = self.q.pop().map(|e| (e.time, e.seq, e.event));
+            (
+                got,
+                self.plain.pop().map(|e| (e.time, e.event.0, e.event.1)),
+            )
+        }
+
+        fn pop_until(&mut self, limit: SimTime) -> (Option<Triple>, Option<Triple>) {
+            let got = self.q.pop_until(limit).map(|e| (e.time, e.seq, e.event));
+            let want = self.plain.pop_until(limit);
+            (got, want.map(|e| (e.time, e.event.0, e.event.1)))
+        }
+
+        /// Asserts that the two queues agree on everything but delivery.
+        fn agree(&mut self) {
+            assert_eq!(self.q.len(), self.plain.len());
+            assert_eq!(self.q.is_empty(), self.plain.is_empty());
+            assert_eq!(self.q.now(), self.plain.now());
+            assert_eq!(self.q.popped_count(), self.plain.popped_count());
+            assert_eq!(self.q.peek_time(), self.plain.peek_time());
+            assert!(self.q.core_filed_count() <= self.scheduled);
+        }
+
+        /// Drains both queues, asserting the same deliveries.
+        fn drain(&mut self) {
+            loop {
+                let (got, want) = self.pop();
+                assert_eq!(got, want, "drain under {}", self.plain.kind());
+                if got.is_none() {
+                    break;
+                }
+            }
+            self.agree();
+        }
     }
 
     #[test]
     fn a_batch_into_an_empty_heap_queue_is_filed_in_its_lane_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = packed(QueueKind::Heap);
         let lane = q.lane();
         let times = [3.0, 1.0, 2.0, 1.0, 0.5].map(SimTime::from_secs);
         let mut calls = Vec::new();
         q.schedule_batch(lane, times, |k| {
             calls.push(k);
-            k
+            k as u64
         });
         assert_eq!(calls, [0, 1, 2, 3, 4]);
         assert_eq!((q.keys.len(), q.lanes.len(), q.len()), (0, 5, 5));
-        // Payloads are numbered in firing order, and slots and sequence
-        // numbers were handed out in that order too, so the pops walk the
-        // slab from its start.
-        let popped: Vec<(f64, usize, u32)> = std::iter::from_fn(|| q.pop())
-            .map(|e| (e.time.as_secs(), e.event, e.id.slot))
+        // Payloads are numbered in firing order, and sequence numbers were
+        // handed out in that order too.
+        let popped: Vec<(f64, u64, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.time.as_secs(), e.event, e.seq))
             .collect();
         assert_eq!(
             popped,
@@ -1599,24 +1868,27 @@ mod tests {
             ]
         );
         // The core's key buffer, borrowed for the sort, is back and empty.
-        assert!(q.keys.capacity() >= 5 && unsorted(&q));
+        assert!(q.keys.capacity() >= 5);
+        assert!(matches!(&q.keys, KeyStore::Heap(core) if !core.ordered && core.len() == 0));
         // A queue whose lane already holds a key sorts the batch and files
         // it in the core, still numbered in firing order and behind the
         // earlier key at a tied time; so does the calendar core.
         let later = times.map(|t| t.after(3.0));
         q.schedule_in_lane(lane, 1.0, 9);
-        q.schedule_batch(lane, later, |k| k);
+        q.schedule_batch(lane, later, |k| k as u64);
         assert_eq!((q.keys.len(), q.lanes.len()), (5, 1));
-        let mut calendar = EventQueue::with_kind(QueueKind::Calendar);
+        let mut calendar = packed(QueueKind::Calendar);
         let calendar_lane = calendar.lane();
-        calendar.schedule_batch(calendar_lane, times, |k| k);
+        calendar.schedule_batch(calendar_lane, times, |k| k as u64);
         calendar.pop_until(SimTime::from_secs(3.0));
         calendar.pop_until(SimTime::from_secs(3.0));
-        calendar.schedule_batch(calendar_lane, [0.5, 0.0].map(SimTime::from_secs), |k| k + 5);
+        calendar.schedule_batch(calendar_lane, [0.5, 0.0].map(SimTime::from_secs), |k| {
+            k as u64 + 5
+        });
         calendar.schedule_at(SimTime::from_secs(4.0), 9);
-        calendar.schedule_batch(calendar_lane, later, |k| k);
+        calendar.schedule_batch(calendar_lane, later, |k| k as u64);
         assert_eq!(calendar.keys.len(), 11);
-        let popped = |q: &mut EventQueue<usize>| -> Vec<(f64, usize)> {
+        let popped = |q: &mut PackedQueue<u64>| -> Vec<(f64, u64)> {
             std::iter::from_fn(|| q.pop())
                 .map(|e| (e.time.as_secs(), e.event))
                 .collect()
@@ -1894,75 +2166,41 @@ mod tests {
         fn prop_lanes_deliver_what_a_lane_free_queue_delivers(
             ops in proptest::collection::vec((0u8..10, 0.0f64..30.0, 0u32..64), 1..300),
         ) {
-            // The same interleaving against a queue with two lanes and a
-            // queue without: constant-delay lane appends (which always fit),
-            // absolute lane appends at random times (which mostly do not
-            // and fall back to the key store), plain schedules, cancels,
-            // peeks, bounded pops and the odd clear.  Deliveries (time, id
-            // and payload), counts and the stale-key backlog must match.
+            // The same interleaving against a packed queue with two lanes
+            // and a lane-free event queue: constant-delay lane appends
+            // (which always fit), absolute lane appends at random times
+            // (which mostly do not, and fall back to the core), plain
+            // schedules, small batches, peeks, pops and bounded pops.
+            // Deliveries (time, seq and payload) and counts must match.
             for kind in KINDS {
-                let mut q = EventQueue::with_kind(kind);
-                let lanes = [q.lane(), q.lane()];
+                let mut twin = Twin::new(kind);
+                let lanes = [twin.q.lane(), twin.q.lane()];
                 let delays = [1.0, 4.0];
-                let mut plain = EventQueue::with_kind(kind);
-                let mut ids: Vec<EventId> = Vec::new();
-                let mut next_payload = 0u32;
                 for &(op, value, pick) in &ops {
                     let k = pick as usize % 2;
                     match op {
-                        0..=2 => {
-                            let id = q.schedule_in_lane(lanes[k], delays[k], next_payload);
-                            prop_assert_eq!(id, plain.schedule_in(delays[k], next_payload));
-                            ids.push(id);
-                            next_payload += 1;
-                        }
-                        3 => {
-                            let at = SimTime::from_secs(value);
-                            let id = q.schedule_at_lane(lanes[k], at, next_payload);
-                            prop_assert_eq!(id, plain.schedule_at(at, next_payload));
-                            ids.push(id);
-                            next_payload += 1;
-                        }
-                        4 => {
-                            let id = q.schedule_in(value, next_payload);
-                            prop_assert_eq!(id, plain.schedule_in(value, next_payload));
-                            ids.push(id);
-                            next_payload += 1;
-                        }
+                        0..=2 => twin.schedule_in_lane(lanes[k], delays[k]),
+                        3 => twin.schedule_at_lane(lanes[k], SimTime::from_secs(value)),
+                        4 => twin.schedule_at(twin.q.now().after(value)),
                         5 => {
-                            if !ids.is_empty() {
-                                let id = ids[pick as usize % ids.len()];
-                                prop_assert_eq!(q.cancel(id), plain.cancel(id));
-                            }
+                            let times: Vec<SimTime> = (0..pick % 8)
+                                .map(|j| SimTime::from_secs((value + 3.0 * j as f64) % 30.0))
+                                .collect();
+                            twin.batch(lanes[k], &times);
                         }
-                        6 => prop_assert_eq!(q.pop(), plain.pop()),
-                        7 => {
-                            let limit = q.now().after(value / 4.0);
-                            prop_assert_eq!(q.pop_until(limit), plain.pop_until(limit));
+                        6 | 7 => {
+                            let (got, want) = twin.pop();
+                            prop_assert_eq!(got, want);
                         }
-                        8 => prop_assert_eq!(q.peek_time(), plain.peek_time()),
                         _ => {
-                            if pick % 8 == 0 {
-                                q.clear();
-                                plain.clear();
-                            }
+                            let limit = twin.q.now().after(value / 4.0);
+                            let (got, want) = twin.pop_until(limit);
+                            prop_assert_eq!(got, want);
                         }
                     }
-                    prop_assert_eq!(q.len(), plain.len());
-                    prop_assert_eq!(q.cancelled_backlog(), plain.cancelled_backlog());
-                    prop_assert_eq!(q.now(), plain.now());
-                    prop_assert_eq!(q.popped_count(), plain.popped_count());
-                    prop_assert!(q.core_filed_count() <= plain.core_filed_count());
+                    twin.agree();
                 }
-                prop_assert_eq!(plain.core_filed_count(), u64::from(next_payload));
-                loop {
-                    let got = q.pop();
-                    prop_assert_eq!(&got, &plain.pop(), "drain under {}", kind);
-                    if got.is_none() {
-                        break;
-                    }
-                }
-                prop_assert_eq!(q.cancelled_backlog(), 0);
+                twin.drain();
             }
         }
 
@@ -1972,8 +2210,8 @@ mod tests {
             targets in proptest::collection::vec(0usize..24, 2..10),
         ) {
             // Each interleaving runs against a queue that re-arms with
-            // `reschedule_in` and one that cancels and schedules instead,
-            // both with one lane.  The backlog chases targets between 0 and
+            // `reschedule_in` and one that cancels and schedules instead.
+            // The backlog chases targets between 0 and
             // 23 keys, so it keeps crossing the 8- and 16-key boundaries of
             // the heap core's two modes.  Deliveries (time, id, payload) and
             // `len()` must match, and each queue's `cancelled_backlog()`
@@ -1983,9 +2221,6 @@ mod tests {
             for kind in KINDS {
                 let mut q = EventQueue::with_kind(kind);
                 let mut plain = EventQueue::with_kind(kind);
-                let lane = q.lane();
-                let plain_lane = plain.lane();
-                prop_assert_eq!(lane, plain_lane);
                 // The rank of every live event's key, by raw id.
                 let mut live = std::collections::BTreeMap::new();
                 let mut ids: Vec<EventId> = Vec::new();
@@ -2018,8 +2253,8 @@ mod tests {
                             file!(id, q.now().after(value));
                         }
                         3 => {
-                            let id = q.schedule_in_lane(lane, 4.0, payload);
-                            prop_assert_eq!(id, plain.schedule_in_lane(plain_lane, 4.0, payload));
+                            let id = q.schedule_in(4.0, payload);
+                            prop_assert_eq!(id, plain.schedule_in(4.0, payload));
                             file!(id, q.now().after(4.0));
                         }
                         4 => if let Some(id) = picked {
@@ -2102,102 +2337,60 @@ mod tests {
         fn prop_schedule_batch_matches_one_schedule_at_per_event(
             before in proptest::collection::vec((0u8..3, 0u8..40), 0..6),
             wave in proptest::collection::vec(0u8..40, 0..160),
-            ops in proptest::collection::vec((0u8..10, 0u8..40, 0u32..1024), 0..200),
+            ops in proptest::collection::vec((0u8..8, 0u8..40, 0u32..1024), 0..200),
         ) {
-            // Each run batches the same times into one queue and schedules
-            // them one `schedule_at` at a time into another, both with
-            // payloads numbered in delivery order (`batch_both`).  Times
-            // sit on a half-second grid, so batches hold ties.  The events before
+            // Each run batches the same times into a packed queue and
+            // schedules them one `schedule_at` at a time, in firing order,
+            // into a lane-free event queue (`Twin`).  Times sit on a
+            // half-second grid, so batches hold ties.  The events before
             // the batch may leave keys in the core or the lane (the
             // one-by-one fallback) or advance the clock past early batch
-            // times (clamped to now).  Afterwards come schedules, cancels
-            // of batch and other ids, pops, bounded pops, peeks, clears and
-            // further batches, with the queues compared after every step.
+            // times (clamped to now).  Afterwards come schedules, pops,
+            // bounded pops and further batches, with the queues compared
+            // after every step.
             let at = |t: u8| SimTime::from_secs(t as f64 * 0.5);
             for kind in KINDS {
-                let mut q = EventQueue::with_kind(kind);
-                let mut plain = EventQueue::with_kind(kind);
-                let lane = q.lane();
-                prop_assert_eq!(plain.lane(), lane);
-                let mut next = 0u32;
-                let mut ids: Vec<(EventId, EventId)> = Vec::new();
+                let mut twin = Twin::new(kind);
+                let lane = twin.q.lane();
                 for &(op, t) in &before {
                     match op {
-                        0 => ids.push((q.schedule_at(at(t), next), plain.schedule_at(at(t), next))),
-                        1 => ids.push((
-                            q.schedule_at_lane(lane, at(t), next),
-                            plain.schedule_at_lane(lane, at(t), next),
-                        )),
-                        _ => prop_assert_eq!(
-                            q.pop().map(|e| (e.time, e.event)),
-                            plain.pop().map(|e| (e.time, e.event))
-                        ),
+                        0 => twin.schedule_at(at(t)),
+                        1 => twin.schedule_at_lane(lane, at(t)),
+                        _ => {
+                            let (got, want) = twin.pop();
+                            prop_assert_eq!(got, want);
+                        }
                     }
-                    next += 1;
                 }
-                let sorts = kind == QueueKind::Heap && q.keys.len() == 0 && q.lanes.len() == 0;
+                let sorts = kind == QueueKind::Heap && twin.q.is_empty();
                 let times: Vec<SimTime> = wave.iter().map(|&t| at(t)).collect();
-                batch_both(&mut q, &mut plain, lane, &times, &mut next, &mut ids);
+                twin.batch(lane, &times);
                 if sorts {
-                    prop_assert_eq!((q.keys.len(), q.lanes.len()), (0, times.len()));
+                    prop_assert_eq!((twin.q.keys.len(), twin.q.lanes.len()), (0, times.len()));
                 }
+                twin.agree();
                 for &(op, t, pick) in &ops {
                     match op {
-                        0 => {
-                            ids.push((q.schedule_at(at(t), next), plain.schedule_at(at(t), next)));
-                            next += 1;
-                        }
-                        1 => {
-                            ids.push((
-                                q.schedule_in_lane(lane, 1.0, next),
-                                plain.schedule_in_lane(lane, 1.0, next),
-                            ));
-                            next += 1;
-                        }
+                        0 => twin.schedule_at(at(t)),
+                        1 => twin.schedule_in_lane(lane, 1.0),
                         2 | 3 => {
-                            if !ids.is_empty() {
-                                let (a, b) = ids[pick as usize % ids.len()];
-                                prop_assert_eq!(q.cancel(a), plain.cancel(b));
-                            }
+                            let (got, want) = twin.pop();
+                            prop_assert_eq!(got, want);
                         }
-                        4 | 5 => prop_assert_eq!(
-                            q.pop().map(|e| (e.time, e.event)),
-                            plain.pop().map(|e| (e.time, e.event))
-                        ),
-                        6 => {
-                            let limit = q.now().after(t as f64 / 8.0);
-                            prop_assert_eq!(
-                                q.pop_until(limit).map(|e| (e.time, e.event)),
-                                plain.pop_until(limit).map(|e| (e.time, e.event))
-                            );
-                        }
-                        7 => prop_assert_eq!(q.peek_time(), plain.peek_time()),
-                        8 => {
-                            let times: Vec<SimTime> =
-                                (0..pick % 24).map(|j| at((t as u32 + 7 * j) as u8 % 40)).collect();
-                            batch_both(&mut q, &mut plain, lane, &times, &mut next, &mut ids);
+                        4 => {
+                            let limit = twin.q.now().after(t as f64 / 8.0);
+                            let (got, want) = twin.pop_until(limit);
+                            prop_assert_eq!(got, want);
                         }
                         _ => {
-                            if pick % 4 == 0 {
-                                q.clear();
-                                plain.clear();
-                            }
+                            let times: Vec<SimTime> =
+                                (0..pick % 24).map(|j| at((t as u32 + 7 * j) as u8 % 40)).collect();
+                            twin.batch(lane, &times);
                         }
                     }
-                    prop_assert_eq!(q.len(), plain.len());
-                    prop_assert_eq!(q.cancelled_backlog(), plain.cancelled_backlog());
-                    prop_assert_eq!(q.now(), plain.now());
-                    prop_assert_eq!(q.popped_count(), plain.popped_count());
+                    twin.agree();
                 }
-                loop {
-                    let got = q.pop().map(|e| (e.time, e.event));
-                    prop_assert_eq!(got, plain.pop().map(|e| (e.time, e.event)), "drain under {}", kind);
-                    if got.is_none() {
-                        break;
-                    }
-                }
-                prop_assert_eq!(q.popped_count(), plain.popped_count());
-                prop_assert_eq!(q.cancelled_backlog(), 0);
+                twin.drain();
             }
         }
 

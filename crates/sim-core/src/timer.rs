@@ -53,7 +53,7 @@ impl Timer {
     /// ordering key is overwritten in place with the new time and the next
     /// sequence number, so a re-arm leaves no stale key behind (a session's
     /// receiver timeout is restarted on every refresh).  When the core is a
-    /// heap, or the key sits in a lane or a calendar core, the expiry is
+    /// heap or a calendar core, the expiry is
     /// cancelled and a new one scheduled.  Both give the same new id and the
     /// same delivery order.
     ///
