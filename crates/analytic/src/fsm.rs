@@ -144,7 +144,7 @@ pub enum Guard {
 
 impl Guard {
     /// Whether the guard holds for `spec`.
-    pub fn holds(&self, spec: &ProtocolSpec) -> bool {
+    fn holds(&self, spec: &ProtocolSpec) -> bool {
         match self {
             Self::Always => true,
             Self::CanRepair => spec.uses_refresh() || spec.retransmits_repairs(),
@@ -754,9 +754,13 @@ impl TransitionTable {
     }
 
     /// The mechanism capability set the simulators dispatch on, derived
-    /// from the table's actions alone.
+    /// from the table's actions alone (no spec predicates consulted).
     pub fn dispatch(&self) -> FsmDispatch {
-        FsmDispatch::from_table(self)
+        let mut dispatch = FsmDispatch::NONE;
+        for row in &self.rows {
+            row.actions.iter().for_each(|&action| dispatch.note(action));
+        }
+        dispatch
     }
 
     /// Renders the table for `repro --list-transitions`.
@@ -960,20 +964,10 @@ impl FsmDispatch {
         }
     }
 
-    /// Derives the capability set from a generated table's actions alone
-    /// (no spec predicates consulted).
-    pub fn from_table(table: &TransitionTable) -> Self {
-        let mut dispatch = Self::NONE;
-        for row in &table.rows {
-            row.actions.iter().for_each(|&action| dispatch.note(action));
-        }
-        dispatch
-    }
-
     /// Derives the capability set from the actions of `spec`'s table rows —
     /// the constructor the simulators use.  It visits the rows the table
     /// would hold without building it, so it allocates nothing; it equals
-    /// [`FsmDispatch::from_table`] of [`TransitionTable::for_spec`].
+    /// [`TransitionTable::dispatch`] of [`TransitionTable::for_spec`].
     pub fn for_spec(spec: ProtocolSpec) -> Self {
         let mut dispatch = Self::NONE;
         each_single_hop_row(spec, &mut |_, event, _, _, _| {
@@ -984,7 +978,7 @@ impl FsmDispatch {
 
     /// The historical derivation straight from the spec predicates — kept
     /// as the reference the model checker's agreement property compares
-    /// [`FsmDispatch::from_table`] against.
+    /// [`TransitionTable::dispatch`] against.
     pub fn from_predicates(spec: ProtocolSpec) -> Self {
         Self {
             uses_refresh: spec.uses_refresh(),

@@ -41,8 +41,8 @@ pub mod sweep;
 
 pub use cost::{integrated_cost, CostWeights};
 pub use fsm::{FsmDispatch, MultiHopTransitionTable, TransitionTable};
-pub use multi_hop::{solve_all_multi_hop, MultiHopModel, MultiHopSolution};
+pub use multi_hop::{MultiHopModel, MultiHopSolution};
 pub use params::{ConfigError, MultiHopParams, Protocol, SingleHopParams};
-pub use single_hop::{solve_all, MessageRates, ModelError, SingleHopModel, SingleHopSolution};
+pub use single_hop::{MessageRates, ModelError, SingleHopModel, SingleHopSolution};
 pub use spec::{Delivery, ProtocolSpec, RefreshMode, Removal, SpecError};
 pub use sweep::{MultiHopSweepSession, SingleHopSweepSession};

@@ -15,6 +15,6 @@ pub mod model;
 pub mod states;
 pub mod transitions;
 
-pub use model::{solve_all_multi_hop, MultiHopModel, MultiHopSolution};
+pub use model::{MultiHopModel, MultiHopSolution};
 pub use states::{MultiHopState, PathMode};
 pub use transitions::{multi_hop_transitions, multi_hop_transitions_into};

@@ -122,19 +122,13 @@ impl MultiHopModel {
             &pi,
         ))
     }
-
-    /// Expected number of hop transmissions of one end-to-end message
-    /// (Equation 14/15 interpretation): a message is transmitted on hop `j`
-    /// if it survived hops `1 .. j-1`, so the expectation is
-    /// `Σ_{j=1..K} (1−p_l)^(j−1) = (1 − (1−p_l)^K) / p_l` (or `K` when the
-    /// channel is loss free).
-    pub fn expected_hops_per_message(&self) -> f64 {
-        expected_hops_per_message(&self.params)
-    }
 }
 
-/// [`MultiHopModel::expected_hops_per_message`] as a free function, shared
-/// with the sweep fast path.
+/// Expected number of hop transmissions of one end-to-end message
+/// (Equation 14/15 interpretation): a message is transmitted on hop `j`
+/// if it survived hops `1 .. j-1`, so the expectation is
+/// `Σ_{j=1..K} (1−p_l)^(j−1) = (1 − (1−p_l)^K) / p_l` (or `K` when the
+/// channel is loss free).  Shared with the sweep fast path.
 pub(crate) fn expected_hops_per_message(params: &MultiHopParams) -> f64 {
     let k = params.hops as f64;
     let p = params.loss;
@@ -282,15 +276,6 @@ pub(crate) fn message_rates_from(
     }
 }
 
-/// Solves the paper's three multi-hop protocols (SS, SS+RT, HS) under one
-/// parameter set.
-pub fn solve_all_multi_hop(params: MultiHopParams) -> Result<Vec<MultiHopSolution>, ModelError> {
-    ProtocolSpec::PAPER_MULTI_HOP
-        .iter()
-        .map(|p| MultiHopModel::new(*p, params)?.solve())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,17 +404,14 @@ mod tests {
 
     #[test]
     fn expected_hops_per_message() {
-        let m =
-            MultiHopModel::new(ProtocolSpec::SS, MultiHopParams::reservation_defaults()).unwrap();
-        let e = m.expected_hops_per_message();
         let p = MultiHopParams::reservation_defaults();
+        let e = super::expected_hops_per_message(&p);
         let expected = (1.0 - (1.0 - p.loss).powf(20.0)) / p.loss;
         assert!((e - expected).abs() < 1e-12);
         // Loss-free channel: exactly K hops.
         let mut lossless = MultiHopParams::reservation_defaults();
         lossless.loss = 0.0;
-        let m = MultiHopModel::new(ProtocolSpec::SS, lossless).unwrap();
-        assert_eq!(m.expected_hops_per_message(), 20.0);
+        assert_eq!(super::expected_hops_per_message(&lossless), 20.0);
     }
 
     #[test]
@@ -463,12 +445,11 @@ mod tests {
 
     #[test]
     fn solve_all_returns_three_protocols() {
-        let all = solve_all_multi_hop(MultiHopParams::reservation_defaults()).unwrap();
-        assert_eq!(all.len(), 3);
-        assert_eq!(
-            all.iter().map(|s| s.protocol.label()).collect::<Vec<_>>(),
-            vec!["SS", "SS+RT", "HS"]
-        );
+        let labels: Vec<&str> = ProtocolSpec::PAPER_MULTI_HOP
+            .iter()
+            .map(|p| solve(*p).protocol.label())
+            .collect();
+        assert_eq!(labels, vec!["SS", "SS+RT", "HS"]);
     }
 
     #[test]

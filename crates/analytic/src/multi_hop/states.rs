@@ -63,17 +63,6 @@ impl MultiHopState {
         hop >= 1 && self.consistent_hops() >= hop
     }
 
-    /// Whether this is the fully consistent state for a path of `k` hops.
-    pub fn is_fully_consistent(&self, k: usize) -> bool {
-        matches!(
-            self,
-            MultiHopState::Progress {
-                consistent,
-                mode: PathMode::Fast
-            } if *consistent == k
-        )
-    }
-
     /// Enumerates every state of a `k`-hop model for the given protocol
     /// capabilities (`with_recovery` adds the HS recovery state).
     pub fn enumerate(k: usize, with_recovery: bool) -> Vec<MultiHopState> {
@@ -129,14 +118,6 @@ mod tests {
         assert!(!s.hop_is_consistent(4));
         assert!(!s.hop_is_consistent(0), "hops are 1-indexed");
         assert!(!MultiHopState::Recovery.hop_is_consistent(1));
-    }
-
-    #[test]
-    fn fully_consistent_detection() {
-        assert!(MultiHopState::fast(5).is_fully_consistent(5));
-        assert!(!MultiHopState::fast(4).is_fully_consistent(5));
-        assert!(!MultiHopState::slow(5).is_fully_consistent(5));
-        assert!(!MultiHopState::Recovery.is_fully_consistent(5));
     }
 
     #[test]

@@ -41,15 +41,9 @@ pub fn slow_repair_rate(spec: ProtocolSpec, p: &MultiHopParams, next_hop: usize)
 /// `(1 − (1−p_l)^(j+1))^(τ/T) − (1 − (1−p_l)^j)^(τ/T)` approximates the
 /// probability that every refresh within one timeout interval failed to reach
 /// hop `j + 1` but at least one reached hop `j`; dividing by `τ` turns it
-/// into a rate.
-pub fn timeout_cascade_rate(p: &MultiHopParams, remaining_consistent: usize) -> f64 {
-    timeout_cascade_rate_with_interval(p, p.refresh_timer, remaining_consistent)
-}
-
-/// [`timeout_cascade_rate`] with an explicit delivery-attempt interval:
+/// into a rate.  The exponent generalises to `τ / attempt_interval`:
 /// best-effort refreshes attempt once per refresh interval `T`, reliable
-/// refreshes retry every retransmission interval `R`, so the exponent of
-/// the all-attempts-lost approximation is `τ / attempt_interval`.
+/// refreshes retry every retransmission interval `R`.
 pub fn timeout_cascade_rate_with_interval(
     p: &MultiHopParams,
     attempt_interval: f64,
@@ -96,7 +90,7 @@ pub fn multi_hop_transitions(protocol: ProtocolSpec, p: &MultiHopParams) -> Vec<
 /// in [`crate::fsm`] and evaluates each row's rate through the same helpers
 /// as always (the `powf`-heavy cascade term stays memoized per target), so
 /// the entry stream is bit-identical to the historical builder kept below
-/// as [`multi_hop_transitions_reference_into`].
+/// as [`multi_hop_transitions_reference`].
 pub fn multi_hop_transitions_into(
     protocol: ProtocolSpec,
     p: &MultiHopParams,
@@ -140,7 +134,7 @@ pub fn multi_hop_transitions_reference(
 }
 
 /// [`multi_hop_transitions_reference`] into a caller-owned buffer.
-pub fn multi_hop_transitions_reference_into(
+fn multi_hop_transitions_reference_into(
     protocol: ProtocolSpec,
     p: &MultiHopParams,
     entries: &mut Vec<MultiHopRateEntry>,
@@ -232,17 +226,17 @@ pub fn multi_hop_transitions_reference_into(
     }
 }
 
-/// Helper so reports can reuse the single-hop entry rendering style.
-pub fn describe_entry(e: &MultiHopRateEntry) -> String {
-    format!("{} -> {} @ {:.8}/s", e.from, e.to, e.rate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn params() -> MultiHopParams {
         MultiHopParams::reservation_defaults()
+    }
+
+    /// Equation 9 with best-effort refreshes (one attempt per `T`).
+    fn timeout_cascade_rate(p: &MultiHopParams, remaining_consistent: usize) -> f64 {
+        timeout_cascade_rate_with_interval(p, p.refresh_timer, remaining_consistent)
     }
 
     #[test]
@@ -336,17 +330,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn describe_entry_renders() {
-        let e = MultiHopRateEntry {
-            from: MultiHopState::fast(1),
-            to: MultiHopState::fast(2),
-            rate: 0.5,
-        };
-        let s = describe_entry(&e);
-        assert!(s.contains("(1,0)"));
-        assert!(s.contains("(2,0)"));
     }
 }

@@ -21,6 +21,6 @@ pub mod states;
 pub mod transitions;
 
 pub use metrics::MessageRates;
-pub use model::{solve_all, ModelError, SingleHopModel, SingleHopSolution};
+pub use model::{ModelError, SingleHopModel, SingleHopSolution};
 pub use states::SingleHopState;
 pub use transitions::{protocol_transitions, protocol_transitions_into, RateTable};

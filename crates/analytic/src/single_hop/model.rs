@@ -340,14 +340,6 @@ pub(crate) fn message_rates_from(
     }
 }
 
-/// Solves all five protocols under the same parameter set.
-pub fn solve_all(params: SingleHopParams) -> Result<Vec<SingleHopSolution>, ModelError> {
-    ProtocolSpec::PAPER
-        .iter()
-        .map(|p| SingleHopModel::new(*p, params)?.solve())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -648,8 +640,11 @@ mod tests {
 
     #[test]
     fn solve_all_returns_five_solutions() {
-        let all = solve_all(SingleHopParams::kazaa_defaults()).unwrap();
-        assert_eq!(all.len(), 5);
+        let all: Vec<SingleHopSolution> = ProtocolSpec::PAPER
+            .iter()
+            .map(|p| SingleHopModel::new(*p, SingleHopParams::kazaa_defaults()).unwrap())
+            .map(|m| m.solve().unwrap())
+            .collect();
         let labels: Vec<&str> = all.iter().map(|s| s.protocol.label()).collect();
         assert_eq!(labels, vec!["SS", "SS+ER", "SS+RT", "SS+RTR", "HS"]);
     }

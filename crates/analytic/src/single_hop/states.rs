@@ -64,16 +64,6 @@ impl SingleHopState {
         }
     }
 
-    /// Whether the sender and receiver state values agree in this state.
-    ///
-    /// Only [`SingleHopState::Consistent`] and the final
-    /// [`SingleHopState::Absorbed`] state (neither side holds state) are
-    /// consistent; every other state counts toward the inconsistency ratio,
-    /// exactly as in Equation (1).
-    pub fn is_consistent(self) -> bool {
-        matches!(self, SingleHopState::Consistent | SingleHopState::Absorbed)
-    }
-
     /// Whether this is the absorbing end-of-life state.
     pub fn is_absorbing(self) -> bool {
         matches!(self, SingleHopState::Absorbed)
@@ -109,18 +99,6 @@ mod tests {
     fn eight_distinct_states() {
         let set: HashSet<_> = SingleHopState::ALL.iter().collect();
         assert_eq!(set.len(), 8);
-    }
-
-    #[test]
-    fn consistency_classification() {
-        let consistent: Vec<_> = SingleHopState::ALL
-            .iter()
-            .filter(|s| s.is_consistent())
-            .collect();
-        assert_eq!(
-            consistent,
-            vec![&SingleHopState::Consistent, &SingleHopState::Absorbed]
-        );
     }
 
     #[test]

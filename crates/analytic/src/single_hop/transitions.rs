@@ -181,7 +181,7 @@ pub fn protocol_transitions(protocol: ProtocolSpec, p: &SingleHopParams) -> Rate
 /// selects the transitions that exist, and its symbolic rate expression is
 /// evaluated through the same rate helpers as always, so the emitted entry
 /// stream is bit-identical to the historical predicate-derived builder
-/// (kept below as [`protocol_transitions_reference_into`] for the model
+/// (kept below as [`protocol_transitions_reference`] for the model
 /// checker's agreement property).
 pub fn protocol_transitions_into(
     protocol: ProtocolSpec,
@@ -212,7 +212,7 @@ pub fn protocol_transitions_reference(protocol: ProtocolSpec, p: &SingleHopParam
 }
 
 /// [`protocol_transitions_reference`] into a caller-owned table.
-pub fn protocol_transitions_reference_into(
+fn protocol_transitions_reference_into(
     protocol: ProtocolSpec,
     p: &SingleHopParams,
     table: &mut RateTable,

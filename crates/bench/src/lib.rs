@@ -7,7 +7,7 @@
 //! `EXPERIMENTS.md` is derived from.
 //!
 //! This crate is also the proof that the experiment registry is open: the
-//! extra experiments in [`register_extras`] — two declarative
+//! extra experiments [`extended_registry`] adds — two declarative
 //! [`ExperimentSpec`] figures over the new DNS/BGP scenarios and one
 //! hand-written [`Experiment`] implementation sweeping *across* scenarios —
 //! are composed entirely out of `signaling`'s public API, without touching
@@ -47,6 +47,7 @@ macro_rules! outln {
 /// Ends the program after a failed write to stdout: quietly with status 0
 /// when the reader has gone away (`BrokenPipe`, as in `repro --list | head
 /// -1`), with an error and status 1 otherwise.
+// sigtidy: allow(unused-pub) — macro support: `out!` expands to `$crate::stdout_failed` in the binaries
 pub fn stdout_failed(e: std::io::Error) -> ! {
     if e.kind() == std::io::ErrorKind::BrokenPipe {
         std::process::exit(0);
@@ -67,7 +68,7 @@ pub const SS_RR: ProtocolSpec =
 
 /// Options used by the benches: small simulation campaigns so `cargo bench`
 /// stays fast; the `repro` binary uses the full defaults instead.
-pub fn bench_options() -> ExperimentOptions {
+fn bench_options() -> ExperimentOptions {
     ExperimentOptions::quick()
 }
 
@@ -88,7 +89,7 @@ pub fn print_experiments(names: &[&str]) {
 }
 
 /// The registry the `repro` binary runs against: the paper's 22 built-ins
-/// plus the extra scenario experiments from [`register_extras`].
+/// plus the extra scenario experiments from `register_extras`.
 pub fn extended_registry() -> Registry {
     let mut registry = Registry::with_builtins();
     // sigtidy: allow(no-unwrap) — name uniqueness is pinned by the registry tests
@@ -128,7 +129,7 @@ pub fn protocol_registry() -> ProtocolRegistry {
 /// composition: declarative [`ExperimentSpec`]s, a hand-written
 /// [`Experiment`] type and the node experiments' static rows
 /// ([`signaling::NODE_EXPERIMENTS`]), all built on public API only.
-pub fn register_extras(registry: &mut Registry) -> Result<(), RegistryError> {
+fn register_extras(registry: &mut Registry) -> Result<(), RegistryError> {
     registry.register(
         ExperimentSpec::new(
             "dns-lease-cost",

@@ -71,9 +71,7 @@ impl ComparisonRow {
 /// the same protocol and parameters, returning both side by side.
 ///
 /// Replications fan out across every available CPU; use
-/// [`compare_single_hop_with`] to control scheduling (the sweep layer passes
-/// [`ExecutionPolicy::Serial`] here because it parallelizes one level up,
-/// across sweep points).
+/// [`compare_session`] to control scheduling.
 pub fn compare_single_hop(
     protocol: ProtocolSpec,
     params: SingleHopParams,
@@ -81,32 +79,12 @@ pub fn compare_single_hop(
     replications: usize,
     seed: u64,
 ) -> ComparisonRow {
-    compare_single_hop_with(
-        protocol,
-        params,
-        timer_mode,
-        replications,
-        seed,
-        ExecutionPolicy::auto(),
-    )
-}
-
-/// [`compare_single_hop`] with an explicit execution policy for the
-/// simulation campaign.
-pub fn compare_single_hop_with(
-    protocol: ProtocolSpec,
-    params: SingleHopParams,
-    timer_mode: TimerMode,
-    replications: usize,
-    seed: u64,
-    policy: ExecutionPolicy,
-) -> ComparisonRow {
     let config = SessionConfig {
         timer_mode,
         delay_mode: timer_mode,
         ..SessionConfig::deterministic(protocol, params)
     };
-    compare_session(config, replications, seed, policy)
+    compare_session(config, replications, seed, ExecutionPolicy::auto())
 }
 
 /// The most general comparison entry point: the analytic model against a

@@ -51,9 +51,7 @@ pub mod node_experiment;
 pub mod registry;
 pub mod report;
 
-pub use compare::{
-    compare_all, compare_session, compare_single_hop, compare_single_hop_with, ComparisonRow,
-};
+pub use compare::{compare_all, compare_session, compare_single_hop, ComparisonRow};
 pub use experiment::{
     ExperimentId, ExperimentOptions, ExperimentOutput, LossKind, Metric, RetryKind,
 };
@@ -63,7 +61,7 @@ pub use registry::{
     check_protocol_set, coherent_spectrum, Experiment, ExperimentSpec, ProtocolEntry,
     ProtocolRegistry, ProtocolSetError, Registry, RegistryError, SpecError, SpecKind, SweepTarget,
 };
-pub use report::{render_csv, render_json, render_table};
+pub use report::{render_csv, render_json};
 
 /// `node-restart-storm`'s fault schedule, capacity model and constants.
 pub mod node_restart_storm {
@@ -153,10 +151,9 @@ mod node_outage {
 // Re-exports of the building blocks.
 pub use siganalytic::spec::SpecError as ProtocolSpecError;
 pub use siganalytic::{
-    integrated_cost, solve_all, solve_all_multi_hop, ConfigError, CostWeights, Delivery,
-    MessageRates, ModelError, MultiHopModel, MultiHopParams, MultiHopSolution,
-    MultiHopSweepSession, Protocol, ProtocolSpec, RefreshMode, Removal, SingleHopModel,
-    SingleHopParams, SingleHopSolution, SingleHopSweepSession,
+    integrated_cost, ConfigError, CostWeights, Delivery, MessageRates, ModelError, MultiHopModel,
+    MultiHopParams, MultiHopSolution, MultiHopSweepSession, Protocol, ProtocolSpec, RefreshMode,
+    Removal, SingleHopModel, SingleHopParams, SingleHopSolution, SingleHopSweepSession,
 };
 pub use sigproto::{
     Campaign, CampaignResult, CrashStatePolicy, FaultError, FaultEvent, FaultSchedule, LinkEffect,

@@ -426,7 +426,7 @@ pub mod outage {
         /// resolution is one bin: a sub-bin bound (e.g. the jittered retry
         /// worst case of a refresh-free spec) is compared rounded up to the
         /// bin it ends in — the tightest claim the trace can corroborate.
-        pub fn dominated(&self) -> bool {
+        fn dominated(&self) -> bool {
             let bin = sigproto::node::ENVELOPE_BIN_SECS;
             let bound_at_resolution = (self.bound_secs / bin).ceil() * bin;
             self.measured_secs.is_finite() && bound_at_resolution >= self.measured_secs

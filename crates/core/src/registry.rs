@@ -155,7 +155,7 @@ impl Registry {
 
     /// Registers an already-boxed experiment (useful when the concrete type
     /// is decided at runtime).
-    pub fn register_boxed(&mut self, experiment: Box<dyn Experiment>) -> Result<(), RegistryError> {
+    fn register_boxed(&mut self, experiment: Box<dyn Experiment>) -> Result<(), RegistryError> {
         let name = experiment.name().to_string();
         if self.get(&name).is_some() {
             return Err(RegistryError::DuplicateName(name));

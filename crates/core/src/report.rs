@@ -9,7 +9,7 @@ use crate::registry::Experiment;
 use sigstats::SeriesSet;
 
 /// Renders a figure as an aligned plain-text table.
-pub fn render_table(set: &SeriesSet) -> String {
+fn render_table(set: &SeriesSet) -> String {
     set.to_table()
 }
 

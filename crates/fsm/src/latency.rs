@@ -180,7 +180,7 @@ impl BoundParams {
     /// The ε-quantile attempt count `N = max(1, ⌈ln ε / ln p_l⌉)`: after `N`
     /// independent delivery attempts the residual failure probability
     /// `p_l^N` is at most `ε`.  Lossless channels need exactly one attempt.
-    pub fn attempts(&self) -> f64 {
+    fn attempts(&self) -> f64 {
         if self.loss <= 0.0 {
             return 1.0;
         }
@@ -194,7 +194,7 @@ impl BoundParams {
     /// total: the capped geometric sum
     /// `Σ_{k=1}^{N−1} min(retry_factor^k, retry_cap)`.  Exactly `N − 1`
     /// under a fixed interval (`retry_factor == 1`).
-    pub fn weighted_retries(&self) -> f64 {
+    fn weighted_retries(&self) -> f64 {
         let n = self.attempts();
         if !n.is_finite() {
             return f64::INFINITY;
@@ -209,7 +209,7 @@ impl BoundParams {
     /// The worst-case number of base intervals all `N` attempts wait in
     /// total (`1 + `[`BoundParams::weighted_retries`]); exactly `N` under a
     /// fixed interval.
-    pub fn weighted_attempts(&self) -> f64 {
+    fn weighted_attempts(&self) -> f64 {
         1.0 + self.weighted_retries()
     }
 }

@@ -110,7 +110,7 @@ impl CheckReport {
     }
 
     /// Total violations across all specs.
-    pub fn violation_count(&self) -> usize {
+    fn violation_count(&self) -> usize {
         self.checks.iter().map(|c| c.violations.len()).sum()
     }
 
@@ -163,6 +163,7 @@ pub fn coherent_specs() -> Vec<ProtocolSpec> {
 /// Checks one spec.  Incoherent specs are rejected up front with the
 /// spec layer's typed [`SpecError`]; coherent specs get the full
 /// four-property treatment (an `Ok` result can still carry violations).
+// sigtidy: allow(unused-pub) — deliberate API: the define-your-own walkthrough in docs/fsm.md checks a new spec with it
 pub fn check_spec(spec: ProtocolSpec) -> Result<SpecCheck, SpecError> {
     spec.validate()?;
     let single = TransitionTable::for_spec(spec);

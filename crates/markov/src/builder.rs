@@ -99,19 +99,6 @@ impl<S: Clone + Eq + Hash + Debug> CtmcBuilder<S> {
         &self.states
     }
 
-    /// Accumulated rate between two states (0 when either is unknown).
-    pub fn rate_between(&self, from: &S, to: &S) -> f64 {
-        match (self.index.get(from), self.index.get(to)) {
-            (Some(&f), Some(&t)) => self
-                .transitions
-                .iter()
-                .filter(|(a, b, _)| *a == f && *b == t)
-                .map(|(_, _, r)| r)
-                .sum(),
-            _ => 0.0,
-        }
-    }
-
     /// All accumulated transitions with their labels, merged per state pair.
     pub fn transitions(&self) -> Vec<Transition<S>> {
         let mut merged: HashMap<(usize, usize), f64> = HashMap::new();
@@ -173,7 +160,6 @@ mod tests {
         b.transition(St::A, St::B, 1.0).unwrap();
         b.transition(St::A, St::B, 0.5).unwrap();
         b.transition(St::B, St::A, 2.0).unwrap();
-        assert_eq!(b.rate_between(&St::A, &St::B), 1.5);
         let chain = b.build().unwrap();
         assert_eq!(chain.rate(0, 1), 1.5);
         assert_eq!(chain.rate(1, 0), 2.0);

@@ -159,72 +159,6 @@ impl Ctmc {
         Ok(out)
     }
 
-    /// Expected total time spent in each state before absorption, starting
-    /// from `start`.
-    ///
-    /// Solves `Q_TTᵀ · u = -e_start` restricted to transient states.  The sum
-    /// of the occupancy vector equals the mean time to absorption from
-    /// `start`, which the tests exploit as a consistency check.
-    pub fn expected_occupancy(
-        &self,
-        start: usize,
-        absorbing: &[usize],
-    ) -> Result<Vec<f64>, CtmcError> {
-        if start >= self.n {
-            return Err(CtmcError::StateOutOfRange {
-                index: start,
-                states: self.n,
-            });
-        }
-        let transient = self.transient_indices(absorbing)?;
-        let start_pos =
-            transient
-                .iter()
-                .position(|&i| i == start)
-                .ok_or(CtmcError::BadStructure(
-                    "start state must be transient for occupancy analysis",
-                ))?;
-        let q = self.generator();
-        let qtt = q.submatrix(&transient)?;
-        let qtt_t = qtt.transpose();
-        let mut b = vec![0.0; transient.len()];
-        b[start_pos] = -1.0;
-        let u = solve(&qtt_t, &b)?;
-        let mut out = vec![0.0; self.n];
-        for (k, &idx) in transient.iter().enumerate() {
-            out[idx] = u[k];
-        }
-        Ok(out)
-    }
-
-    /// Probability of eventually being absorbed in each absorbing state,
-    /// starting from `start`.
-    pub fn absorption_probabilities(
-        &self,
-        start: usize,
-        absorbing: &[usize],
-    ) -> Result<Vec<f64>, CtmcError> {
-        let occ = self.expected_occupancy(start, absorbing)?;
-        let mut probs = vec![0.0; absorbing.len()];
-        for (k, &a) in absorbing.iter().enumerate() {
-            if a >= self.n {
-                return Err(CtmcError::StateOutOfRange {
-                    index: a,
-                    states: self.n,
-                });
-            }
-            // Flow into absorbing state a = Σ_transient occ[i]·rate(i → a).
-            let mut flow = 0.0;
-            for (i, &o) in occ.iter().enumerate() {
-                if o > 0.0 {
-                    flow += o * self.rate(i, a);
-                }
-            }
-            probs[k] = flow;
-        }
-        Ok(probs)
-    }
-
     fn transient_indices(&self, absorbing: &[usize]) -> Result<Vec<usize>, CtmcError> {
         for &a in absorbing {
             if a >= self.n {
@@ -247,6 +181,16 @@ mod tests {
 
     fn approx(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
+    }
+
+    /// Expected total time spent in each transient state before absorption,
+    /// starting from the transient state `start`: `Q_TTᵀ · u = -e_start`.
+    fn expected_occupancy(c: &Ctmc, start: usize, absorbing: &[usize]) -> Vec<f64> {
+        let transient = c.transient_indices(absorbing).unwrap();
+        let qtt = c.generator().submatrix(&transient).unwrap();
+        let mut e = vec![0.0; transient.len()];
+        e[transient.iter().position(|&i| i == start).unwrap()] = -1.0;
+        solve(&qtt.transpose(), &e).unwrap()
     }
 
     /// Two-state birth–death chain with known stationary distribution.
@@ -341,22 +285,8 @@ mod tests {
         c.add_rate(2, 3, 1.0).unwrap();
         c.add_rate(2, 0, 0.3).unwrap();
         let mtta = c.mean_time_to_absorption(&[3]).unwrap();
-        let occ = c.expected_occupancy(0, &[3]).unwrap();
-        let total: f64 = occ.iter().sum();
+        let total: f64 = expected_occupancy(&c, 0, &[3]).iter().sum();
         assert!(approx(total, mtta[0], 1e-10), "{total} vs {}", mtta[0]);
-    }
-
-    #[test]
-    fn absorption_probabilities_sum_to_one() {
-        // State 0 can be absorbed in 2 (rate 1) or 3 (rate 3).
-        let mut c = Ctmc::new(4);
-        c.add_rate(0, 1, 2.0).unwrap();
-        c.add_rate(1, 2, 1.0).unwrap();
-        c.add_rate(1, 3, 3.0).unwrap();
-        let p = c.absorption_probabilities(0, &[2, 3]).unwrap();
-        assert!(approx(p[0], 0.25, 1e-10));
-        assert!(approx(p[1], 0.75, 1e-10));
-        assert!(approx(p.iter().sum::<f64>(), 1.0, 1e-10));
     }
 
     #[test]
@@ -417,16 +347,6 @@ mod tests {
         assert!(matches!(
             c.mean_time_to_absorption(&[7]),
             Err(CtmcError::StateOutOfRange { .. })
-        ));
-    }
-
-    #[test]
-    fn occupancy_from_absorbing_start_errors() {
-        let mut c = Ctmc::new(2);
-        c.add_rate(0, 1, 1.0).unwrap();
-        assert!(matches!(
-            c.expected_occupancy(1, &[1]),
-            Err(CtmcError::BadStructure(_))
         ));
     }
 }

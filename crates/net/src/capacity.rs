@@ -114,11 +114,6 @@ impl CapacityModel {
         self.service_rate == 0.0
     }
 
-    /// Service rate in messages/second (`0.0` when unlimited).
-    pub fn service_rate(&self) -> f64 {
-        self.service_rate
-    }
-
     /// Queue limit in messages (`0` when unlimited).
     pub fn queue_limit(&self) -> u32 {
         self.queue_limit

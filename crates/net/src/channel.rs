@@ -61,7 +61,7 @@ impl ChannelStats {
     }
 
     /// Total messages handed to the channel.
-    pub fn total_sent(&self) -> u64 {
+    fn total_sent(&self) -> u64 {
         self.sent.iter().sum()
     }
 
@@ -90,46 +90,19 @@ impl ChannelStats {
         self.dropped[Self::kind_index(kind)]
     }
 
-    /// Messages of one kind dropped by an injected fault (outage blackout or
-    /// degraded-episode extra loss).
-    pub fn dropped_to_fault(&self, kind: MsgKind) -> u64 {
-        self.dropped_injected[Self::kind_index(kind)]
-    }
-
-    /// Messages of one kind dropped because the receiver's signaling queue
-    /// was full ([`CapacityModel`] overflow).
-    pub fn dropped_to_overload(&self, kind: MsgKind) -> u64 {
-        self.dropped_overload[Self::kind_index(kind)]
-    }
-
-    /// Messages of one kind dropped by the channel's own random loss process.
-    pub fn dropped_to_loss(&self, kind: MsgKind) -> u64 {
-        self.dropped(kind) - self.dropped_to_fault(kind) - self.dropped_to_overload(kind)
-    }
-
     /// Total messages dropped by injected faults, all kinds.
     pub fn total_dropped_to_fault(&self) -> u64 {
         self.dropped_injected.iter().sum()
     }
 
     /// Total messages dropped to receiver overload, all kinds.
-    pub fn total_dropped_to_overload(&self) -> u64 {
+    fn total_dropped_to_overload(&self) -> u64 {
         self.dropped_overload.iter().sum()
     }
 
     /// Total messages dropped by the random loss process, all kinds.
     pub fn total_dropped_to_loss(&self) -> u64 {
         self.total_dropped() - self.total_dropped_to_fault() - self.total_dropped_to_overload()
-    }
-
-    /// Total messages that count toward the signaling-overhead metric
-    /// (excludes the external failure-detection signal, per the paper).
-    pub fn total_signaling_sent(&self) -> u64 {
-        MsgKind::ALL
-            .iter()
-            .filter(|k| k.counts_as_signaling())
-            .map(|k| self.sent(*k))
-            .sum()
     }
 
     /// Empirical loss rate of the channel so far.
@@ -286,6 +259,21 @@ impl Channel {
 }
 
 #[cfg(test)]
+impl ChannelStats {
+    /// Messages of one kind dropped by an injected fault (outage blackout or
+    /// degraded-episode extra loss).
+    fn dropped_to_fault(&self, kind: MsgKind) -> u64 {
+        self.dropped_injected[Self::kind_index(kind)]
+    }
+
+    /// Messages of one kind dropped because the receiver's signaling queue
+    /// was full ([`CapacityModel`] overflow).
+    fn dropped_to_overload(&self, kind: MsgKind) -> u64 {
+        self.dropped_overload[Self::kind_index(kind)]
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -353,7 +341,6 @@ mod tests {
         assert_eq!(ch.stats().sent(MsgKind::Refresh), 2);
         assert_eq!(ch.stats().sent(MsgKind::Removal), 0);
         assert_eq!(ch.stats().total_sent(), 4);
-        assert_eq!(ch.stats().total_signaling_sent(), 3);
     }
 
     #[test]
@@ -445,7 +432,10 @@ mod tests {
         let injected = stats.total_dropped_to_fault() as f64 / stats.total_sent() as f64;
         assert!((total - 0.55).abs() < 0.01, "total = {total}");
         assert!((injected - 0.45).abs() < 0.01, "injected = {injected}");
-        assert!(stats.dropped_to_loss(MsgKind::Refresh) > 0);
+        let kind = MsgKind::Refresh;
+        let random =
+            stats.dropped(kind) - stats.dropped_to_fault(kind) - stats.dropped_to_overload(kind);
+        assert!(random > 0);
     }
 
     #[test]
@@ -556,6 +546,59 @@ mod tests {
                 if let Some(arrival) = ch.transmit(&mut rng, now, MsgKind::Trigger).arrival() {
                     prop_assert!(arrival >= now);
                 }
+            }
+        }
+
+        #[test]
+        fn prop_per_kind_counts_are_conserved(
+            lossy in any::<bool>(),
+            p in 0.0f64..0.6,
+            outage in (0.0f64..40.0, 0.1f64..20.0),
+            degrade in (any::<bool>(), 0.0f64..20.0, 0.1f64..30.0, 0.0f64..1.0),
+            capacity in (0.5f64..50.0, 1u32..8),
+            sends in proptest::collection::vec((0..MsgKind::ALL.len(), 0.0f64..0.5), 1..300),
+        ) {
+            // Random loss (or none), an outage then maybe a degraded episode,
+            // and a finite receiver: per kind, every message sent is either
+            // delivered or dropped, the delivered count is what the caller
+            // saw, and the fault and overload drops are subsets of the drops.
+            let p = if lossy { p } else { 0.0 };
+            let (outage_start, outage_len) = outage;
+            let (degraded, gap, degrade_len, degrade_loss) = degrade;
+            let mut schedule = crate::FaultSchedule::outage(outage_start, outage_len).unwrap();
+            if degraded {
+                let episode = crate::FaultEvent::Degrade {
+                    start: outage_start + outage_len + gap,
+                    duration: degrade_len,
+                    loss: degrade_loss,
+                };
+                schedule = schedule.with(episode).unwrap();
+            }
+            let model = crate::CapacityModel::limited(capacity.0, capacity.1).unwrap();
+            let mut ch = Channel::bernoulli(p, DelayModel::exponential(0.05))
+                .with_fault_schedule(schedule)
+                .with_capacity(model);
+            let mut rng = SimRng::new(sends.len() as u64);
+            let mut observed = [0u64; MsgKind::ALL.len()];
+            let mut now = 0.0;
+            for (k, dt) in sends {
+                now += dt;
+                let kind = MsgKind::ALL[k];
+                if let TransmitOutcome::Delivered { .. } = ch.transmit(&mut rng, now, kind) {
+                    observed[k] += 1;
+                }
+            }
+            let stats = ch.stats();
+            for (k, kind) in MsgKind::ALL.into_iter().enumerate() {
+                prop_assert_eq!(stats.sent(kind), stats.delivered(kind) + stats.dropped(kind));
+                prop_assert_eq!(stats.delivered(kind), observed[k]);
+                prop_assert!(
+                    stats.dropped_to_fault(kind) + stats.dropped_to_overload(kind)
+                        <= stats.dropped(kind)
+                );
+            }
+            if p == 0.0 && !degraded {
+                prop_assert_eq!(stats.total_dropped_to_loss(), 0);
             }
         }
     }

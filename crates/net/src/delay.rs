@@ -1,8 +1,8 @@
 //! Delay processes.
 //!
 //! The analytic model approximates the one-way channel delay as exponential
-//! with mean `Δ`; deployed networks are closer to a fixed propagation delay
-//! plus jitter.  Both are available here.  The channel additionally enforces
+//! with mean `Δ`; deployed networks are closer to a fixed propagation delay.
+//! Both are available here.  The channel additionally enforces
 //! FIFO delivery (no reordering), matching the paper's channel assumptions.
 
 use simcore::{Dist, SimRng, TimerMode};
@@ -12,9 +12,6 @@ use simcore::{Dist, SimRng, TimerMode};
 pub struct DelayModel {
     /// Base delay distribution.
     pub base: Dist,
-    /// Optional uniform jitter added on top of the base delay, in seconds
-    /// (`[0, jitter)`).
-    pub jitter: f64,
 }
 
 impl DelayModel {
@@ -22,7 +19,6 @@ impl DelayModel {
     pub fn fixed(seconds: f64) -> Self {
         Self {
             base: Dist::Deterministic(seconds),
-            jitter: 0.0,
         }
     }
 
@@ -31,7 +27,6 @@ impl DelayModel {
     pub fn exponential(mean: f64) -> Self {
         Self {
             base: Dist::Exponential { mean },
-            jitter: 0.0,
         }
     }
 
@@ -40,28 +35,17 @@ impl DelayModel {
     pub fn from_mode(mode: TimerMode, mean: f64) -> Self {
         Self {
             base: mode.dist(mean),
-            jitter: 0.0,
         }
-    }
-
-    /// Adds uniform jitter in `[0, jitter)` seconds.
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        self.jitter = jitter.max(0.0);
-        self
     }
 
     /// Mean one-way delay.
     pub fn mean(&self) -> f64 {
-        self.base.mean() + self.jitter / 2.0
+        self.base.mean()
     }
 
     /// Draws one delay sample (always non-negative).
     pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        let mut d = self.base.sample(rng);
-        if self.jitter > 0.0 {
-            d += rng.uniform_range(0.0, self.jitter);
-        }
-        d.max(0.0)
+        self.base.sample(rng).max(0.0)
     }
 }
 
@@ -86,23 +70,6 @@ mod tests {
         let n = 100_000;
         let s: f64 = (0..n).map(|_| d.sample(&mut rng)).sum();
         assert!((s / n as f64 - 0.1).abs() < 0.005);
-    }
-
-    #[test]
-    fn jitter_raises_mean_and_stays_in_range() {
-        let d = DelayModel::fixed(0.05).with_jitter(0.02);
-        assert!((d.mean() - 0.06).abs() < 1e-12);
-        let mut rng = SimRng::new(3);
-        for _ in 0..1000 {
-            let s = d.sample(&mut rng);
-            assert!((0.05..0.07).contains(&s), "sample = {s}");
-        }
-    }
-
-    #[test]
-    fn negative_jitter_is_clamped() {
-        let d = DelayModel::fixed(0.05).with_jitter(-1.0);
-        assert_eq!(d.jitter, 0.0);
     }
 
     #[test]

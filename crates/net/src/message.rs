@@ -52,12 +52,6 @@ impl MsgKind {
         !matches!(self, MsgKind::ExternalSignal)
     }
 
-    /// Whether the message travels sender → receiver (forward) or
-    /// receiver → sender (backward).
-    pub fn is_forward(self) -> bool {
-        matches!(self, MsgKind::Trigger | MsgKind::Refresh | MsgKind::Removal)
-    }
-
     /// All message kinds, in a stable order (used by per-kind counters).
     pub const ALL: [MsgKind; 8] = [
         MsgKind::Trigger,
@@ -114,12 +108,6 @@ impl SignalMessage {
             hop: 0,
         }
     }
-
-    /// Copy of the message addressed to the next hop.
-    pub fn forwarded(mut self) -> Self {
-        self.hop += 1;
-        self
-    }
 }
 
 impl fmt::Display for SignalMessage {
@@ -146,26 +134,6 @@ mod tests {
                 assert!(counted, "{kind} should be counted");
             }
         }
-    }
-
-    #[test]
-    fn forward_and_backward_directions() {
-        assert!(MsgKind::Trigger.is_forward());
-        assert!(MsgKind::Refresh.is_forward());
-        assert!(MsgKind::Removal.is_forward());
-        assert!(!MsgKind::TriggerAck.is_forward());
-        assert!(!MsgKind::RemovalNotice.is_forward());
-        assert!(!MsgKind::ExternalSignal.is_forward());
-    }
-
-    #[test]
-    fn forwarded_increments_hop() {
-        let m = SignalMessage::new(MsgKind::Trigger, 3, 7);
-        assert_eq!(m.hop, 0);
-        let f = m.forwarded().forwarded();
-        assert_eq!(f.hop, 2);
-        assert_eq!(f.value, 3);
-        assert_eq!(f.seq, 7);
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! Section III-B models a chain of `K` hops between the signaling sender and
 //! the final receiver, with state installed at every node along the path.
 //! [`Path`] owns the `K` channels (which may be heterogeneous — an extension
-//! over the paper's homogeneous-hop assumption) and exposes aggregate
-//! statistics.
+//! over the paper's homogeneous-hop assumption).
 
-use crate::channel::{Channel, ChannelStats, TransmitOutcome};
+use crate::channel::{Channel, TransmitOutcome};
 use crate::delay::DelayModel;
 use crate::message::MsgKind;
 use simcore::SimRng;
@@ -74,35 +73,6 @@ impl Path {
     ) -> TransmitOutcome {
         self.hops[i].transmit(rng, now, kind)
     }
-
-    /// Probability that a message survives hops `0..=i` (i.e. reaches the
-    /// node after hop `i`), from the hops' long-run loss probabilities.
-    pub fn survival_probability(&self, i: usize) -> f64 {
-        self.hops
-            .iter()
-            .take(i + 1)
-            .map(|h| 1.0 - h.loss_probability())
-            .product()
-    }
-
-    /// End-to-end mean one-way delay (sum of hop means).
-    pub fn end_to_end_mean_delay(&self) -> f64 {
-        self.hops.iter().map(|h| h.mean_delay()).sum()
-    }
-
-    /// Aggregate statistics over all hops.
-    pub fn total_stats(&self) -> ChannelStats {
-        let mut s = ChannelStats::default();
-        for h in &self.hops {
-            s.merge(h.stats());
-        }
-        s
-    }
-
-    /// Per-hop statistics.
-    pub fn per_hop_stats(&self) -> Vec<ChannelStats> {
-        self.hops.iter().map(|h| *h.stats()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -114,10 +84,10 @@ mod tests {
         let p = Path::homogeneous(5, 0.1, DelayModel::fixed(0.03));
         assert_eq!(p.len(), 5);
         assert!(!p.is_empty());
-        assert!((p.end_to_end_mean_delay() - 0.15).abs() < 1e-12);
-        assert!((p.survival_probability(0) - 0.9).abs() < 1e-12);
-        assert!((p.survival_probability(4) - 0.9f64.powi(5)).abs() < 1e-12);
-        assert!(p.hop(4).is_some());
+        for i in 0..5 {
+            let hop = p.hop(i).unwrap();
+            assert_eq!((hop.loss_probability(), hop.mean_delay()), (0.1, 0.03));
+        }
         assert!(p.hop(5).is_none());
     }
 
@@ -128,8 +98,8 @@ mod tests {
             Channel::bernoulli(0.5, DelayModel::fixed(0.02)),
         ]);
         assert_eq!(p.len(), 2);
-        assert!((p.survival_probability(1) - 0.5).abs() < 1e-12);
-        assert!((p.end_to_end_mean_delay() - 0.03).abs() < 1e-12);
+        assert_eq!(p.hop(1).unwrap().loss_probability(), 0.5);
+        assert_eq!(p.hop(1).unwrap().mean_delay(), 0.02);
     }
 
     #[test]
@@ -141,10 +111,8 @@ mod tests {
         let mut rng = SimRng::new(1);
         assert!(!p.transmit(0, &mut rng, 0.0, MsgKind::Trigger).is_lost());
         assert!(p.transmit(1, &mut rng, 0.0, MsgKind::Trigger).is_lost());
-        let stats = p.per_hop_stats();
-        assert_eq!(stats[0].total_delivered(), 1);
-        assert_eq!(stats[1].total_dropped(), 1);
-        assert_eq!(p.total_stats().total_sent(), 2);
+        assert_eq!(p.hop(0).unwrap().stats().total_delivered(), 1);
+        assert_eq!(p.hop(1).unwrap().stats().total_dropped(), 1);
     }
 
     #[test]
@@ -157,15 +125,17 @@ mod tests {
             assert!(p.transmit(i, &mut rng, 5.0, MsgKind::Trigger).is_lost());
             assert!(!p.transmit(i, &mut rng, 15.0, MsgKind::Trigger).is_lost());
         }
-        assert_eq!(p.total_stats().total_dropped_to_fault(), 3);
-        assert_eq!(p.total_stats().total_dropped_to_loss(), 0);
+        for i in 0..3 {
+            let stats = p.hop(i).unwrap().stats();
+            assert_eq!(stats.total_dropped_to_fault(), 1);
+            assert_eq!(stats.total_dropped_to_loss(), 0);
+        }
     }
 
     #[test]
     fn empty_path_is_empty() {
         let p = Path::new(vec![]);
         assert!(p.is_empty());
-        assert_eq!(p.end_to_end_mean_delay(), 0.0);
-        assert_eq!(p.total_stats().total_sent(), 0);
+        assert!(p.hop(0).is_none());
     }
 }

@@ -811,7 +811,7 @@ impl NodeSim {
     }
 
     /// Wall-clock phase breakdown accumulated so far.
-    pub fn phase_timings(&self) -> PhaseTimings {
+    fn phase_timings(&self) -> PhaseTimings {
         self.phase
     }
 
@@ -993,7 +993,7 @@ impl NodeSim {
     /// [`MessageCounts::signaling_total`]).
     fn record_message(&mut self, kind: MsgKind) {
         self.counts.record(kind);
-        if kind != MsgKind::ExternalSignal {
+        if kind.counts_as_signaling() {
             self.envelope.record(self.now);
         }
     }

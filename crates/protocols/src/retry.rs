@@ -83,26 +83,6 @@ impl RetryPolicy {
         }
     }
 
-    /// The worst-case interval multiplier of attempt `k` (0-based): the
-    /// factor the symbolic latency bound multiplies the base interval by.
-    /// Fixed and jittered policies never wait longer than the cap; backoff
-    /// waits `min(factor^k, cap_mult)`.
-    pub fn worst_case_mult(&self, k: u32) -> f64 {
-        match *self {
-            RetryPolicy::Fixed => 1.0,
-            RetryPolicy::Backoff { factor, cap_mult } => factor.powi(k as i32).min(cap_mult),
-            // A decorrelated draw is bounded by the cap from the first
-            // re-arm on.
-            RetryPolicy::Jittered { cap_mult } => {
-                if k == 0 {
-                    1.0
-                } else {
-                    cap_mult
-                }
-            }
-        }
-    }
-
     /// The `(factor, cap_mult)` pair the symbolic latency bound plugs into
     /// its capped-geometric retry sum so that the bound dominates every
     /// attempt interval this policy can produce.
@@ -297,7 +277,6 @@ mod tests {
                     "{}: attempt {k} sampled {sampled} > bound {bound}",
                     policy.label()
                 );
-                assert!(policy.worst_case_mult(k) <= cap_mult.max(1.0) + 1e-12);
             }
         }
     }

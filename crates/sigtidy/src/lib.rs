@@ -19,7 +19,8 @@
 //!   code (typed errors are the house style);
 //! * **structural sync checks** ([`structural`]): the experiment registry
 //!   vs `EXPERIMENTS.md`, committed bench baselines vs registered bench
-//!   targets, and the CI workflow vs every smoke it claims to invoke.
+//!   targets, the CI workflow vs every smoke it claims to invoke, and the
+//!   public surface vs its callers (`unused-pub`).
 //!
 //! Any lint can be waived at a specific site with
 //! `// sigtidy: allow(<lint>) — <reason>` on the offending line or the
@@ -38,8 +39,8 @@ pub mod lints;
 pub mod scan;
 pub mod structural;
 
-pub use lints::{classify, is_library_path, lint_file, CrateClass, Finding, LINTS};
-pub use structural::structural_findings;
+pub use lints::{classify, lint_file, CrateClass, Finding, LINTS};
+pub use structural::{structural_findings, unused_pub};
 
 use std::path::{Path, PathBuf};
 

@@ -12,6 +12,7 @@ pub const LINTS: &[&str] = &[
     "nondeterministic-rng",
     "unordered-map-iter",
     "no-unwrap",
+    "unused-pub",
     "allow-needs-reason",
 ];
 
@@ -72,12 +73,12 @@ pub fn classify(crate_dir: &str) -> CrateClass {
 /// Whether a source path (relative to the crate's `src/`) is library code,
 /// where the `no-unwrap` lint applies.  Binaries (`main.rs`, `bin/*`) own
 /// their process and may exit or panic at the top level.
-pub fn is_library_path(rel_in_src: &str) -> bool {
+fn is_library_path(rel_in_src: &str) -> bool {
     rel_in_src != "main.rs" && !rel_in_src.starts_with("bin/")
 }
 
 /// An `// sigtidy: allow(<lint>) — <reason>` escape parsed from one line.
-struct Allow {
+pub(crate) struct Allow {
     lint: String,
     has_reason: bool,
     known: bool,
@@ -88,7 +89,7 @@ const ALLOW_MARKER: &str = "sigtidy: allow(";
 /// Parses the escape comment on one line, if any.  The marker counts only
 /// inside an actual `//` line comment — not in string literals, and not in
 /// doc comments (`///`, `//!`), which merely *document* the syntax.
-fn parse_allow(line: &SourceLine) -> Option<Allow> {
+pub(crate) fn parse_allow(line: &SourceLine) -> Option<Allow> {
     // Blanking is char-for-char, so the char offset of the comment opener
     // in `code` (comments keep their leading `//`) is valid in `raw` too.
     let comment_chars = line
@@ -116,6 +117,13 @@ fn parse_allow(line: &SourceLine) -> Option<Allow> {
         lint,
         has_reason: !reason.is_empty(),
     })
+}
+
+/// Whether an allow for `lint` sits on line `i` or on the line
+/// immediately above it, which suppresses the lint there.
+pub(crate) fn allowed(allows: &[Option<Allow>], lint: &str, i: usize) -> bool {
+    let covers = |a: &Option<Allow>| a.as_ref().is_some_and(|a| a.known && a.lint == lint);
+    covers(&allows[i]) || (i > 0 && covers(&allows[i - 1]))
 }
 
 /// Word-boundary containment: `needle` appears in `hay` not flanked by
@@ -271,13 +279,6 @@ pub fn lint_file(class: CrateClass, file: &str, rel_in_src: &str, text: &str) ->
         }
     }
 
-    // An allow on the offending line or on the line immediately above
-    // suppresses the lint.
-    let allowed = |lint: &str, i: usize| -> bool {
-        let covers = |a: &Option<Allow>| a.as_ref().is_some_and(|a| a.known && a.lint == lint);
-        covers(&allows[i]) || (i > 0 && covers(&allows[i - 1]))
-    };
-
     let library = is_library_path(rel_in_src);
     let maps = if class == CrateClass::ResultPath {
         map_identifiers(&lines)
@@ -291,7 +292,7 @@ pub fn lint_file(class: CrateClass, file: &str, rel_in_src: &str, text: &str) ->
         }
         let code = &line.code;
         let mut push = |lint: &'static str, message: String| {
-            if !allowed(lint, i) {
+            if !allowed(&allows, lint, i) {
                 findings.push(Finding {
                     file: file.to_string(),
                     line: i + 1,

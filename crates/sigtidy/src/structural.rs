@@ -1,14 +1,17 @@
 //! Cross-file sync checks, generalizing `tests/doc_sync.rs`: the
 //! experiment registry vs `EXPERIMENTS.md`, the committed bench baselines
-//! vs the bench targets registered in `crates/bench/Cargo.toml`, and the CI
-//! workflow vs everything it claims to invoke.
+//! vs the bench targets registered in `crates/bench/Cargo.toml`, the CI
+//! workflow vs everything it claims to invoke, and every `pub fn` vs the
+//! source files that name it.
 //!
 //! All registry truth comes from the live `sigbench` registries — the same
 //! constructors `repro` runs — so these checks can never drift from the
 //! binary's actual behavior.
 
 use crate::json;
-use crate::lints::Finding;
+use crate::lints::{allowed, classify, parse_allow, CrateClass, Finding};
+use crate::scan::scan;
+use std::collections::BTreeMap;
 use std::path::Path;
 
 fn finding(file: &str, line: usize, message: String) -> Finding {
@@ -34,7 +37,115 @@ pub fn structural_findings(root: &Path) -> Vec<Finding> {
     check_experiments_doc(root, &mut findings);
     check_bench_baselines(root, &mut findings);
     check_ci_workflow(root, &mut findings);
+    match public_surface_sources(root) {
+        Ok(sources) => findings.extend(unused_pub(&sources)),
+        Err(e) => findings.push(finding(".", 1, format!("cannot read the source tree: {e}"))),
+    }
     findings
+}
+
+/// `(repo-relative path, text)` of every file the `unused-pub` check reads:
+/// each workspace crate's `src/`, `tests/` and `benches/` (lint fixtures
+/// excluded: they are data, not code), the facade's `src/`, `tests/` and
+/// `examples/`, and `sigperf/src`.
+fn public_surface_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+    let mut dirs: Vec<String> = Vec::new();
+    for (name, _) in crate::workspace_crates(root)? {
+        for sub in ["src", "tests", "benches"] {
+            dirs.push(format!("crates/{name}/{sub}"));
+        }
+    }
+    dirs.extend(["src", "tests", "examples", "sigperf/src"].map(String::from));
+    let mut sources = Vec::new();
+    for dir in dirs {
+        let dir_path = root.join(&dir);
+        if !dir_path.is_dir() {
+            continue;
+        }
+        for file in crate::rust_sources(&dir_path)? {
+            let path = format!("{dir}/{}", crate::relative(&file, &dir_path));
+            if !path.contains("/fixtures/") {
+                sources.push((path, std::fs::read_to_string(&file)?));
+            }
+        }
+    }
+    Ok(sources)
+}
+
+/// The `unused-pub` check over `(repo-relative path, text)` sources: a
+/// non-test `pub fn` in a linted crate's `src/` must be named, outside
+/// comments, strings and `pub use` re-exports, in at least one *other*
+/// source file.  One named only in its own file should not be public;
+/// one named nowhere should not exist.  Deliberate API (a reference
+/// implementation, an entry point for examples or docs) is waived with
+/// `// sigtidy: allow(unused-pub) — <reason>`.
+pub fn unused_pub(sources: &[(String, String)]) -> Vec<Finding> {
+    let scanned: Vec<_> = sources.iter().map(|(_, text)| scan(text)).collect();
+    // How many files name each identifier.
+    let mut files_naming: BTreeMap<&str, usize> = BTreeMap::new();
+    for lines in &scanned {
+        let mut idents: Vec<&str> = Vec::new();
+        let mut in_pub_use = false;
+        for line in lines {
+            // A `pub use` re-export names an item without using it.
+            let code = line.code.trim_start();
+            in_pub_use = in_pub_use || code.starts_with("pub use ");
+            if !in_pub_use {
+                idents.extend(code.split(|c: char| !(c.is_alphanumeric() || c == '_')));
+            }
+            in_pub_use = in_pub_use && !code.contains(';');
+        }
+        idents.sort_unstable();
+        idents.dedup();
+        for ident in idents {
+            *files_naming.entry(ident).or_default() += 1;
+        }
+    }
+    let mut findings = Vec::new();
+    for ((path, _), lines) in sources.iter().zip(&scanned) {
+        let linted = path
+            .strip_prefix("crates/")
+            .and_then(|rest| rest.split_once("/src/"))
+            .is_some_and(|(krate, _)| classify(krate) != CrateClass::DevTool);
+        if !linted {
+            continue;
+        }
+        let allows: Vec<_> = lines.iter().map(parse_allow).collect();
+        for (i, line) in lines.iter().enumerate() {
+            let Some(name) = pub_fn_name(&line.code) else {
+                continue;
+            };
+            // The definition itself is one file naming it.
+            if line.in_test || files_naming.get(name).is_some_and(|&n| n > 1) {
+                continue;
+            }
+            if !allowed(&allows, "unused-pub", i) {
+                findings.push(Finding {
+                    file: path.clone(),
+                    line: i + 1,
+                    lint: "unused-pub",
+                    message: format!(
+                        "`pub fn {name}` is named in no other source file: delete it, narrow \
+                         its visibility, or waive deliberate API with \
+                         `// sigtidy: allow(unused-pub) — <why>`"
+                    ),
+                });
+            }
+        }
+    }
+    findings
+}
+
+/// The name defined by a `pub [const] fn <name>` line of blanked code
+/// (`pub(crate)` and other scoped visibilities excluded).
+fn pub_fn_name(code: &str) -> Option<&str> {
+    let rest = code.trim_start().strip_prefix("pub ")?;
+    let rest = rest.strip_prefix("const ").unwrap_or(rest);
+    let rest = rest.strip_prefix("fn ")?.trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    (end > 0).then(|| &rest[..end])
 }
 
 /// `EXPERIMENTS.md` must embed every line `repro --list-md` generates —
@@ -251,6 +362,16 @@ mod tests {
         // A stale row (changed tags) or a partial line does not count.
         let stale = "| a | x |\n| b | z |\n| b | y | extra\n";
         assert_eq!(missing_rows(stale, &rows), vec![(2, "| b | y |")]);
+    }
+
+    #[test]
+    fn pub_fn_definitions_are_recognised() {
+        assert_eq!(pub_fn_name("    pub fn run(&self) {"), Some("run"));
+        assert_eq!(pub_fn_name("pub const fn new() -> Self {"), Some("new"));
+        assert_eq!(pub_fn_name("pub(crate) fn helper() {"), None);
+        assert_eq!(pub_fn_name("fn private() {"), None);
+        assert_eq!(pub_fn_name("pub fn $name() {}"), None);
+        assert_eq!(pub_fn_name("pub fields: u32,"), None);
     }
 
     #[test]

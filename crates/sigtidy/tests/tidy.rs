@@ -71,6 +71,21 @@ fn the_escape_hatch_is_itself_linted() {
 }
 
 #[test]
+fn unused_pub_wants_a_name_in_another_file() {
+    let lib = include_str!("fixtures/unused_pub.rs");
+    let caller = "pub use demo::{called_elsewhere,\n    only_re_exported};\n\
+                  // named_in_a_comment\n\
+                  fn main() { demo::called_elsewhere(); let _ = \"named_in_a_comment\"; }\n";
+    let sources = |lib_path: &str| {
+        [(lib_path, lib), ("tests/caller.rs", caller)].map(|(p, t)| (p.to_string(), t.to_string()))
+    };
+    let findings = sigtidy::unused_pub(&sources("crates/demo/src/lib.rs"));
+    assert_eq!(lines_of(&findings, "unused-pub"), vec![7, 11, 13]);
+    // Dev-tool stand-ins mirror external APIs and are exempt.
+    assert!(sigtidy::unused_pub(&sources("crates/devtools/demo/src/lib.rs")).is_empty());
+}
+
+#[test]
 fn live_tree_lints_clean() {
     // The gate CI runs, under plain `cargo test`: the workspace itself must
     // have no findings — forbidden APIs, hygiene, or structural drift.

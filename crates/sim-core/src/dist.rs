@@ -55,16 +55,6 @@ impl Dist {
             Dist::Exponential { mean } => rng.exponential_mean(*mean),
         }
     }
-
-    /// Returns a scaled copy (both flavours scale linearly in their mean).
-    pub fn scaled(&self, factor: f64) -> Dist {
-        match self {
-            Dist::Deterministic(v) => Dist::Deterministic(v * factor),
-            Dist::Exponential { mean } => Dist::Exponential {
-                mean: mean * factor,
-            },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -98,12 +88,6 @@ mod tests {
             TimerMode::Exponential.dist(5.0),
             Dist::Exponential { mean: 5.0 }
         );
-    }
-
-    #[test]
-    fn scaling_scales_mean() {
-        assert_eq!(Dist::Deterministic(2.0).scaled(3.0).mean(), 6.0);
-        assert_eq!(Dist::Exponential { mean: 2.0 }.scaled(0.5).mean(), 1.0);
     }
 
     #[test]

@@ -88,11 +88,6 @@ impl Lanes {
         self.keys
     }
 
-    /// Keys the pool can hold before allocating another block.
-    pub(crate) fn capacity(&self) -> usize {
-        self.blocks.len() * BLOCK
-    }
-
     /// Bytes retained by the pool and the lane table.
     pub(crate) fn memory_bytes(&self) -> usize {
         self.blocks.len() * std::mem::size_of::<[HeapKey; BLOCK]>()
@@ -187,5 +182,13 @@ impl Lanes {
         self.blocks.push(Box::new([EMPTY; BLOCK]));
         self.next.push(NONE);
         (self.blocks.len() - 1) as u32
+    }
+}
+
+#[cfg(test)]
+impl Lanes {
+    /// Keys the pool can hold before allocating another block.
+    pub(crate) fn capacity(&self) -> usize {
+        self.blocks.len() * BLOCK
     }
 }

@@ -254,10 +254,6 @@ impl HeapCore {
         self.heap.len()
     }
 
-    fn capacity(&self) -> usize {
-        self.heap.capacity()
-    }
-
     fn memory_bytes(&self) -> usize {
         self.heap.capacity() * std::mem::size_of::<HeapKey>()
     }
@@ -506,13 +502,6 @@ impl KeyStore {
         }
     }
 
-    fn capacity(&self) -> usize {
-        match self {
-            KeyStore::Heap(h) => h.capacity(),
-            KeyStore::Calendar(c) => c.capacity(),
-        }
-    }
-
     fn memory_bytes(&self) -> usize {
         match self {
             KeyStore::Heap(h) => h.memory_bytes(),
@@ -574,8 +563,7 @@ impl KeyStore {
 ///
 /// The `seq` tie-breaker and [`EventQueue::popped_count`] are `u64`, so
 /// multi-day runs popping 10¹⁰⁺ events cannot wrap them; pre-size with
-/// [`EventQueue::with_capacity`] (audited via [`EventQueue::key_capacity`] /
-/// [`EventQueue::slot_capacity`]) to keep steady-state churn reallocation
+/// [`EventQueue::with_capacity`] to keep steady-state churn reallocation
 /// free.
 #[derive(Debug)]
 pub struct EventQueue<E> {
@@ -663,19 +651,6 @@ impl<E> EventQueue<E> {
     /// freed when it surfaces as the minimum in `pop`/`peek_time`).
     pub fn cancelled_backlog(&self) -> usize {
         self.keys.len() - self.live
-    }
-
-    /// Pending-key capacity of the ordering core: how many keys (live +
-    /// stale) it can hold before allocating.  Together with
-    /// [`EventQueue::slot_capacity`] this audits that a pre-sized queue's
-    /// steady-state churn stays reallocation free.
-    pub fn key_capacity(&self) -> usize {
-        self.keys.capacity()
-    }
-
-    /// Payload-slot capacity of the slab arena.
-    pub fn slot_capacity(&self) -> usize {
-        self.slots.capacity()
     }
 
     /// Bytes currently retained by the queue (ordering keys, payload slab,
@@ -1004,12 +979,6 @@ impl<E: PackedEvent> PackedQueue<E> {
         self.core_filed
     }
 
-    /// Key capacity of the ordering core and the lanes' block pool: how
-    /// many keys they can hold before allocating.
-    pub fn key_capacity(&self) -> usize {
-        self.keys.capacity() + self.lanes.capacity()
-    }
-
     /// Bytes currently retained by the queue (ordering keys and lane
     /// blocks).
     pub fn memory_bytes(&self) -> usize {
@@ -1194,6 +1163,49 @@ impl<E: PackedEvent> PackedQueue<E> {
             time: key.time,
             seq: key.seq,
             event: E::unpack(key.payload()),
+        }
+    }
+}
+
+/// Key and slot capacities, which the tests audit to show that pre-sized
+/// queues run reallocation free.
+#[cfg(test)]
+mod capacities {
+    use super::*;
+
+    impl HeapCore {
+        fn capacity(&self) -> usize {
+            self.heap.capacity()
+        }
+    }
+
+    impl KeyStore {
+        pub(super) fn capacity(&self) -> usize {
+            match self {
+                KeyStore::Heap(h) => h.capacity(),
+                KeyStore::Calendar(c) => c.capacity(),
+            }
+        }
+    }
+
+    impl<E> EventQueue<E> {
+        /// Pending-key capacity of the ordering core: how many keys (live +
+        /// stale) it can hold before allocating.
+        pub(super) fn key_capacity(&self) -> usize {
+            self.keys.capacity()
+        }
+
+        /// Payload-slot capacity of the slab arena.
+        pub(super) fn slot_capacity(&self) -> usize {
+            self.slots.capacity()
+        }
+    }
+
+    impl<E: PackedEvent> PackedQueue<E> {
+        /// Key capacity of the ordering core and the lanes' block pool: how
+        /// many keys they can hold before allocating.
+        pub(super) fn key_capacity(&self) -> usize {
+            self.keys.capacity() + self.lanes.capacity()
         }
     }
 }
@@ -1489,7 +1501,6 @@ mod tests {
     /// integer: the order keys had before they were ranked by bits, kept
     /// here as the oracle for `HeapKey::rank`.
     fn tuple_order(a: (f64, u64), b: (f64, u64)) -> std::cmp::Ordering {
-        // sigtidy: allow(no-unwrap) — test oracle over non-NaN times
         a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1))
     }
 

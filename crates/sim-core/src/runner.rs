@@ -71,7 +71,7 @@ impl ExecutionPolicy {
     }
 
     /// The number of worker threads this policy uses for `count` jobs.
-    pub fn worker_count(&self, count: usize) -> usize {
+    fn worker_count(&self, count: usize) -> usize {
         match self {
             ExecutionPolicy::Serial => 1,
             ExecutionPolicy::Threads(n) => n.get().min(count).max(1),

@@ -58,7 +58,7 @@ impl SimTime {
 
     /// Duration in seconds from `earlier` to `self`; zero if `earlier` is
     /// later than `self`.
-    pub fn since(self, earlier: SimTime) -> f64 {
+    fn since(self, earlier: SimTime) -> f64 {
         (self.0 - earlier.0).max(0.0)
     }
 }

@@ -10,7 +10,8 @@
 
 use crate::queue::{EventId, EventQueue};
 
-/// A restartable one-shot timer bound to a specific event payload producer.
+/// A restartable one-shot timer: the id of its pending expiry, if any, and
+/// nothing else.
 ///
 /// The timer does not own the queue — every operation takes the queue as an
 /// argument — which keeps borrow-checking simple inside protocol agents that
@@ -18,10 +19,6 @@ use crate::queue::{EventId, EventQueue};
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Timer {
     pending: Option<EventId>,
-    /// Number of times the timer has fired (acknowledged via [`Timer::on_fired`]).
-    fired: u64,
-    /// Number of times the timer has been armed or re-armed.
-    armed: u64,
 }
 
 impl Timer {
@@ -33,16 +30,6 @@ impl Timer {
     /// Whether an expiry event is currently scheduled.
     pub fn is_armed(&self) -> bool {
         self.pending.is_some()
-    }
-
-    /// How many times the timer fired.
-    pub fn fired_count(&self) -> u64 {
-        self.fired
-    }
-
-    /// How many times the timer was (re)armed.
-    pub fn armed_count(&self) -> u64 {
-        self.armed
     }
 
     /// (Re)arms the timer to fire after `delay` seconds, replacing any
@@ -72,7 +59,6 @@ impl Timer {
             Some(id) => queue.reschedule_in(id, delay, event),
             None => queue.schedule_in(delay, event),
         });
-        self.armed += 1;
     }
 
     /// Cancels the pending expiry, if any.  Returns `true` when something was
@@ -92,7 +78,6 @@ impl Timer {
     pub fn on_fired(&mut self, id: EventId) -> bool {
         if self.pending == Some(id) {
             self.pending = None;
-            self.fired += 1;
             true
         } else {
             false
@@ -120,7 +105,6 @@ mod tests {
         assert_eq!(e.event, Ev::Tick);
         assert!(t.on_fired(e.id));
         assert!(!t.is_armed());
-        assert_eq!(t.fired_count(), 1);
     }
 
     #[test]
@@ -129,7 +113,6 @@ mod tests {
         let mut t = Timer::new();
         t.arm(&mut q, 5.0, Ev::Tick);
         t.arm(&mut q, 1.0, Ev::Tick);
-        assert_eq!(t.armed_count(), 2);
         // Only the second event should be delivered.
         let e = q.pop().unwrap();
         assert_eq!(e.time.as_secs(), 1.0);
@@ -162,7 +145,6 @@ mod tests {
         // `other` reuses the fired event's slot.
         let other = q.schedule_in(5.0, Ev::Other);
         t.arm(&mut q, 1.0, Ev::Tick);
-        assert_eq!(t.armed_count(), 2);
         assert!(
             q.is_pending(other),
             "re-arm must not cancel the reused slot"

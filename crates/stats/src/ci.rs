@@ -161,19 +161,13 @@ impl ConfidenceInterval {
         }
     }
 
-    /// Computes a 95% interval from raw samples.
-    pub fn p95_from_samples(samples: &[f64]) -> Self {
-        let stats = OnlineStats::from_iter(samples.iter().copied());
-        Self::from_stats(&stats, Confidence::P95)
-    }
-
     /// Lower bound of the interval.
-    pub fn lower(&self) -> f64 {
+    fn lower(&self) -> f64 {
         self.mean - self.half_width
     }
 
     /// Upper bound of the interval.
-    pub fn upper(&self) -> f64 {
+    fn upper(&self) -> f64 {
         self.mean + self.half_width
     }
 
@@ -181,26 +175,20 @@ impl ConfidenceInterval {
     pub fn contains(&self, value: f64) -> bool {
         value >= self.lower() && value <= self.upper()
     }
-
-    /// Relative half width (`half_width / |mean|`), `inf` for a zero mean with
-    /// nonzero half-width.
-    pub fn relative_half_width(&self) -> f64 {
-        if self.mean == 0.0 {
-            if self.half_width == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.half_width / self.mean.abs()
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::approx_eq;
+
+    /// The 95% interval of raw samples.
+    fn p95_from_samples(samples: &[f64]) -> ConfidenceInterval {
+        ConfidenceInterval::from_stats(
+            &OnlineStats::from_iter(samples.iter().copied()),
+            Confidence::P95,
+        )
+    }
 
     #[test]
     fn critical_values_match_table() {
@@ -227,7 +215,7 @@ mod tests {
     #[test]
     fn interval_from_known_samples() {
         // samples 1..=5: mean 3, sd sqrt(2.5), se sqrt(0.5), t(4)=2.776
-        let ci = ConfidenceInterval::p95_from_samples(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        let ci = p95_from_samples(&[1.0, 2.0, 3.0, 4.0, 5.0]);
         assert!(approx_eq(ci.mean, 3.0, 1e-12));
         let expected_hw = 2.776 * (2.5f64 / 5.0).sqrt();
         assert!(approx_eq(ci.half_width, expected_hw, 1e-9));
@@ -238,7 +226,7 @@ mod tests {
 
     #[test]
     fn single_sample_has_zero_half_width() {
-        let ci = ConfidenceInterval::p95_from_samples(&[42.0]);
+        let ci = p95_from_samples(&[42.0]);
         assert_eq!(ci.half_width, 0.0);
         assert_eq!(ci.samples, 1);
         assert_eq!(ci.mean, 42.0);
@@ -246,20 +234,9 @@ mod tests {
 
     #[test]
     fn identical_samples_have_zero_width() {
-        let ci = ConfidenceInterval::p95_from_samples(&[7.0; 30]);
+        let ci = p95_from_samples(&[7.0; 30]);
         assert_eq!(ci.half_width, 0.0);
         assert!(ci.contains(7.0));
         assert!(!ci.contains(7.1));
-    }
-
-    #[test]
-    fn relative_half_width() {
-        let ci = ConfidenceInterval {
-            mean: 2.0,
-            half_width: 0.5,
-            samples: 10,
-            level: Confidence::P95,
-        };
-        assert!(approx_eq(ci.relative_half_width(), 0.25, 1e-12));
     }
 }

@@ -77,7 +77,7 @@ impl OnlineStats {
 
     /// Unbiased sample variance (`n - 1` denominator); `0.0` with fewer than
     /// two samples.
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {

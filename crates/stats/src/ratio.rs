@@ -14,7 +14,6 @@
 //! intervals.
 
 use crate::ci::Confidence;
-use crate::online::OnlineStats;
 
 /// Accumulates `(length, reward)` pairs from regeneration cycles and
 /// estimates the long-run ratio `E[reward] / E[length]`.
@@ -89,7 +88,7 @@ impl RatioEstimator {
     }
 
     /// Half-width of the confidence interval at the given level.
-    pub fn ci_half_width(&self, level: Confidence) -> f64 {
+    fn ci_half_width(&self, level: Confidence) -> f64 {
         if self.n < 2 {
             return 0.0;
         }
@@ -97,7 +96,7 @@ impl RatioEstimator {
     }
 
     /// Smallest per-cycle ratio observed (`None` when empty).
-    pub fn min_cycle_ratio(&self) -> Option<f64> {
+    fn min_cycle_ratio(&self) -> Option<f64> {
         if self.n == 0 || !self.min_cycle_ratio.is_finite() {
             None
         } else {
@@ -106,7 +105,7 @@ impl RatioEstimator {
     }
 
     /// Largest per-cycle ratio observed (`None` when empty).
-    pub fn max_cycle_ratio(&self) -> Option<f64> {
+    fn max_cycle_ratio(&self) -> Option<f64> {
         if self.n == 0 || !self.max_cycle_ratio.is_finite() {
             None
         } else {
@@ -127,12 +126,6 @@ impl RatioEstimator {
             ci95_half_width: self.ci_half_width(Confidence::P95),
         }
     }
-
-    /// Plain per-cycle-ratio statistics (mean of `Y/X`), exposed so callers
-    /// can contrast the biased and unbiased estimators.
-    pub fn cycle_ratio_stats(cycles: &[(f64, f64)]) -> OnlineStats {
-        OnlineStats::from_iter(cycles.iter().filter(|(x, _)| *x > 0.0).map(|(x, y)| y / x))
-    }
 }
 
 #[cfg(test)]
@@ -147,9 +140,8 @@ mod tests {
         // cycle: the long-run fraction is dominated by the long cycle.
         est.push(99.0, 9.0);
         est.push(1.0, 1.0);
+        // The mean of the per-cycle ratios, (9/99 + 1/1) / 2, would be 0.55.
         assert!(approx_eq(est.ratio(), 0.1, 1e-12));
-        let naive = RatioEstimator::cycle_ratio_stats(&[(99.0, 9.0), (1.0, 1.0)]).mean();
-        assert!(naive > 0.5, "naive estimator is heavily biased: {naive}");
         assert_eq!(est.count(), 2);
     }
 

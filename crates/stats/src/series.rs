@@ -6,8 +6,6 @@
 //! generator, the benches, and the integration tests that assert the *shape*
 //! of the paper's figures (orderings, crossovers, monotonicity).
 
-use crate::ci::ConfidenceInterval;
-
 /// A single data point: x value, y value, and an optional error half-width
 /// (simulation points carry 95% confidence half-widths).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,15 +30,6 @@ impl Point {
             x,
             y,
             err: Some(err),
-        }
-    }
-
-    /// Point taken from a confidence interval.
-    pub fn from_ci(x: f64, ci: &ConfidenceInterval) -> Self {
-        Self {
-            x,
-            y: ci.mean,
-            err: Some(ci.half_width),
         }
     }
 }
@@ -89,19 +78,6 @@ impl Series {
     /// The x values in order.
     pub fn xs(&self) -> Vec<f64> {
         self.points.iter().map(|p| p.x).collect()
-    }
-
-    /// The y values in order.
-    pub fn ys(&self) -> Vec<f64> {
-        self.points.iter().map(|p| p.y).collect()
-    }
-
-    /// Returns the y value at the given x (exact match within `tol`), if any.
-    pub fn y_at(&self, x: f64, tol: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| (p.x - x).abs() <= tol)
-            .map(|p| p.y)
     }
 
     /// Maximum y value (`None` when empty).
@@ -305,9 +281,6 @@ mod tests {
         let s = sample_series();
         assert_eq!(s.len(), 3);
         assert_eq!(s.xs(), vec![1.0, 2.0, 3.0]);
-        assert_eq!(s.ys(), vec![0.5, 0.3, 0.1]);
-        assert_eq!(s.y_at(2.0, 1e-9), Some(0.3));
-        assert_eq!(s.y_at(2.5, 1e-9), None);
         assert_eq!(s.y_max(), Some(0.5));
         assert_eq!(s.y_min(), Some(0.1));
         assert_eq!(s.argmin_y(), Some(3.0));
@@ -368,14 +341,5 @@ mod tests {
         let csv = set.to_csv();
         assert!(csv.lines().next().unwrap().contains("sim_err"));
         assert!(csv.contains("0.01"));
-    }
-
-    #[test]
-    fn point_from_ci() {
-        let ci = crate::ci::ConfidenceInterval::p95_from_samples(&[1.0, 2.0, 3.0]);
-        let p = Point::from_ci(10.0, &ci);
-        assert_eq!(p.x, 10.0);
-        assert_eq!(p.y, 2.0);
-        assert!(p.err.unwrap() > 0.0);
     }
 }

@@ -27,9 +27,7 @@ pub struct LevelMeter {
     start: f64,
     last_time: f64,
     level: i64,
-    max_level: i64,
     integral: f64,
-    steps: u64,
 }
 
 impl LevelMeter {
@@ -39,9 +37,7 @@ impl LevelMeter {
             start: start_time,
             last_time: start_time,
             level: 0,
-            max_level: 0,
             integral: 0.0,
-            steps: 0,
         }
     }
 
@@ -63,10 +59,6 @@ impl LevelMeter {
         self.last_time = t;
         self.level += delta;
         debug_assert!(self.level >= 0, "population level went negative");
-        if self.level > self.max_level {
-            self.max_level = self.level;
-        }
-        self.steps += 1;
     }
 
     /// One session entering the condition.
@@ -82,16 +74,6 @@ impl LevelMeter {
     /// The current level.
     pub fn level(&self) -> i64 {
         self.level
-    }
-
-    /// The largest level seen so far.
-    pub fn max_level(&self) -> i64 {
-        self.max_level
-    }
-
-    /// Number of steps applied so far.
-    pub fn step_count(&self) -> u64 {
-        self.steps
     }
 
     /// `∫ level(t) dt` from the start time until `t` (units:
@@ -157,11 +139,6 @@ impl BinnedMeter {
         }
     }
 
-    /// The configured bin width (seconds).
-    pub fn bin_width(&self) -> f64 {
-        self.bin_width
-    }
-
     /// The current level.
     pub fn level(&self) -> i64 {
         self.level
@@ -216,7 +193,7 @@ impl BinnedMeter {
     /// Per-bin integrals `∫ level dt` (session-seconds per bin) extended to
     /// time `t`, without mutating the meter.  The last bin may be partial if
     /// `t` is not on a bin boundary.
-    pub fn integrals_until(&self, t: f64) -> Vec<f64> {
+    fn integrals_until(&self, t: f64) -> Vec<f64> {
         let mut copy = self.clone();
         copy.advance_to(t);
         copy.bins
@@ -319,11 +296,6 @@ impl RateMeter {
     pub fn counts(&self) -> &[u32] {
         &self.bins
     }
-
-    /// The configured bin width (seconds).
-    pub fn bin_width(&self) -> f64 {
-        self.bin_width
-    }
 }
 
 #[cfg(test)]
@@ -336,7 +308,6 @@ mod tests {
     fn empty_meter_is_zero() {
         let m = LevelMeter::new(0.0);
         assert_eq!(m.level(), 0);
-        assert_eq!(m.max_level(), 0);
         assert_eq!(m.integral_until(10.0), 0.0);
         assert_eq!(m.average_until(10.0), 0.0);
     }
@@ -350,8 +321,6 @@ mod tests {
         assert!(approx_eq(m.integral_until(10.0), 9.0, 1e-12));
         assert!(approx_eq(m.average_until(10.0), 0.9, 1e-12));
         assert_eq!(m.level(), 0);
-        assert_eq!(m.max_level(), 3);
-        assert_eq!(m.step_count(), 2);
     }
 
     #[test]
@@ -361,7 +330,6 @@ mod tests {
         m.inc(2.0); // level 2 on [2,3)
         m.dec(3.0); // level 1 on [3,5)
         assert!(approx_eq(m.integral_until(5.0), 2.0 + 2.0 + 2.0, 1e-12));
-        assert_eq!(m.max_level(), 2);
     }
 
     #[test]
@@ -397,7 +365,6 @@ mod tests {
         let avgs = m.averages_until(4.0);
         assert!(approx_eq(avgs[1], 2.0, 1e-12));
         assert_eq!(m.level(), 0);
-        assert_eq!(m.bin_width(), 1.0);
     }
 
     #[test]
@@ -436,7 +403,6 @@ mod tests {
         assert_eq!(m.peak(), 2);
         assert_eq!(m.total(), 5);
         assert!(approx_eq(m.peak_rate(), 2.0, 1e-12));
-        assert_eq!(m.bin_width(), 1.0);
     }
 
     #[test]
@@ -524,9 +490,10 @@ mod tests {
             for t in times {
                 m.inc(t);
             }
+            // Only increments: the final level is the largest one.
             let avg = m.average_until(60.0);
             prop_assert!(avg >= 0.0);
-            prop_assert!(avg <= m.max_level() as f64 + 1e-9);
+            prop_assert!(avg <= m.level() as f64 + 1e-9);
         }
     }
 }

@@ -38,21 +38,6 @@ impl Summary {
         }
     }
 
-    /// Builds a summary from raw samples.
-    pub fn from_samples(samples: &[f64]) -> Self {
-        Self::from_stats(&OnlineStats::from_iter(samples.iter().copied()))
-    }
-
-    /// The 95% confidence interval as an interval object.
-    pub fn ci95(&self) -> ConfidenceInterval {
-        ConfidenceInterval {
-            mean: self.mean,
-            half_width: self.ci95_half_width,
-            samples: self.count,
-            level: Confidence::P95,
-        }
-    }
-
     /// Single-line human readable rendering, e.g.
     /// `mean=0.01234 ±0.00021 (n=200, min=0.010, max=0.015)`.
     pub fn display_line(&self) -> String {
@@ -68,21 +53,24 @@ mod tests {
     use super::*;
     use crate::approx_eq;
 
+    fn summary_of(samples: &[f64]) -> Summary {
+        Summary::from_stats(&OnlineStats::from_iter(samples.iter().copied()))
+    }
+
     #[test]
     fn summary_from_samples() {
-        let s = Summary::from_samples(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        let s = summary_of(&[1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(s.count, 5);
         assert!(approx_eq(s.mean, 3.0, 1e-12));
         assert!(approx_eq(s.std_dev, 2.5f64.sqrt(), 1e-12));
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 5.0);
         assert!(s.ci95_half_width > 0.0);
-        assert!(s.ci95().contains(3.0));
     }
 
     #[test]
     fn summary_of_empty_is_nan_extrema() {
-        let s = Summary::from_samples(&[]);
+        let s = summary_of(&[]);
         assert_eq!(s.count, 0);
         assert!(s.min.is_nan());
         assert!(s.max.is_nan());
@@ -91,7 +79,7 @@ mod tests {
 
     #[test]
     fn display_line_contains_fields() {
-        let s = Summary::from_samples(&[2.0, 2.0, 2.0]);
+        let s = summary_of(&[2.0, 2.0, 2.0]);
         let line = s.display_line();
         assert!(line.contains("mean=2.000000"));
         assert!(line.contains("n=3"));

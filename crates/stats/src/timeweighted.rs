@@ -20,7 +20,6 @@ pub struct TimeWeighted {
     integral: f64,
     /// Total time during which the signal was strictly positive.
     positive_time: f64,
-    changes: u64,
 }
 
 impl TimeWeighted {
@@ -32,7 +31,6 @@ impl TimeWeighted {
             current: initial,
             integral: 0.0,
             positive_time: 0.0,
-            changes: 0,
         }
     }
 
@@ -54,25 +52,12 @@ impl TimeWeighted {
             self.positive_time += dt;
         }
         self.last_time = t;
-        if value != self.current {
-            self.changes += 1;
-        }
         self.current = value;
     }
 
     /// Convenience wrapper for boolean indicator signals.
     pub fn set_bool(&mut self, t: f64, value: bool) {
         self.set(t, if value { 1.0 } else { 0.0 });
-    }
-
-    /// Current signal value.
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
-    /// Number of observed value changes.
-    pub fn change_count(&self) -> u64 {
-        self.changes
     }
 
     /// Integral of the signal from the start time until `t`.
@@ -137,7 +122,6 @@ mod tests {
                                  // until t=10: positive on [0,2) and [5,6) => 3 out of 10
         assert!(approx_eq(tw.average_until(10.0), 0.3, 1e-12));
         assert!(approx_eq(tw.positive_fraction_until(10.0), 0.3, 1e-12));
-        assert_eq!(tw.change_count(), 3);
     }
 
     #[test]
@@ -145,16 +129,6 @@ mod tests {
         let tw = TimeWeighted::new(5.0, 1.0);
         assert_eq!(tw.average_until(5.0), 0.0);
         assert_eq!(tw.average_until(4.0), 0.0);
-    }
-
-    #[test]
-    fn repeated_set_same_value_does_not_count_change() {
-        let mut tw = TimeWeighted::new(0.0, 0.0);
-        tw.set(1.0, 0.0);
-        tw.set(2.0, 0.0);
-        assert_eq!(tw.change_count(), 0);
-        tw.set(3.0, 1.0);
-        assert_eq!(tw.change_count(), 1);
     }
 
     #[test]

@@ -16,4 +16,4 @@ pub mod scenario;
 pub mod sweep;
 
 pub use scenario::{MultiHopScenario, Scenario};
-pub use sweep::{linear_space, log_space, Sweep};
+pub use sweep::Sweep;

@@ -14,10 +14,9 @@ use signet::LossModel;
 
 /// A named single-hop application scenario.
 ///
-/// The three scenarios the paper discusses are provided as constructors
-/// ([`Scenario::kazaa_peer`], [`Scenario::igmp_membership`],
-/// [`Scenario::sip_registration`]), alongside two further built-ins
-/// ([`Scenario::dns_cache_lease`], [`Scenario::bgp_session_keepalive`]).
+/// The three scenarios the paper discusses (Kazaa peer registration, IGMP
+/// group membership, SIP registration) and two further ones (DNS cache
+/// lease, BGP session keepalive) are listed by [`Scenario::builtins`].
 /// A user-defined scenario is just a struct literal or
 /// [`Scenario::new`] + builder calls.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +93,7 @@ impl Scenario {
     /// group membership, it is rarely updated, the LAN has low loss and
     /// sub-millisecond delay, and membership reports every ~60 s play the
     /// refresh role (τ ≈ 2.5 × T as in IGMPv2's defaults).
-    pub fn igmp_membership() -> Self {
+    fn igmp_membership() -> Self {
         let mut p = SingleHopParams::kazaa_defaults();
         p.loss = 0.001;
         p = p.with_delay_scaled_retrans(0.001);
@@ -108,7 +107,7 @@ impl Scenario {
 
     /// A SIP user agent keeps a registration alive at its registrar over a
     /// wide-area path: long expiry interval, occasional contact updates.
-    pub fn sip_registration() -> Self {
+    fn sip_registration() -> Self {
         let mut p = SingleHopParams::kazaa_defaults();
         p.loss = 0.01;
         p = p.with_delay_scaled_retrans(0.08);
@@ -210,7 +209,7 @@ impl MultiHopScenario {
 
     /// A long, lossy overlay path (30 hops, 5% per-hop loss) — a stress
     /// scenario beyond the paper's defaults.
-    pub fn lossy_overlay() -> Self {
+    fn lossy_overlay() -> Self {
         let mut p = MultiHopParams::reservation_defaults().with_hops(30);
         p.loss = 0.05;
         p.delay = 0.05;

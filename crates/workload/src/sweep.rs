@@ -10,7 +10,7 @@
 ///
 /// # Panics
 /// Panics if `lo` or `hi` are non-positive or `n < 2`.
-pub fn log_space(lo: f64, hi: f64, n: usize) -> Vec<f64> {
+fn log_space(lo: f64, hi: f64, n: usize) -> Vec<f64> {
     assert!(lo > 0.0 && hi > 0.0, "log_space needs positive bounds");
     assert!(n >= 2, "log_space needs at least two points");
     let (llo, lhi) = (lo.ln(), hi.ln());
@@ -23,7 +23,7 @@ pub fn log_space(lo: f64, hi: f64, n: usize) -> Vec<f64> {
 ///
 /// # Panics
 /// Panics if `n < 2`.
-pub fn linear_space(lo: f64, hi: f64, n: usize) -> Vec<f64> {
+fn linear_space(lo: f64, hi: f64, n: usize) -> Vec<f64> {
     assert!(n >= 2, "linear_space needs at least two points");
     (0..n)
         .map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64)
@@ -49,7 +49,7 @@ impl Sweep {
     }
 
     /// A linear sweep.
-    pub fn linear(parameter: impl Into<String>, lo: f64, hi: f64, n: usize) -> Self {
+    fn linear(parameter: impl Into<String>, lo: f64, hi: f64, n: usize) -> Self {
         Self {
             parameter: parameter.into(),
             values: linear_space(lo, hi, n),
